@@ -20,7 +20,7 @@ Config schema (JSON object with two keys)::
 Experiment parameters:
 
     validate       (none)
-    scan           alpha_grid, n_grid, [delta=1e-3], [workers=1]
+    scan           alpha_grid, n_grid, [delta=1e-3], [workers=1, at most the CPU count]
     achievability  gamma, n_grid, [scheduler="eft"], [budget=2000000]
     converse       gap, n_grid
     second-order   epsilon, n_grid
@@ -39,6 +39,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -428,6 +429,9 @@ def parse_config(text: str, expected_kind: str | None = None) -> ExperimentConfi
             errors.add(f"experiment.{name}", "required parameter is missing")
         else:
             params[name] = default
+    cpus = os.cpu_count() or 1
+    if not 1 <= params.get("workers", 1) <= cpus:
+        errors.add("experiment.workers", f"expected 1 to {cpus} (the CPU count), got {params['workers']}")
     errors.check()
     assert problem is not None
     return ExperimentConfig(problem=problem, kind=kind, params=params, master_seed=master_seed)

@@ -33,6 +33,8 @@ from .core import (
 from .errors import DomainError, ResourceError
 from .stochastic import JobProcess, sum_distribution
 
+_MAX_DFS_DEPTH = 500  # brute-force DFS recursion depth, well inside the interpreter's limit
+
 
 @dataclass(frozen=True)
 class BruteForce:
@@ -85,13 +87,17 @@ def brute_force_optimal(
     """
     m = problem.machines.m
     n = seq.n
+    times = [problem.alphabet.time_of(sym) for sym in seq.items]
+    weights, scale = scaled_inverse_speeds(problem.machines)
+    if m == 1:
+        return Assignment((0,) * n), Fraction(sum(times) * weights[0], scale)
     if m**n > budget:
         raise ResourceError(
             f"brute force would enumerate {m}^{n} assignments (budget {budget}); "
             "use EarliestFinishTime or LPT instead"
         )
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
-    weights, scale = scaled_inverse_speeds(problem.machines)
+    if n > _MAX_DFS_DEPTH:
+        raise ResourceError(f"brute force recurses once per job; n={n} exceeds the depth limit {_MAX_DFS_DEPTH}")
     loads = [0] * m
     choice = [0] * n
     best_scaled: int | None = None

@@ -11,6 +11,7 @@ exact tail probabilities and exact rational cost accounting.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,8 +113,9 @@ def spectral_scan(
     An alpha counts as converged when its tail at the largest n is below
     delta and the tail is non-increasing over the last three grid lengths.
     ebar_estimate is the smallest converged alpha (None when there is none).
-    Grid cells are independent, so workers > 1 may evaluate rows in parallel;
-    assembly order is fixed by the grid, not by completion order.
+    Grid cells are independent, so workers > 1 may evaluate rows in parallel,
+    up to os.cpu_count() processes; assembly order is fixed by the grid, not
+    by completion order.
     """
     alphas = tuple(as_fraction(a) for a in alpha_grid)
     ns = tuple(int(n) for n in n_grid)
@@ -129,6 +131,9 @@ def spectral_scan(
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ResourceError(f"workers={workers} exceeds the {cpus} CPUs of this host")
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

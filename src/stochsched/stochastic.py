@@ -21,16 +21,18 @@ from .core import JobAlphabet, JobSequence, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
-_MAX_LATTICE = 200_000_000  # refuse sum-law tables beyond this many lattice points
+_MAX_BYTES = 1 << 30  # refuse sum laws whose working arrays would exceed 1 GiB
 
 
-def _check_prob_vector(values: Sequence[Fraction], what: str) -> None:
+def _normalised(values: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
+    """Check a probability vector (sum within _PROB_TOL of 1), then rescale it to sum exactly 1."""
     for p in values:
         if p < 0:
             raise DomainError(f"{what} has a negative entry: {p}")
     total = sum(values, Fraction(0))
     if abs(total - 1) > _PROB_TOL:
         raise DomainError(f"{what} must sum to 1 (got {float(total)!r})")
+    return tuple(values) if total == 1 else tuple(p / total for p in values)
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,8 @@ class IIDModel:
     def __post_init__(self):
         if not self.probs:
             raise DomainError("IID model needs at least one symbol")
-        clean = {sym: as_fraction(p) for sym, p in self.probs.items()}
-        _check_prob_vector(list(clean.values()), "IID probability vector")
-        object.__setattr__(self, "probs", clean)
+        probs = _normalised([as_fraction(p) for p in self.probs.values()], "IID probability vector")
+        object.__setattr__(self, "probs", dict(zip(self.probs, probs)))
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -67,12 +68,11 @@ class MarkovModel:
         rows = tuple(tuple(as_fraction(p) for p in row) for row in self.transition)
         if len(rows) != k or any(len(row) != k for row in rows):
             raise DomainError(f"transition matrix must be {k}x{k}")
-        for i, row in enumerate(rows):
-            _check_prob_vector(row, f"transition row for {symbols[i]!r}")
+        rows = tuple(_normalised(row, f"transition row for {symbols[i]!r}") for i, row in enumerate(rows))
         initial = tuple(as_fraction(p) for p in self.initial)
         if len(initial) != k:
             raise DomainError(f"initial distribution must have {k} entries")
-        _check_prob_vector(initial, "initial distribution")
+        initial = _normalised(initial, "initial distribution")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "transition", rows)
         object.__setattr__(self, "initial", initial)
@@ -116,7 +116,8 @@ class MixtureModel:
         for w, _ in comps:
             if w <= 0:
                 raise DomainError(f"mixture weights must be positive, got {w}")
-        _check_prob_vector([w for w, _ in comps], "mixture weight vector")
+        weights = _normalised([w for w, _ in comps], "mixture weight vector")
+        comps = tuple((w, model) for w, (_, model) in zip(weights, comps))
         base = set(comps[0][1].symbols)
         for _, model in comps[1:]:
             if set(model.symbols) != base:
@@ -145,24 +146,30 @@ def flatten_mixture(process: JobProcess) -> list[tuple[Fraction, JobProcess]]:
 # exact law of the total processing time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumDistribution:
     """Exact lattice law of the total processing time of n jobs.
 
-    mass maps each attainable integer total to its probability; totals whose
-    probability underflows double precision are dropped.
+    masses[i] = P(T_n = offset + i), dense over every reachable total.  The
+    support and the {total: probability} view `mass` hold the totals of
+    positive mass; totals whose probability underflows double precision drop out.
     """
 
     n: int
-    mass: Mapping[int, float]
+    offset: int
+    masses: np.ndarray
 
     @cached_property
     def _support(self) -> np.ndarray:
-        return np.array(sorted(self.mass), dtype=np.int64)
+        return np.flatnonzero(self.masses > 0.0) + self.offset
 
     @cached_property
     def _probs(self) -> np.ndarray:
-        return np.array([self.mass[int(s)] for s in self._support], dtype=np.float64)
+        return self.masses[self._support - self.offset]
+
+    @cached_property
+    def mass(self) -> dict[int, float]:
+        return dict(zip(self._support.tolist(), self._probs.tolist()))
 
     @cached_property
     def _suffix(self) -> np.ndarray:
@@ -176,10 +183,11 @@ class SumDistribution:
         return np.concatenate([[0.0], np.cumsum(self._probs)])[: len(self._probs) + 1]
 
     def support(self) -> list[int]:
-        return [int(s) for s in self._support]
+        return self._support.tolist()
 
     def mass_at(self, total: int) -> float:
-        return float(self.mass.get(total, 0.0))
+        i = total - self.offset
+        return float(self.masses[int(i)]) if 0 <= i < len(self.masses) and i == int(i) else 0.0
 
     def prob_above(self, threshold) -> float:
         """P(T_n > threshold), exact placement for rational thresholds."""
@@ -208,101 +216,94 @@ class SumDistribution:
         return int(self._support[idx])
 
 
-def _guard_lattice(n: int, t_min: int, t_max: int) -> None:
-    if n * t_max > 2**53:
-        raise DomainError(f"total-time bound {n}*{t_max} exceeds the exact double-integer range")
-    if n * (t_max - t_min) + 1 > _MAX_LATTICE:
-        raise ResourceError(f"sum-law support for n={n} would exceed {_MAX_LATTICE} lattice points")
-
-
 def _symbol_times(process: JobProcess, alphabet: JobAlphabet) -> list[int]:
     return [alphabet.time_of(sym) for sym in process.symbols]
-
-
-def _iid_weight_array(model: IIDModel, alphabet: JobAlphabet) -> tuple[int, np.ndarray]:
-    """One-job law as (offset, dense probability array over [t_min, t_max])."""
-    times = _symbol_times(model, alphabet)
-    t_min, t_max = min(times), max(times)
-    arr = np.zeros(t_max - t_min + 1, dtype=np.float64)
-    for sym, t in zip(model.symbols, times):
-        arr[t - t_min] += float(model.probs[sym])
-    return t_min, arr
 
 
 def _pow_convolve(base: np.ndarray, n: int) -> np.ndarray:
     """n-fold self-convolution by binary exponentiation."""
     result = np.array([1.0])
-    cur = base
-    k = n
-    while k:
-        if k & 1:
-            result = np.convolve(result, cur)
-        k >>= 1
-        if k:
-            cur = np.convolve(cur, cur)
+    while n:
+        if n & 1:
+            result = np.convolve(result, base)
+        n >>= 1
+        if n:
+            base = np.convolve(base, base)
     return result
 
 
-def _mass_from_array(offset: int, arr: np.ndarray, n: int) -> SumDistribution:
-    idx = np.nonzero(arr > 0.0)[0]
-    mass = {int(offset + i): float(arr[i]) for i in idx}
-    return SumDistribution(n=n, mass=mass)
-
-
-def _iid_sum(model: IIDModel, alphabet: JobAlphabet, n: int) -> SumDistribution:
-    t_min, arr = _iid_weight_array(model, alphabet)
-    _guard_lattice(n, t_min, t_min + len(arr) - 1)
-    return _mass_from_array(n * t_min, _pow_convolve(arr, n), n)
-
-
-def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> SumDistribution:
+# Each kernel returns the masses over [n*t_min, n*t_max] of its symbol times.
+def _iid_sum(model: IIDModel, alphabet: JobAlphabet, n: int) -> np.ndarray:
     times = _symbol_times(model, alphabet)
-    t_min, t_max = min(times), max(times)
-    _guard_lattice(n, t_min, t_max)
-    k = len(model.symbols)
-    span = t_max - t_min
-    trans = np.array([[float(p) for p in row] for row in model.transition])
-    # state-resolved law of the running total, window re-based at step*t_min
-    cur = np.zeros((k, span + 1))
-    for j in range(k):
-        cur[j, times[j] - t_min] = float(model.initial[j])
+    t_min = min(times)
+    base = np.zeros(max(times) - t_min + 1)
+    for sym, t in zip(model.symbols, times):
+        base[t - t_min] += float(model.probs[sym])
+    return _pow_convolve(base, n)
+
+
+def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> np.ndarray:
+    times = _symbol_times(model, alphabet)
+    shifts = [t - min(times) for t in times]
+    span = max(shifts)
+    trans_t = np.array([[float(p) for p in row] for row in model.transition]).T.copy()
+    # state-resolved law of the running total re-based at step*t_min, in two
+    # buffers used in turn; after `step` jobs the first step*span+1 columns
+    # are live.  Row j is only ever written at [shift_j, shift_j + width), a
+    # range that grows every step, so its other columns stay zero.
+    cur = np.zeros((len(times), n * span + 1))
+    nxt = np.zeros_like(cur)
+    for j, shift in enumerate(shifts):
+        cur[j, shift] = float(model.initial[j])
     for step in range(1, n):
-        new = np.zeros((k, step * span + span + 1))
         width = step * span + 1
-        for j in range(k):
-            col = cur[j]
-            if not col.any():
-                continue
-            for kk in range(k):
-                p = trans[j, kk]
-                if p:
-                    off = times[kk] - t_min
-                    new[kk, off : off + width] += col * p
-        cur = new
-    return _mass_from_array(n * t_min, cur.sum(axis=0), n)
+        live = cur[:, :width]
+        for j, shift in enumerate(shifts):
+            np.dot(trans_t[j], live, out=nxt[j, shift : shift + width])
+        cur, nxt = nxt, cur
+    return cur.sum(axis=0)
 
 
-def _mixture_sum(model: MixtureModel, alphabet: JobAlphabet, n: int) -> SumDistribution:
-    mass: dict[int, float] = {}
+def _mixture_sum(model: MixtureModel, alphabet: JobAlphabet, n: int) -> np.ndarray:
+    # components share one symbol set, so their arrays cover one lattice
+    masses = None
     for w, sub in model.components:
-        part = sum_distribution(sub, alphabet, n)
-        wf = float(w)
-        for s, p in part.mass.items():
-            mass[s] = mass.get(s, 0.0) + wf * p
-    return SumDistribution(n=n, mass=mass)
+        part = float(w) * sum_distribution(sub, alphabet, n).masses
+        masses = part if masses is None else np.add(masses, part, out=masses)
+    return masses
+
+
+_KERNELS = {IIDModel: _iid_sum, MarkovModel: _markov_sum, MixtureModel: _mixture_sum}
+
+
+def _working_rows(process: JobProcess) -> int:
+    """Lattice-wide float64 arrays the kernel for `process` holds at once."""
+    if isinstance(process, IIDModel):
+        return 3  # the largest convolution: both factors and the product
+    if isinstance(process, MarkovModel):
+        return 2 * len(process.symbols) + 1  # two state-resolved buffers and the sum
+    return 1 + max(_working_rows(sub) for _, sub in process.components)  # merged law beside a component
 
 
 def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumDistribution:
-    """Exact dynamic-programming law of the n-job total processing time."""
+    """Exact dynamic-programming law of the n-job total processing time.
+
+    Cost: O(k^2 * n^2 * span) for a k-state Markov chain, O(log n)
+    convolutions for IID.  Raises ResourceError, before allocating, when the
+    kernel's working arrays would exceed _MAX_BYTES.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"sequence length must be a positive integer, got {n!r}")
-    if isinstance(process, IIDModel):
-        return _iid_sum(process, alphabet, n)
-    if isinstance(process, MarkovModel):
-        return _markov_sum(process, alphabet, n)
-    if isinstance(process, MixtureModel):
-        return _mixture_sum(process, alphabet, n)
-    raise DomainError(f"unsupported process type {type(process).__name__}")
+    if type(process) not in _KERNELS:
+        raise DomainError(f"unsupported process type {type(process).__name__}")
+    times = _symbol_times(process, alphabet)
+    t_min, t_max = min(times), max(times)
+    if n * t_max > 2**53:
+        raise DomainError(f"total-time bound {n}*{t_max} exceeds the exact double-integer range")
+    needed = 8 * (n * (t_max - t_min) + 1) * _working_rows(process)
+    if needed > _MAX_BYTES:
+        raise ResourceError(f"sum law for n={n} needs {needed} bytes of working arrays (budget {_MAX_BYTES})")
+    return SumDistribution(n, n * t_min, _KERNELS[type(process)](process, alphabet, n))
 
 
 # ---------------------------------------------------------------------------

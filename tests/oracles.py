@@ -1,8 +1,10 @@
 """Independent reference implementations used to validate the fast paths.
 
 Everything here is deliberately naive: full enumeration with exact rational
-arithmetic, and quadrature-based normal quantiles.  No pruning, no dynamic
-programming, no closed forms shared with the library code.
+arithmetic, and quadrature-based normal quantiles.  No pruning and no closed
+forms shared with the library code.  The one dynamic programme is the
+per-step sum-law DP the package first shipped, kept as the reference for its
+dense kernel at sizes enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad
 
 from stochsched import (
@@ -79,6 +82,73 @@ def sum_law_by_enumeration(process, alphabet, n: int) -> dict[int, Fraction]:
         total = sum(alphabet.time_of(sym) for sym in items)
         law[total] = law.get(total, Fraction(0)) + sequence_probability(process, items)
     return {s: p for s, p in law.items() if p > 0}
+
+
+def sum_law_by_direct_dp(process, alphabet, n: int) -> dict[int, float]:
+    """Float law of the total time by the per-step DP the package first shipped.
+
+    Markov: the state-resolved law of the running total, advanced one job at
+    a time with one slice update per (source, destination) pair.  IID runs
+    as the Markov chain whose rows all equal the IID law.  Mixtures merge
+    the component dicts with their weights.  Totals of zero mass are left out.
+    """
+    if isinstance(process, MixtureModel):
+        mass: dict[int, float] = {}
+        for w, sub in process.components:
+            for s, p in sum_law_by_direct_dp(sub, alphabet, n).items():
+                mass[s] = mass.get(s, 0.0) + float(w) * p
+        return {s: p for s, p in mass.items() if p > 0.0}
+    if isinstance(process, IIDModel):
+        initial = [float(p) for p in process.probs.values()]
+        trans = np.array([initial] * len(initial))
+    else:
+        initial = [float(p) for p in process.initial]
+        trans = np.array([[float(p) for p in row] for row in process.transition])
+    times = [alphabet.time_of(sym) for sym in process.symbols]
+    t_min, span = min(times), max(times) - min(times)
+    k = len(times)
+    cur = np.zeros((k, span + 1))
+    for j in range(k):
+        cur[j, times[j] - t_min] = initial[j]
+    for step in range(1, n):
+        new = np.zeros((k, step * span + span + 1))
+        width = step * span + 1
+        for j in range(k):
+            col = cur[j]
+            if not col.any():
+                continue
+            for kk in range(k):
+                p = trans[j, kk]
+                if p:
+                    off = times[kk] - t_min
+                    new[kk, off : off + width] += col * p
+        cur = new
+    arr = cur.sum(axis=0)
+    return {n * t_min + int(i): float(arr[i]) for i in np.nonzero(arr > 0.0)[0]}
+
+
+class TailsFromMass:
+    """Tails and upper quantiles of a {total: prob} law by sequential sums.
+
+    above[s] = P(T > s) summed from the top of the support down, below[s] =
+    P(T < s) summed from the bottom up: the order the package's queries add in.
+    """
+
+    def __init__(self, mass: dict[int, float]):
+        self.support = sorted(mass)
+        self.above: dict[int, float] = {}
+        self.below: dict[int, float] = {}
+        acc = 0.0
+        for s in reversed(self.support):
+            self.above[s] = acc
+            acc += mass[s]
+        acc = 0.0
+        for s in self.support:
+            self.below[s] = acc
+            acc += mass[s]
+
+    def upper_quantile_total(self, epsilon: float) -> int:
+        return next(s for s in self.support if self.above[s] <= epsilon)
 
 
 def discard_probability_by_enumeration(

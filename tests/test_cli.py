@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,15 @@ class TestParsing:
     def test_not_json(self):
         with pytest.raises(ConfigError):
             parse_config("not json at all {")
+
+    def test_scan_workers_bounded_by_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scan = dict(kind="scan", alpha_grid=["9/10"], n_grid=[10])
+        assert parse_config(config_text(PROBLEM_IID, **scan, workers=2)).params["workers"] == 2
+        for workers in (0, 3):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(config_text(PROBLEM_IID, **scan, workers=workers))
+            assert any(p.startswith("experiment.workers") for p in exc.value.problems)
 
 
 class TestRun:

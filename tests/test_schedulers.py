@@ -72,6 +72,19 @@ class TestBruteForce:
         with pytest.raises(ResourceError):
             brute_force_optimal(seq, iid_problem, budget=10**6)
 
+    def test_single_machine_needs_no_search(self):
+        alphabet, problem = make_problem([2, 5], [Fraction(3, 2)])
+        seq = JobSequence(tuple(alphabet.symbols[i % 2] for i in range(3000)))
+        assignment, opt = brute_force_optimal(seq, problem)
+        assert assignment.machine_of == (0,) * 3000
+        assert opt == Fraction(2 * 1500 + 5 * 1500) / Fraction(3, 2)
+        assert makespan(assignment, seq, problem) == opt
+
+    def test_deep_search_refused_before_recursing(self, iid_problem):
+        seq = JobSequence(("a",) * 3000)
+        with pytest.raises(ResourceError, match="depth"):
+            brute_force_optimal(seq, iid_problem, budget=2**3000)
+
 
 class TestListSchedulers:
     def test_eft_trace(self, iid_problem):

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from stochsched import (
     LPT,
     MixtureModel,
     RateExperimentRow,
+    ResourceError,
     ThresholdDiscardSet,
     achievability_experiment,
     average_case_bracket,
@@ -114,6 +116,11 @@ class TestSpectralScan:
             spectral_scan(iid_problem, [Fraction(1)], [10], delta=1.0)
         with pytest.raises(DomainError):
             spectral_scan(iid_problem, [Fraction(1)], [10], workers=0)
+
+    def test_workers_capped_at_cpu_count(self, iid_problem, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ResourceError, match="CPUs"):
+            spectral_scan(iid_problem, [Fraction(1)], [10], workers=3)
 
 
 class TestAchievability:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from stochsched import (
     MarkovModel,
     MixtureModel,
     ResourceError,
+    SchedulingProblem,
+    ebar_theoretical,
     expected_processing_time,
     flatten_mixture,
     mean_time_exact,
@@ -25,7 +28,9 @@ from stochsched import (
     variance_processing_time,
 )
 
-from .oracles import sum_law_by_enumeration
+from stochsched import stochastic
+
+from .oracles import TailsFromMass, sum_law_by_direct_dp, sum_law_by_enumeration
 
 UNIFORM = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2)})
 SKEWED = IIDModel({"a": Fraction(3, 4), "b": Fraction(1, 4)})
@@ -47,6 +52,21 @@ class TestModelValidation:
     def test_iid_tolerates_float_roundoff(self):
         third = 1.0 / 3.0
         IIDModel({"a": third, "b": third, "c": third})  # sums to 1 - 5.5e-17
+
+    def test_vectors_normalised_to_an_exact_sum(self, desk_alphabet, desk_machines):
+        short = Fraction(1, 10**13)  # sums to 1 - 1e-13, inside the tolerance
+        model = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2) - short})
+        total = 1 - short
+        assert model.probs == {"a": Fraction(1, 2) / total, "b": (Fraction(1, 2) - short) / total}
+        problem = SchedulingProblem(desk_alphabet, desk_machines, model)
+        ebar = ebar_theoretical(problem)
+        assert ebar == (Fraction(1, 2) * 1 + (Fraction(1, 2) - short) * 3) / total / 3
+        assert ebar != (Fraction(1, 2) * 1 + (Fraction(1, 2) - short) * 3) / 3
+        half = Fraction(1, 2)
+        chain = MarkovModel(("a", "b"), ((half, half - short), (half, half)), (half - short, half))
+        assert all(sum(row) == 1 for row in chain.transition) and sum(chain.initial) == 1
+        mix = MixtureModel(((half, UNIFORM), (half - short, SKEWED)))
+        assert sum(w for w, _ in mix.components) == 1
 
     def test_markov_rejects_bad_shapes(self):
         rows = ((Fraction(1, 2), Fraction(1, 2)),)
@@ -170,6 +190,76 @@ class TestSumDistribution:
             sum_distribution(UNIFORM, wide, 300_000_000)
         with pytest.raises(DomainError):
             sum_distribution(iid_problem.process, iid_problem.alphabet, 0)
+
+
+def _periodic_chain():
+    """Period 2: a is followed by b or c, and b and c by a."""
+    one, half, zero = Fraction(1), Fraction(1, 2), Fraction(0)
+    rows = ((zero, half, half), (one, zero, zero), (one, zero, zero))
+    return MarkovModel(("a", "b", "c"), rows, (zero, Fraction(1, 3), Fraction(2, 3)))
+
+
+def _chain_with_zero_start():
+    rows = (
+        (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)),
+        (Fraction(1, 10), Fraction(4, 5), Fraction(1, 10)),
+        (Fraction(0), Fraction(2, 3), Fraction(1, 3)),
+    )
+    return MarkovModel(("a", "b", "c"), rows, (Fraction(0), Fraction(0), Fraction(1)))
+
+
+_WIDE = JobAlphabet({"a": 2, "b": 5, "c": 11})
+_IID_EDGE_ZERO = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(0)})
+_IID3 = IIDModel({"a": Fraction(1, 5), "b": Fraction(1, 2), "c": Fraction(3, 10)})
+_DENSE_CASES = {
+    "iid": _IID3,
+    "iid-zero-at-edge": _IID_EDGE_ZERO,
+    "markov-zero-start": _chain_with_zero_start(),
+    "markov-periodic": _periodic_chain(),
+    "mixture": MixtureModel(((Fraction(1, 3), _chain_with_zero_start()), (Fraction(2, 3), _IID3))),
+    "mixture-nested": MixtureModel(
+        (
+            (Fraction(1, 4), _periodic_chain()),
+            (Fraction(3, 4), MixtureModel(((Fraction(1, 2), _IID_EDGE_ZERO), (Fraction(1, 2), _chain_with_zero_start())))),
+        )
+    ),
+}
+
+
+class TestDenseKernelAgainstDirectDP:
+    @pytest.mark.parametrize("case", sorted(_DENSE_CASES))
+    @pytest.mark.parametrize("n", [1, 2, 7, 150, 400])
+    def test_masses_and_queries(self, case, n):
+        process = _DENSE_CASES[case]
+        dist = sum_distribution(process, _WIDE, n)
+        oracle = sum_law_by_direct_dp(process, _WIDE, n)
+        assert set(dist.mass) == set(oracle)
+        for total, p in oracle.items():
+            if p >= 1e-290:
+                assert abs(dist.mass_at(total) - p) <= 1e-12 * p
+        assert abs(float(dist.masses.sum()) - 1.0) <= 1e-12
+        tails = TailsFromMass(dist.mass)
+        for s in dist.support():
+            assert dist.prob_above(s) == min(1.0, tails.above[s])
+            assert dist.prob_below(s) == min(1.0, tails.below[s])
+            if 0.0 < tails.above[s] < 1.0:
+                assert dist.upper_quantile_total(tails.above[s]) == tails.upper_quantile_total(tails.above[s])
+
+    def test_byte_budget_refuses_before_allocating(self):
+        n, span, k = 10, 10_000_000, 3
+        wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
+        chain = _chain_with_zero_start()
+        points = n * span + 1
+        assert points < 200_000_000  # admitted by the former lattice-point limit
+        assert 8 * 2 * k * points > stochastic._MAX_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="bytes"):
+                sum_distribution(chain, wide, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestExactMoments:

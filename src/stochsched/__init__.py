@@ -17,7 +17,6 @@ from .core import (
     as_fraction,
     machine_loads,
     makespan,
-    optimal_cost_per_job_bracket,
     scaled_inverse_speeds,
     span_lower_bound,
     span_upper_bound,
@@ -35,8 +34,6 @@ from .schedulers import (
     brute_force_optimal,
     cost_exact,
     discard_probability,
-    eft_list_schedule,
-    lpt_schedule,
     max_kept_total_time,
     schedule,
 )
@@ -67,18 +64,14 @@ from .stochastic import (
     MarkovModel,
     MixtureModel,
     SumDistribution,
-    expected_processing_time,
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
     rng_stream,
     sample_index_matrix,
-    sample_sequence,
     sample_time_matrix,
     stationary_distribution,
     sum_distribution,
-    third_abs_central_moment,
-    variance_processing_time,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

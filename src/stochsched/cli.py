@@ -31,6 +31,12 @@ All kinds accept "master_seed" (default 0; --seed overrides).  Rational
 parameters accept "p/q", decimal strings, or numbers; speeds and
 probabilities given as strings are parsed exactly.  Exit codes: 0 success,
 2 configuration problem, 3 budget exceeded, 4 numeric failure.
+
+Each kind is one entry of the `_EXPERIMENTS` registry: its parameters (a
+parser and a default each), its output columns and its runner.  The
+command line's kind argument, config validation and `run` all read that one
+table; the columns of achievability, second-order and average-case are the
+fields of their result dataclasses.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .core import JobAlphabet, MachineSet, SchedulingProblem, as_fraction
@@ -57,8 +64,10 @@ from .schedulers import (
     cost_exact,
     discard_probability,
 )
-from .second_order import second_order_table
+from .second_order import SecondOrderRow, second_order_table
 from .spectrum import (
+    AverageCaseResult,
+    RateExperimentRow,
     achievability_experiment,
     average_case_bracket,
     converse_experiment,
@@ -69,58 +78,11 @@ from .spectrum import (
 )
 from .stochastic import IIDModel, MarkovModel, MixtureModel, stationary_distribution
 
-EXPERIMENT_KINDS = (
-    "validate",
-    "scan",
-    "achievability",
-    "converse",
-    "second-order",
-    "average-case",
-    "cost",
-)
-
 _SCHEDULERS = {
     "eft": EarliestFinishTime,
     "lpt": LPT,
     "brute-force": BruteForce,
 }
-
-# name -> (parser tag, required, default); grids are tuples after parsing
-_PARAM_SPECS: dict[str, dict[str, tuple[str, bool, object]]] = {
-    "validate": {},
-    "scan": {
-        "alpha_grid": ("fraction_list", True, None),
-        "n_grid": ("int_list", True, None),
-        "delta": ("float", False, 1e-3),
-        "workers": ("int", False, 1),
-    },
-    "achievability": {
-        "gamma": ("fraction", True, None),
-        "n_grid": ("int_list", True, None),
-        "scheduler": ("scheduler", False, "eft"),
-        "budget": ("int", False, 2_000_000),
-    },
-    "converse": {
-        "gap": ("fraction", True, None),
-        "n_grid": ("int_list", True, None),
-    },
-    "second-order": {
-        "epsilon": ("float", True, None),
-        "n_grid": ("int_list", True, None),
-    },
-    "average-case": {
-        "n": ("int", True, None),
-        "trials": ("int", True, None),
-        "scheduler": ("scheduler", False, "eft"),
-    },
-    "cost": {
-        "n": ("int", True, None),
-        "alpha": ("fraction", True, None),
-        "scheduler": ("scheduler", False, "brute-force"),
-        "budget": ("int", False, 2_000_000),
-    },
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -220,6 +182,42 @@ def _parse_int(value, path: str, errors: _Errors) -> int | None:
         errors.add(path, f"expected an integer, got {value!r}")
         return None
     return value
+
+
+def _parse_float(value, path: str, errors: _Errors) -> float | None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errors.add(path, f"expected a number, got {value!r}")
+        return None
+    return float(value)
+
+
+def _list_of(parse, what: str):
+    """Parser of a non-empty JSON list whose items each go through `parse`; returns a tuple."""
+
+    def parse_list(value, path: str, errors: _Errors) -> tuple | None:
+        if not isinstance(value, list) or not value:
+            errors.add(path, f"expected a non-empty list of {what}")
+            return None
+        out = tuple(parse(v, f"{path}[{i}]", errors) for i, v in enumerate(value))
+        return None if any(v is None for v in out) else out
+
+    return parse_list
+
+
+def _parse_scheduler(value, path: str, errors: _Errors) -> str | None:
+    if value not in _SCHEDULERS:
+        errors.add(path, f"expected one of {sorted(_SCHEDULERS)}, got {value!r}")
+        return None
+    return value
+
+
+def _parse_workers(value, path: str, errors: _Errors) -> int | None:
+    workers = _parse_int(value, path, errors)
+    cpus = os.cpu_count() or 1
+    if workers is not None and not 1 <= workers <= cpus:
+        errors.add(path, f"expected 1 to {cpus} (the CPU count), got {workers}")
+        return None
+    return workers
 
 
 def _parse_process(spec, path: str, errors: _Errors):
@@ -351,34 +349,148 @@ def _parse_problem(spec, errors: _Errors) -> SchedulingProblem | None:
         return None
 
 
-def _parse_param(tag: str, value, path: str, errors: _Errors):
-    if tag == "fraction":
-        return _parse_fraction(value, path, errors)
-    if tag == "int":
-        return _parse_int(value, path, errors)
-    if tag == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.add(path, f"expected a number, got {value!r}")
-            return None
-        return float(value)
-    if tag == "fraction_list":
-        if not isinstance(value, list) or not value:
-            errors.add(path, "expected a non-empty list of rationals")
-            return None
-        out = tuple(_parse_fraction(v, f"{path}[{i}]", errors) for i, v in enumerate(value))
-        return None if any(v is None for v in out) else out
-    if tag == "int_list":
-        if not isinstance(value, list) or not value:
-            errors.add(path, "expected a non-empty list of integers")
-            return None
-        out = tuple(_parse_int(v, f"{path}[{i}]", errors) for i, v in enumerate(value))
-        return None if any(v is None for v in out) else out
-    if tag == "scheduler":
-        if value not in _SCHEDULERS:
-            errors.add(path, f"expected one of {sorted(_SCHEDULERS)}, got {value!r}")
-            return None
-        return value
-    raise AssertionError(f"unhandled parameter tag {tag}")
+# ---------------------------------------------------------------------------
+# the experiment registry: per kind, its parameters, its columns and its runner
+#
+# A runner takes (problem, params, master_seed) and returns the rows and any
+# metadata beyond the four keys every table carries.
+
+
+def _values(result) -> tuple:
+    """A result dataclass as one row, in field order."""
+    return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+
+
+def _columns(result_type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(result_type))
+
+
+def _run_validate(problem: SchedulingProblem, p: dict, seed: int):
+    machines = problem.machines
+    row = (
+        problem.alphabet.t_min,
+        problem.alphabet.t_max,
+        machines.m,
+        machines.v_sum,
+        machines.v_min,
+        machines.v_max,
+        ebar_theoretical(problem),
+        ebar_underline_theoretical(problem),
+        strong_converse_holds(problem),
+    )
+    return [row], {}
+
+
+def _run_scan(problem: SchedulingProblem, p: dict, seed: int):
+    report = spectral_scan(problem, p["alpha_grid"], p["n_grid"], delta=p["delta"], workers=p["workers"])
+    rows = [
+        (n, alpha, report.tail[i][j], report.converged[j])
+        for i, n in enumerate(report.n_grid)
+        for j, alpha in enumerate(report.alpha_grid)
+    ]
+    estimate = "none" if report.ebar_estimate is None else str(report.ebar_estimate)
+    return rows, {"ebar_estimate": estimate, "delta": repr(p["delta"])}
+
+
+def _run_achievability(problem: SchedulingProblem, p: dict, seed: int):
+    scheduler = _SCHEDULERS[p["scheduler"]]()
+    result = achievability_experiment(problem, p["gamma"], scheduler, p["n_grid"], budget=p["budget"])
+    alpha = ebar_theoretical(problem) + p["gamma"]
+    return [_values(r) for r in result], {"alpha": str(alpha), "scheduler": p["scheduler"]}
+
+
+def _run_converse(problem: SchedulingProblem, p: dict, seed: int):
+    rows = converse_experiment(problem, p["gap"], p["n_grid"])
+    return rows, {"alpha": str(ebar_theoretical(problem) - p["gap"])}
+
+
+def _run_second_order(problem: SchedulingProblem, p: dict, seed: int):
+    return [_values(r) for r in second_order_table(p["n_grid"], p["epsilon"], problem)], {}
+
+
+def _run_average_case(problem: SchedulingProblem, p: dict, seed: int):
+    result = average_case_bracket(problem, p["n"], p["trials"], seed, _SCHEDULERS[p["scheduler"]]())
+    return [_values(result)], {"scheduler": p["scheduler"]}
+
+
+def _run_cost(problem: SchedulingProblem, p: dict, seed: int):
+    discard = ThresholdDiscardSet(n=p["n"], alpha=p["alpha"])
+    cost = cost_exact(_SCHEDULERS[p["scheduler"]](), discard, problem, budget=p["budget"])
+    prob = discard_probability(discard, problem.process, problem)
+    return [(p["n"], p["alpha"], prob, cost, cost / p["n"])], {"scheduler": p["scheduler"]}
+
+
+_REQUIRED = object()  # default of a parameter the config must give
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    params: dict  # name -> (parser, default or _REQUIRED)
+    columns: tuple[str, ...]
+    run: Callable
+
+
+_fraction_list = _list_of(_parse_fraction, "rationals")
+_int_list = _list_of(_parse_int, "integers")
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "validate": _Experiment(
+        {},
+        ("t_min", "t_max", "m", "v_sum", "v_min", "v_max", "ebar", "ebar_under", "strong_converse"),
+        _run_validate,
+    ),
+    "scan": _Experiment(
+        {
+            "alpha_grid": (_fraction_list, _REQUIRED),
+            "n_grid": (_int_list, _REQUIRED),
+            "delta": (_parse_float, 1e-3),
+            "workers": (_parse_workers, 1),
+        },
+        ("n", "alpha", "tail_prob", "alpha_converged"),
+        _run_scan,
+    ),
+    "achievability": _Experiment(
+        {
+            "gamma": (_parse_fraction, _REQUIRED),
+            "n_grid": (_int_list, _REQUIRED),
+            "scheduler": (_parse_scheduler, "eft"),
+            "budget": (_parse_int, 2_000_000),
+        },
+        _columns(RateExperimentRow),
+        _run_achievability,
+    ),
+    "converse": _Experiment(
+        {"gap": (_parse_fraction, _REQUIRED), "n_grid": (_int_list, _REQUIRED)},
+        ("n", "min_discard_prob"),
+        _run_converse,
+    ),
+    "second-order": _Experiment(
+        {"epsilon": (_parse_float, _REQUIRED), "n_grid": (_int_list, _REQUIRED)},
+        _columns(SecondOrderRow),
+        _run_second_order,
+    ),
+    "average-case": _Experiment(
+        {
+            "n": (_parse_int, _REQUIRED),
+            "trials": (_parse_int, _REQUIRED),
+            "scheduler": (_parse_scheduler, "eft"),
+        },
+        _columns(AverageCaseResult),
+        _run_average_case,
+    ),
+    "cost": _Experiment(
+        {
+            "n": (_parse_int, _REQUIRED),
+            "alpha": (_parse_fraction, _REQUIRED),
+            "scheduler": (_parse_scheduler, "brute-force"),
+            "budget": (_parse_int, 2_000_000),
+        },
+        ("n", "alpha", "discard_prob", "cost", "cost_per_job"),
+        _run_cost,
+    ),
+}
+
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 def parse_config(text: str, expected_kind: str | None = None) -> ExperimentConfig:
@@ -414,24 +526,21 @@ def parse_config(text: str, expected_kind: str | None = None) -> ExperimentConfi
     if kind is None:
         errors.add("experiment.kind", "missing experiment kind")
         errors.check()
-    spec = _PARAM_SPECS[kind]
+    spec = _EXPERIMENTS[kind].params
     seed_val = exp.get("master_seed", 0)
     parsed_seed = _parse_int(seed_val, "experiment.master_seed", errors)
     if parsed_seed is not None:
         master_seed = parsed_seed
     _check_keys(exp, {"kind", "master_seed", *spec}, "experiment", errors)
-    for name, (tag, required, default) in spec.items():
+    for name, (parse, default) in spec.items():
         if name in exp:
-            value = _parse_param(tag, exp[name], f"experiment.{name}", errors)
+            value = parse(exp[name], f"experiment.{name}", errors)
             if value is not None:
                 params[name] = value
-        elif required:
+        elif default is _REQUIRED:
             errors.add(f"experiment.{name}", "required parameter is missing")
         else:
             params[name] = default
-    cpus = os.cpu_count() or 1
-    if not 1 <= params.get("workers", 1) <= cpus:
-        errors.add("experiment.workers", f"expected 1 to {cpus} (the CPU count), got {params['workers']}")
     errors.check()
     assert problem is not None
     return ExperimentConfig(problem=problem, kind=kind, params=params, master_seed=master_seed)
@@ -449,86 +558,21 @@ class ResultTable:
 
 
 def run(config: ExperimentConfig) -> ResultTable:
-    """Execute the configured experiment; pure dispatch, no experiment logic here."""
+    """Execute the configured experiment through its registry entry."""
     t0 = time.perf_counter()
-    problem = config.problem
-    p = config.params
+    experiment = _EXPERIMENTS.get(config.kind)
+    if experiment is None:
+        raise DomainError(f"unknown experiment kind {config.kind!r}")
     metadata = {
         "experiment": config.kind,
         "config_sha256": config.sha256(),
         "master_seed": config.master_seed,
         "tool_version": __version__,
     }
-    if config.kind == "validate":
-        machines = problem.machines
-        columns = ("t_min", "t_max", "m", "v_sum", "v_min", "v_max", "ebar", "ebar_under", "strong_converse")
-        rows = [(
-            problem.alphabet.t_min,
-            problem.alphabet.t_max,
-            machines.m,
-            machines.v_sum,
-            machines.v_min,
-            machines.v_max,
-            ebar_theoretical(problem),
-            ebar_underline_theoretical(problem),
-            strong_converse_holds(problem),
-        )]
-    elif config.kind == "scan":
-        report = spectral_scan(problem, p["alpha_grid"], p["n_grid"], delta=p["delta"], workers=p["workers"])
-        columns = ("n", "alpha", "tail_prob", "alpha_converged")
-        rows = [
-            (n, alpha, report.tail[i][j], report.converged[j])
-            for i, n in enumerate(report.n_grid)
-            for j, alpha in enumerate(report.alpha_grid)
-        ]
-        metadata["ebar_estimate"] = "none" if report.ebar_estimate is None else str(report.ebar_estimate)
-        metadata["delta"] = repr(p["delta"])
-    elif config.kind == "achievability":
-        result = achievability_experiment(
-            problem, p["gamma"], _SCHEDULERS[p["scheduler"]](), p["n_grid"], budget=p["budget"]
-        )
-        columns = ("n", "discard_prob", "cost", "cost_per_job", "cost_lower", "exact")
-        rows = [(r.n, r.discard_prob, r.cost, r.cost_per_job, r.cost_lower, r.exact) for r in result]
-        metadata["alpha"] = str(ebar_theoretical(problem) + p["gamma"])
-        metadata["scheduler"] = p["scheduler"]
-    elif config.kind == "converse":
-        result = converse_experiment(problem, p["gap"], p["n_grid"])
-        columns = ("n", "min_discard_prob")
-        rows = list(result)
-        metadata["alpha"] = str(ebar_theoretical(problem) - p["gap"])
-    elif config.kind == "second-order":
-        result = second_order_table(p["n_grid"], p["epsilon"], problem)
-        columns = ("n", "epsilon", "r_n_plus", "cost_lo", "cost_hi", "prediction", "residual")
-        rows = [
-            (r.n, r.epsilon, r.r_n_plus, r.cost_lo, r.cost_hi, r.prediction, r.residual)
-            for r in result
-        ]
-    elif config.kind == "average-case":
-        result = average_case_bracket(
-            problem, p["n"], p["trials"], config.master_seed, _SCHEDULERS[p["scheduler"]]()
-        )
-        columns = ("n", "trials", "mc_mean_span_per_job", "bracket_lo", "bracket_hi", "std_error")
-        rows = [(
-            result.n,
-            result.trials,
-            result.mc_mean_span_per_job,
-            result.bracket_lo,
-            result.bracket_hi,
-            result.std_error,
-        )]
-        metadata["scheduler"] = p["scheduler"]
-    elif config.kind == "cost":
-        discard = ThresholdDiscardSet(n=p["n"], alpha=p["alpha"])
-        scheduler = _SCHEDULERS[p["scheduler"]]()
-        cost = cost_exact(scheduler, discard, problem, budget=p["budget"])
-        prob = discard_probability(discard, problem.process, problem)
-        columns = ("n", "alpha", "discard_prob", "cost", "cost_per_job")
-        rows = [(p["n"], p["alpha"], prob, cost, cost / p["n"])]
-        metadata["scheduler"] = p["scheduler"]
-    else:  # pragma: no cover - parse_config rejects unknown kinds
-        raise DomainError(f"unknown experiment kind {config.kind!r}")
+    rows, extra = experiment.run(config.problem, config.params, config.master_seed)
+    metadata.update(extra)
     metadata["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
-    return ResultTable(columns=tuple(columns), rows=rows, metadata=metadata)
+    return ResultTable(columns=experiment.columns, rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +633,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochsched",
         description="Probabilistic makespan analysis for uniform machines.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        sp = sub.add_parser(kind, help=f"run the {kind} experiment")
-        sp.add_argument("--config", required=True, help="path to a JSON config file")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        sp.add_argument("--seed", type=int, help="override experiment.master_seed")
+    parser.add_argument("kind", choices=EXPERIMENT_KINDS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    parser.add_argument("--seed", type=int, help="override experiment.master_seed")
     return parser
 
 

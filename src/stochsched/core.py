@@ -199,20 +199,3 @@ def span_upper_bound(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
     machines = problem.machines
     return span_lower_bound(seq, problem) + Fraction(problem.alphabet.t_max) / machines.v_min
 
-
-def optimal_cost_per_job_bracket(n: int, problem: SchedulingProblem) -> tuple[Fraction, Fraction]:
-    """Exact bracket for the per-job cost of optimally scheduling any length-n stream.
-
-    Returns (lo, hi) with
-        lo = (1/m) * (1 - m/n) * t_min / v_max
-        hi = (1/m) * (1 + m/n) * t_max / v_min.
-    Both endpoints converge monotonically to the n -> infinity interval
-    [t_min/(m*v_max), t_max/(m*v_min)].
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sequence length must be a positive integer, got {n!r}")
-    machines = problem.machines
-    m = machines.m
-    lo = Fraction(1, m) * (1 - Fraction(m, n)) * Fraction(problem.alphabet.t_min) / machines.v_max
-    hi = Fraction(1, m) * (1 + Fraction(m, n)) * Fraction(problem.alphabet.t_max) / machines.v_min
-    return lo, hi

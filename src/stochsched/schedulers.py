@@ -4,13 +4,20 @@ Three scheduling strategies share one dispatch surface:
 
 * BruteForce      exact optimum by pruned depth-first search,
 * EarliestFinishTime  list scheduling onto the machine that finishes first,
-* LPT             longest-processing-time ordering followed by EFT.
+* LPT             EFT over the jobs reordered longest-first.
+
+EFT and LPT run on one kernel, `_eft_step`: one job per row of a (rows, m)
+load matrix goes to the machine where it finishes first, comparing exact
+scaled-integer finish times.  `schedule` runs it on one row, batch EFT on
+many rows at once, and `cost_exact` on every kept multiset (LPT) or on every
+reachable EFT load vector (EFT).
 
 A ThresholdDiscardSet drops every length-n sequence whose normalized total
 time exceeds alpha; COST of a scheduler against a discard set is the largest
 makespan over the kept sequences.  Keeping or dropping a sequence depends
-only on its job multiset, and so does the brute-force optimal makespan, so
-the exact COST enumeration walks job count vectors instead of raw sequences.
+only on its job multiset, and so do the brute-force optimum and the LPT
+makespan, so their COST walks job count vectors.  The EFT makespan depends
+on job order, so its COST walks every order of every kept sequence.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .core import (
     JobSequence,
     SchedulingProblem,
     as_fraction,
-    makespan,
     scaled_inverse_speeds,
 )
 from .errors import DomainError, ResourceError
@@ -132,87 +138,66 @@ def brute_force_optimal(
     return Assignment(best), Fraction(best_scaled, scale)
 
 
-def eft_list_schedule(seq: JobSequence, problem: SchedulingProblem) -> Assignment:
-    """Assign each job, in order, to the machine where it would finish first.
+def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
+    """Scaled inverse speeds as int64 when every finish time up to max_total fits, else as Python ints."""
+    exact_int64 = (max_total + 1) * max(weights) < 2**62
+    return np.array(weights, dtype=np.int64 if exact_int64 else object)
 
-    Ties go to the lowest machine index.  The resulting makespan never
-    exceeds span_upper_bound(seq, problem).
+
+def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
+    """Place one job per row (t: one time per row, or one for all) where it finishes first.
+
+    Finish times are compared as scaled integers, ties going to the lowest
+    machine index.  Updates the int64 loads (rows, m) in place and returns
+    the chosen machine of each row.
     """
-    weights, _ = scaled_inverse_speeds(problem.machines)
-    m = problem.machines.m
-    loads = [0] * m
-    out = []
-    for sym in seq.items:
-        t = problem.alphabet.time_of(sym)
-        k = min(range(m), key=lambda i: (loads[i] + t) * weights[i])
-        out.append(k)
-        loads[k] += t
-    return Assignment(tuple(out))
-
-
-def lpt_schedule(seq: JobSequence, problem: SchedulingProblem) -> Assignment:
-    """EFT over jobs reordered longest-first; time ties break by alphabet order."""
-    alpha_index = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
-    order = sorted(range(seq.n), key=lambda i: (-times[i], alpha_index[seq.items[i]]))
-    weights, _ = scaled_inverse_speeds(problem.machines)
-    m = problem.machines.m
-    loads = [0] * m
-    out = [0] * seq.n
-    for pos in order:
-        t = times[pos]
-        k = min(range(m), key=lambda i: (loads[i] + t) * weights[i])
-        out[pos] = k
-        loads[k] += t
-    return Assignment(tuple(out))
+    t = np.broadcast_to(t, loads.shape[:1])
+    choice = ((loads + t[:, None]) * weights).argmin(axis=1)
+    loads[np.arange(len(loads)), choice] += t
+    return choice
 
 
 def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem) -> Assignment:
-    """Run one scheduling strategy on a sequence."""
+    """Run one scheduling strategy on a sequence.
+
+    EFT places the jobs in sequence order; LPT places them longest first,
+    equal times in alphabet order and then by position.
+    """
     if isinstance(scheduler, BruteForce):
         return brute_force_optimal(seq, problem, budget=scheduler.budget)[0]
-    if isinstance(scheduler, EarliestFinishTime):
-        return eft_list_schedule(seq, problem)
+    if not isinstance(scheduler, (EarliestFinishTime, LPT)):
+        raise DomainError(f"unknown scheduler {scheduler!r}")
+    times = [problem.alphabet.time_of(sym) for sym in seq.items]
+    order = range(seq.n)
     if isinstance(scheduler, LPT):
-        return lpt_schedule(seq, problem)
-    raise DomainError(f"unknown scheduler {scheduler!r}")
+        rank = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
+        order = sorted(order, key=lambda i: (-times[i], rank[seq.items[i]]))
+    weights = _weight_array(scaled_inverse_speeds(problem.machines)[0], sum(times))
+    loads = np.zeros((1, problem.machines.m), dtype=np.int64)
+    machine_of = [0] * seq.n
+    for i in order:
+        machine_of[i] = int(_eft_step(loads, times[i], weights)[0])
+    return Assignment(tuple(machine_of))
 
 
 def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
-    """Vectorized EFT over many integer job rows; returns int64 loads (rows, m).
-
-    Identical decisions to eft_list_schedule (scaled-integer finish times,
-    ties to the lowest machine index), vectorized across rows.  Falls back
-    to float finish-time comparisons only if the scaled integers could
-    overflow int64.
-    """
+    """EFT over many integer job rows at once, one kernel step per column; int64 loads (rows, m)."""
     times = np.asarray(times, dtype=np.int64)
-    rows, n = times.shape
-    weights, _ = scaled_inverse_speeds(machines)
-    m = machines.m
-    loads = np.zeros((rows, m), dtype=np.int64)
-    row_idx = np.arange(rows)
-    w = np.array(weights, dtype=np.float64)
-    exact = (int(times.sum(axis=1).max(initial=0)) + 1) * max(weights) < 2**62
-    if exact:
-        w = np.array(weights, dtype=np.int64)
-    inv_v = np.array([1.0 / float(v) for v in machines.speeds])
-    for i in range(n):
-        t = times[:, i]
-        if exact:
-            finish = (loads + t[:, None]) * w[None, :]
-        else:
-            finish = (loads + t[:, None]) * inv_v[None, :]
-        k = np.argmin(finish, axis=1)
-        loads[row_idx, k] += t
+    weights = _weight_array(scaled_inverse_speeds(machines)[0], int(times.sum(axis=1).max(initial=0)))
+    loads = np.zeros((len(times), machines.m), dtype=np.int64)
+    for column in times.T:
+        _eft_step(loads, column, weights)
     return loads
 
 
 def batch_eft_makespans_scaled(times: np.ndarray, machines) -> tuple[np.ndarray, int]:
-    """Vectorized EFT makespans as (scaled int64 array, scale): makespan = scaled/scale."""
+    """EFT makespans as (scaled integers, scale): makespan = scaled/scale.
+
+    The scaled values are int64, or Python ints where int64 could overflow.
+    """
     weights, scale = scaled_inverse_speeds(machines)
     loads = batch_eft_loads(times, machines)
-    return (loads * np.array(weights, dtype=np.int64)).max(axis=1), scale
+    return (loads * _weight_array(weights, int(loads.sum(axis=1).max(initial=0)))).max(axis=1), scale
 
 
 def _count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -224,6 +209,50 @@ def _count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (c,) + rest
 
 
+def _distinct_rows(loads: np.ndarray, limit: int) -> np.ndarray:
+    """The distinct rows of a load matrix with entries in [0, limit], keyed base limit+1.
+
+    The keys are int64 when every key fits, else Python ints.
+    """
+    powers = [(limit + 1) ** i for i in range(loads.shape[1])]
+    dtype = np.int64 if (limit + 1) * powers[-1] <= 2**63 else object
+    keys = loads.astype(dtype) @ np.array(powers, dtype=dtype)
+    return loads[np.unique(keys, return_index=True)[1]]
+
+
+def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, ...], budget: int) -> int | None:
+    """Largest scaled EFT makespan over every order of every kept sequence; None when none is kept.
+
+    A forward sweep over the distinct EFT load vectors of kept prefixes: each
+    step extends every vector by every job time that still leaves room for
+    the remaining jobs at t_min under the limit.  Refused once the distinct
+    vectors, summed over steps, or the extensions of one step exceed budget;
+    the second check comes before the extensions are allocated.
+    """
+    t_min = min(times)
+    loads = np.zeros((1, len(weights)), dtype=np.int64)
+    weights = _weight_array(weights, limit)
+    swept = 0
+    for step in range(1, n + 1):
+        room = limit - (n - step) * t_min
+        totals = loads.sum(axis=1)
+        extend = [(t, totals + t <= room) for t in sorted(set(times))]
+        if sum(int(mask.sum()) for _, mask in extend) > budget:
+            raise ResourceError(f"EFT order sweep would extend more than {budget} load vectors at job {step} of {n}")
+        parts = []
+        for t, mask in extend:
+            part = loads[mask]
+            _eft_step(part, t, weights)
+            parts.append(part)
+        loads = _distinct_rows(np.concatenate(parts), limit)
+        swept += len(loads)
+        if swept > budget:
+            raise ResourceError(f"EFT order sweep kept more than {budget} load vectors by job {step} of {n}")
+        if not len(loads):
+            return None
+    return int((loads * weights).max())
+
+
 def cost_exact(
     scheduler: Scheduler,
     discard: ThresholdDiscardSet,
@@ -232,11 +261,14 @@ def cost_exact(
 ) -> Fraction:
     """Largest makespan the scheduler produces over the kept sequences.
 
-    Enumerates job count vectors (the kept/dropped decision and the
-    brute-force optimum are invariant under permuting the sequence) and
-    schedules one canonical alphabet-ordered sequence per multiset.  For
-    order-sensitive schedulers (EFT, LPT) the canonical sequence defines
-    the evaluated cost.  Work is bounded by budget ~ multisets * n.
+    Every scheduler is refused (ResourceError) when multisets * n exceeds
+    budget.  BruteForce and LPT do not depend on job order, so they walk the
+    kept job count vectors: the brute-force optimum of each, and for LPT one
+    batch EFT pass over all of them laid out longest-first.  EFT does depend
+    on order, so its cost is the worst over every order of every kept
+    sequence, found by sweeping the distinct EFT load vectors of kept
+    prefixes; it is also refused once the vectors kept, summed over steps,
+    or the extensions of one step exceed budget.
     """
     n = discard.n
     symbols = problem.alphabet.symbols
@@ -246,17 +278,28 @@ def cost_exact(
         raise ResourceError(
             f"cost enumeration needs ~{n_multisets * n} work units (budget {budget})"
         )
-    threshold = discard.keep_threshold(problem)
+    limit = math.floor(discard.keep_threshold(problem))
     times = [problem.alphabet.time_of(sym) for sym in symbols]
+    weights, scale = scaled_inverse_speeds(problem.machines)
     best: Fraction | None = None
-    for counts in _count_vectors(n, k):
-        total = sum(c * t for c, t in zip(counts, times))
-        if total > threshold:
-            continue
-        seq = JobSequence(tuple(sym for sym, c in zip(symbols, counts) for _ in range(c)))
-        sp = makespan(schedule(scheduler, seq, problem), seq, problem)
-        if best is None or sp > best:
-            best = sp
+    if isinstance(scheduler, EarliestFinishTime):
+        scaled = _eft_worst_scaled(times, n, limit, weights, budget)
+        best = None if scaled is None else Fraction(scaled, scale)
+    else:
+        kept = [c for c in _count_vectors(n, k) if sum(ci * t for ci, t in zip(c, times)) <= limit]
+        if isinstance(scheduler, BruteForce):
+            for counts in kept:
+                seq = JobSequence(tuple(sym for sym, c in zip(symbols, counts) for _ in range(c)))
+                opt = brute_force_optimal(seq, problem, budget=scheduler.budget)[1]
+                best = opt if best is None or opt > best else best
+        elif not isinstance(scheduler, LPT):
+            raise DomainError(f"unknown scheduler {scheduler!r}")
+        elif kept:
+            rank = sorted(range(k), key=lambda j: (-times[j], j))
+            counts = np.array(kept, dtype=np.int64)[:, rank]
+            rows = np.repeat(np.tile(np.array(times)[rank], len(kept)), counts.ravel()).reshape(len(kept), n)
+            scaled, _ = batch_eft_makespans_scaled(rows, problem.machines)
+            best = Fraction(int(scaled.max()), scale)
     if best is None:
         raise DomainError(
             f"discard set keeps no sequences (alpha={discard.alpha} drops every length-{n} stream)"

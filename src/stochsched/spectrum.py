@@ -44,39 +44,31 @@ from .stochastic import (
 )
 
 
-def ebar_theoretical(problem: SchedulingProblem) -> Fraction:
-    """Exact upper spectral rate of T_n/(n*v_sum).
+def _component_rates(problem: SchedulingProblem) -> list[Fraction]:
+    """Long-run per-job rate mean/v_sum of every IID or Markov component.
 
-    IID: mean time over v_sum.  Markov (irreducible): stationary mean over
-    v_sum.  Mixture: the largest component rate among positive weights,
-    after flattening nested mixtures.
+    IID and Markov processes are their own single component; mixtures are
+    flattened, nested ones included.
     """
     process = problem.process
+    if not isinstance(process, (IIDModel, MarkovModel, MixtureModel)):
+        raise DomainError(f"unsupported process type {type(process).__name__}")
     v_sum = problem.machines.v_sum
-    if isinstance(process, (IIDModel, MarkovModel)):
-        return mean_time_exact(process, problem.alphabet) / v_sum
-    if isinstance(process, MixtureModel):
-        rates = [
-            mean_time_exact(sub, problem.alphabet) / v_sum
-            for w, sub in flatten_mixture(process)
-            if w > 0
-        ]
-        return max(rates)
-    raise DomainError(f"unsupported process type {type(process).__name__}")
+    return [mean_time_exact(sub, problem.alphabet) / v_sum for _, sub in flatten_mixture(process)]
+
+
+def ebar_theoretical(problem: SchedulingProblem) -> Fraction:
+    """Exact upper spectral rate of T_n/(n*v_sum): the largest component rate.
+
+    IID: mean time over v_sum.  Markov (irreducible): stationary mean over
+    v_sum.  Mixture: the largest rate among its components.
+    """
+    return max(_component_rates(problem))
 
 
 def ebar_underline_theoretical(problem: SchedulingProblem) -> Fraction:
-    """Exact lower spectral rate: like ebar_theoretical but mixtures take the min."""
-    process = problem.process
-    if isinstance(process, MixtureModel):
-        v_sum = problem.machines.v_sum
-        rates = [
-            mean_time_exact(sub, problem.alphabet) / v_sum
-            for w, sub in flatten_mixture(process)
-            if w > 0
-        ]
-        return min(rates)
-    return ebar_theoretical(problem)
+    """Exact lower spectral rate: the smallest component rate."""
+    return min(_component_rates(problem))
 
 
 def strong_converse_holds(problem: SchedulingProblem) -> bool:

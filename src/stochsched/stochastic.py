@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import JobAlphabet, JobSequence, as_fraction
+from .core import JobAlphabet, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
@@ -361,13 +361,6 @@ def mean_time_exact(process: JobProcess, alphabet: JobAlphabet) -> Fraction:
     raise DomainError("mixtures do not have a single per-job mean; query the components")
 
 
-def expected_processing_time(process: JobProcess, alphabet: JobAlphabet):
-    """Per-job mean time as a float; for mixtures, the list of component means."""
-    if isinstance(process, MixtureModel):
-        return [float(mean_time_exact(sub, alphabet)) for _, sub in process.components]
-    return float(mean_time_exact(process, alphabet))
-
-
 def _iid_central_moments(model: IIDModel, alphabet: JobAlphabet) -> tuple[Fraction, Fraction, Fraction]:
     mu = mean_time_exact(model, alphabet)
     var = Fraction(0)
@@ -379,18 +372,13 @@ def _iid_central_moments(model: IIDModel, alphabet: JobAlphabet) -> tuple[Fracti
     return mu, var, rho
 
 
-def variance_processing_time(model: IIDModel, alphabet: JobAlphabet) -> float:
-    """Exact central second moment of the one-job time (IID only)."""
-    if not isinstance(model, IIDModel):
-        raise DomainError("variance_processing_time applies to IID models only")
-    return float(_iid_central_moments(model, alphabet)[1])
+def _matvec(a, v) -> list[Fraction]:
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
-def third_abs_central_moment(model: IIDModel, alphabet: JobAlphabet) -> float:
-    """Exact E|T - E[T]|^3 of the one-job time (IID only)."""
-    if not isinstance(model, IIDModel):
-        raise DomainError("third_abs_central_moment applies to IID models only")
-    return float(_iid_central_moments(model, alphabet)[2])
+def _matmul(a, b) -> list[list[Fraction]]:
+    columns = list(zip(*b))
+    return [_matvec(columns, row) for row in a]
 
 
 def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) -> Fraction:
@@ -400,16 +388,19 @@ def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) ->
     if isinstance(process, IIDModel):
         return n * mean_time_exact(process, alphabet)
     if isinstance(process, MarkovModel):
+        # initial . (sum_{i<n} P^i) . t by doubling a through the bits of n,
+        # carrying P^a and (sum_{i<a} P^i) . t: O(log n) k x k products
         times = [Fraction(t) for t in _symbol_times(process, alphabet)]
-        marg = list(process.initial)
-        total = sum((p * t for p, t in zip(marg, times)), Fraction(0))
-        for _ in range(n - 1):
-            marg = [
-                sum((marg[j] * process.transition[j][i] for j in range(len(marg))), Fraction(0))
-                for i in range(len(marg))
-            ]
-            total += sum((p * t for p, t in zip(marg, times)), Fraction(0))
-        return total
+        k = len(times)
+        power = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        partial = [Fraction(0)] * k
+        for bit in bin(n)[2:]:
+            partial = [s + x for s, x in zip(partial, _matvec(power, partial))]
+            power = _matmul(power, power)
+            if bit == "1":
+                partial = [s + x for s, x in zip(partial, _matvec(power, times))]
+                power = _matmul(power, process.transition)
+        return sum((p * s for p, s in zip(process.initial, partial)), Fraction(0))
     if isinstance(process, MixtureModel):
         return sum((w * mean_total_time_exact(sub, alphabet, n) for w, sub in process.components), Fraction(0))
     raise DomainError(f"unsupported process type {type(process).__name__}")
@@ -423,10 +414,6 @@ def rng_stream(master_seed: int, worker: int, trial: int) -> np.random.Generator
     """Counter-style stream: (master_seed, worker, trial) fully determines the draws."""
     key = (int(master_seed) & (2**64 - 1), int(worker), int(trial))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-
-
-def _canonical_symbols(process: JobProcess) -> tuple[str, ...]:
-    return process.symbols
 
 
 def _cumulative(probs: Iterable[Fraction]) -> np.ndarray:
@@ -472,7 +459,7 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
-    symbols = _canonical_symbols(process)
+    symbols = process.symbols
     canon_index = {s: i for i, s in enumerate(symbols)}
     flat = flatten_mixture(process)
     is_mixture = isinstance(process, MixtureModel)
@@ -499,12 +486,6 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     else:
         out = _sample_markov_block(process, u, canon_index)
     return out, symbols
-
-
-def sample_sequence(process: JobProcess, n: int, seed: int) -> JobSequence:
-    """Draw one job sequence of length n; fully determined by (process, n, seed)."""
-    idx, symbols = sample_index_matrix(process, n, 1, seed)
-    return JobSequence(tuple(symbols[i] for i in idx[0]))
 
 
 def sample_time_matrix(process: JobProcess, alphabet: JobAlphabet, n: int, trials: int, master_seed: int, worker: int = 0) -> np.ndarray:

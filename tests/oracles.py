@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: full enumeration with exact rational
 arithmetic, and quadrature-based normal quantiles.  No pruning and no closed
-forms shared with the library code.  The one dynamic programme is the
-per-step sum-law DP the package first shipped, kept as the reference for its
-dense kernel at sizes enumeration cannot reach.
+forms shared with the library code.  Some routines are earlier versions of
+the package's own code, kept as references for the kernels that replaced
+them at sizes enumeration cannot reach: the per-step sum-law DP, the
+one-job-at-a-time EFT and LPT loops, and the per-step exact Markov mean.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from stochsched import (
+    Assignment,
     IIDModel,
     JobSequence,
     MarkovModel,
     MixtureModel,
     SchedulingProblem,
     ThresholdDiscardSet,
+    makespan,
+    scaled_inverse_speeds,
 )
 
 
@@ -177,6 +181,67 @@ def optimal_cost_by_enumeration(
     if best is None:
         raise ValueError("empty kept set")
     return best
+
+
+def eft_by_loop(seq: JobSequence, problem: SchedulingProblem) -> Assignment:
+    """Each job, in order, onto the machine where it finishes first; ties to the lowest index."""
+    weights, _ = scaled_inverse_speeds(problem.machines)
+    m = problem.machines.m
+    loads = [0] * m
+    out = []
+    for sym in seq.items:
+        t = problem.alphabet.time_of(sym)
+        k = min(range(m), key=lambda i: (loads[i] + t) * weights[i])
+        out.append(k)
+        loads[k] += t
+    return Assignment(tuple(out))
+
+
+def lpt_by_loop(seq: JobSequence, problem: SchedulingProblem) -> Assignment:
+    """EFT over the jobs reordered longest-first; time ties break by alphabet order, then position."""
+    alpha_index = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
+    times = [problem.alphabet.time_of(sym) for sym in seq.items]
+    order = sorted(range(seq.n), key=lambda i: (-times[i], alpha_index[seq.items[i]]))
+    weights, _ = scaled_inverse_speeds(problem.machines)
+    m = problem.machines.m
+    loads = [0] * m
+    out = [0] * seq.n
+    for pos in order:
+        t = times[pos]
+        k = min(range(m), key=lambda i: (loads[i] + t) * weights[i])
+        out[pos] = k
+        loads[k] += t
+    return Assignment(tuple(out))
+
+
+def eft_worst_cost_by_enumeration(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> Fraction:
+    """Max over all k^n kept raw sequences of the EFT makespan, every order scheduled."""
+    threshold = discard.keep_threshold(problem)
+    best = None
+    for items in itertools.product(problem.alphabet.symbols, repeat=discard.n):
+        if sum(problem.alphabet.time_of(sym) for sym in items) > threshold:
+            continue
+        seq = JobSequence(items)
+        span = makespan(eft_by_loop(seq, problem), seq, problem)
+        if best is None or span > best:
+            best = span
+    if best is None:
+        raise ValueError("empty kept set")
+    return best
+
+
+def mean_total_time_by_steps(process, alphabet, n: int) -> Fraction:
+    """Exact E[T_n] of a Markov chain by advancing the rational marginal one job at a time."""
+    times = [Fraction(alphabet.time_of(sym)) for sym in process.symbols]
+    marg = list(process.initial)
+    total = sum((p * t for p, t in zip(marg, times)), Fraction(0))
+    for _ in range(n - 1):
+        marg = [
+            sum((marg[j] * process.transition[j][i] for j in range(len(marg))), Fraction(0))
+            for i in range(len(marg))
+        ]
+        total += sum((p * t for p, t in zip(marg, times)), Fraction(0))
+    return total
 
 
 def _normal_cdf_by_quadrature(x: float) -> float:

@@ -20,6 +20,7 @@ from stochsched import (
     IIDModel,
     JobAlphabet,
     JobSequence,
+    LPT,
     MachineSet,
     MarkovModel,
     MixtureModel,
@@ -34,9 +35,8 @@ from stochsched import (
     discard_probability,
     ebar_theoretical,
     ebar_underline_theoretical,
-    eft_list_schedule,
-    lpt_schedule,
     makespan,
+    schedule,
     second_order_table,
     span_lower_bound,
     span_upper_bound,
@@ -44,7 +44,12 @@ from stochsched import (
     sum_distribution,
 )
 
-from .oracles import discard_probability_by_enumeration, optimal_cost_by_enumeration
+from .oracles import (
+    discard_probability_by_enumeration,
+    eft_by_loop,
+    lpt_by_loop,
+    optimal_cost_by_enumeration,
+)
 
 
 @contextmanager
@@ -130,11 +135,15 @@ def test_02_heuristics_within_certified_bound():
                         scaled, scale = spans[name]
                         assert opt <= Fraction(int(scaled[i]), scale)
                     brute_checked += 1
-            if batch % 100 == 0:  # vectorized engine == the per-item schedulers
+            if batch % 100 == 0:  # vectorized engine == schedule() == the one-job loops
                 for i in range(3):
                     seq = JobSequence(tuple(alphabet.symbols[t - 1] for t in times[i]))
-                    eft_span = makespan(eft_list_schedule(seq, problem), seq, problem)
-                    lpt_span = makespan(lpt_schedule(seq, problem), seq, problem)
+                    eft = schedule(EarliestFinishTime(), seq, problem)
+                    lpt = schedule(LPT(), seq, problem)
+                    assert eft == eft_by_loop(seq, problem)
+                    assert lpt == lpt_by_loop(seq, problem)
+                    eft_span = makespan(eft, seq, problem)
+                    lpt_span = makespan(lpt, seq, problem)
                     assert Fraction(int(spans["eft"][0][i]), spans["eft"][1]) == eft_span
                     assert Fraction(int(spans["lpt"][0][i]), spans["lpt"][1]) == lpt_span
                     spot_checked += 1

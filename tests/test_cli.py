@@ -168,6 +168,7 @@ class TestRun:
         table = run(parse_config(text))
         assert table.columns == (
             "n", "epsilon", "r_n_plus", "cost_lo", "cost_hi", "prediction", "residual",
+            "be_bound", "quantile_atom", "gaussian_tail",
         )
         assert [r[0] for r in table.rows] == [16, 32]
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -18,14 +17,11 @@ from stochsched import (
     brute_force_optimal,
     machine_loads,
     makespan,
-    optimal_cost_per_job_bracket,
     scaled_inverse_speeds,
     span_lower_bound,
     span_upper_bound,
     total_processing_time,
 )
-
-from .oracles import best_makespan_by_enumeration
 
 
 def make_problem(times, speeds):
@@ -171,31 +167,3 @@ class TestSpanBounds:
         assert opt_scaled == opt / scale
         assert a1.machine_of == a2.machine_of
 
-
-class TestPerJobBracket:
-    def test_desk_values(self, iid_problem):
-        lo, hi = optimal_cost_per_job_bracket(6, iid_problem)
-        assert lo == Fraction(1, 6)
-        assert hi == 2
-
-    def test_contains_every_per_job_optimum(self, iid_problem):
-        n = 6
-        lo, hi = optimal_cost_per_job_bracket(n, iid_problem)
-        for items in itertools.product(iid_problem.alphabet.symbols, repeat=n):
-            opt = best_makespan_by_enumeration(JobSequence(items), iid_problem)
-            assert lo <= opt / n <= hi
-
-    def test_endpoints_tighten_with_n(self, iid_problem):
-        prev_lo, prev_hi = optimal_cost_per_job_bracket(2, iid_problem)
-        for n in (4, 8, 16, 64, 256):
-            lo, hi = optimal_cost_per_job_bracket(n, iid_problem)
-            assert lo >= prev_lo and hi <= prev_hi
-            prev_lo, prev_hi = lo, hi
-        # limits: t_min/(m*v_max) and t_max/(m*v_min)
-        lo, hi = optimal_cost_per_job_bracket(10**9, iid_problem)
-        assert abs(lo - Fraction(1, 4)) < Fraction(1, 10**8)
-        assert abs(hi - Fraction(3, 2)) < Fraction(1, 10**7)
-
-    def test_requires_positive_n(self, iid_problem):
-        with pytest.raises(DomainError):
-            optimal_cost_per_job_bracket(0, iid_problem)

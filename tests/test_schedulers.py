@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,6 @@ from stochsched import (
     brute_force_optimal,
     cost_exact,
     discard_probability,
-    eft_list_schedule,
-    lpt_schedule,
     machine_loads,
     makespan,
     max_kept_total_time,
@@ -32,6 +31,9 @@ from stochsched import (
 from .oracles import (
     best_makespan_by_enumeration,
     discard_probability_by_enumeration,
+    eft_by_loop,
+    eft_worst_cost_by_enumeration,
+    lpt_by_loop,
     optimal_assignments_by_enumeration,
     optimal_cost_by_enumeration,
 )
@@ -89,8 +91,9 @@ class TestBruteForce:
 class TestListSchedulers:
     def test_eft_trace(self, iid_problem):
         seq = JobSequence(("b", "b", "a"))
-        assignment = eft_list_schedule(seq, iid_problem)
+        assignment = schedule(EarliestFinishTime(), seq, iid_problem)
         assert assignment.machine_of == (1, 0, 1)
+        assert assignment == eft_by_loop(seq, iid_problem)
         assert makespan(assignment, seq, iid_problem) == 3
 
     def test_eft_never_beats_lower_bound_nor_upper(self):
@@ -101,13 +104,16 @@ class TestListSchedulers:
             speeds = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(m)]
             alphabet, problem = make_problem(times, speeds)
             seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 30))))
-            span = makespan(eft_list_schedule(seq, problem), seq, problem)
+            assignment = schedule(EarliestFinishTime(), seq, problem)
+            assert assignment == eft_by_loop(seq, problem)
+            span = makespan(assignment, seq, problem)
             assert span_lower_bound(seq, problem) <= span <= span_upper_bound(seq, problem)
 
     def test_lpt_trace(self, iid_problem):
         seq = JobSequence(("a", "b", "b"))
-        assignment = lpt_schedule(seq, iid_problem)
+        assignment = schedule(LPT(), seq, iid_problem)
         assert assignment.machine_of == (1, 1, 0)
+        assert assignment == lpt_by_loop(seq, iid_problem)
         assert makespan(assignment, seq, iid_problem) == 3
 
     def test_lpt_within_bounds_and_often_at_optimum(self):
@@ -118,16 +124,25 @@ class TestListSchedulers:
             times = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
             alphabet, problem = make_problem(times, [Fraction(rng.randint(1, 3)) for _ in range(m)])
             seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 7))))
-            lpt_span = makespan(lpt_schedule(seq, problem), seq, problem)
+            assignment = schedule(LPT(), seq, problem)
+            assert assignment == lpt_by_loop(seq, problem)
+            lpt_span = makespan(assignment, seq, problem)
             _, opt = brute_force_optimal(seq, problem)
             assert opt <= lpt_span <= span_upper_bound(seq, problem)
             hits += lpt_span == opt
         assert hits > 40  # LPT is usually optimal on tiny instances
 
+    def test_lpt_ties_follow_alphabet_then_position(self):
+        alphabet, problem = make_problem([2, 2, 5], [Fraction(1), Fraction(1), Fraction(1)])
+        rng = random.Random(12)
+        for _ in range(30):
+            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=8)))
+            assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
+
     def test_dispatch(self, iid_problem):
         seq = JobSequence(("b", "a"))
-        assert schedule(EarliestFinishTime(), seq, iid_problem) == eft_list_schedule(seq, iid_problem)
-        assert schedule(LPT(), seq, iid_problem) == lpt_schedule(seq, iid_problem)
+        assert schedule(EarliestFinishTime(), seq, iid_problem) == eft_by_loop(seq, iid_problem)
+        assert schedule(LPT(), seq, iid_problem) == lpt_by_loop(seq, iid_problem)
         a, _ = brute_force_optimal(seq, iid_problem)
         assert schedule(BruteForce(), seq, iid_problem) == a
         with pytest.raises(DomainError):
@@ -148,18 +163,49 @@ class TestBatchEft:
             loads = batch_eft_loads(np.array(rows), problem.machines)
             scaled, scale = batch_eft_makespans_scaled(np.array(rows), problem.machines)
             for i, seq in enumerate(seqs):
-                a = eft_list_schedule(seq, problem)
+                a = eft_by_loop(seq, problem)
+                assert schedule(EarliestFinishTime(), seq, problem) == a
                 expect = machine_loads(a, seq, alphabet, problem.machines.m)
                 assert loads[i].tolist() == expect
                 assert Fraction(int(scaled[i]), scale) == makespan(a, seq, problem)
 
     def test_huge_loads_fall_back_to_float(self):
-        # scaled finish times would overflow int64; the float path must agree
+        # scaled finish times would overflow int64; the Python-int path must agree
         machines = MachineSet((Fraction(1), Fraction(999_999_937)))
         times = np.full((3, 4), 2**31, dtype=np.int64)
         loads = batch_eft_loads(times, machines)
         assert loads.sum() == times.sum()
         assert (loads[:, 1] > 0).all()  # nearly all work goes to the fast machine
+        alphabet, problem = make_problem([2**31], machines.speeds)
+        seq = JobSequence(("a",) * 4)
+        expect = machine_loads(eft_by_loop(seq, problem), seq, alphabet, 2)
+        assert loads.tolist() == [expect] * 3
+
+    def test_python_int_branch_matches_oracle(self):
+        # machine 1 is 999_999_937 times faster; after a first job of about 2^61
+        # on it, a job of 2^31 ties with the slow machine to within d time
+        # units, far below the 256-unit spacing of doubles at that size
+        tie = 2**31 * 999_999_936
+        alphabet, problem = make_problem([2**31, tie - 1, tie, tie + 1], [Fraction(1), Fraction(999_999_937)])
+        big = alphabet.symbols[1:]
+        rows, seqs = [], []
+        for first in big:
+            for tail in itertools.product(alphabet.symbols[:1] + big[:1], repeat=2):
+                seq = JobSequence((first, alphabet.symbols[0], *tail))
+                seqs.append(seq)
+                rows.append([alphabet.time_of(s) for s in seq.items])
+        loads = batch_eft_loads(np.array(rows), problem.machines)
+        scaled, scale = batch_eft_makespans_scaled(np.array(rows), problem.machines)
+        second = []
+        for i, seq in enumerate(seqs):
+            a = eft_by_loop(seq, problem)
+            assert schedule(EarliestFinishTime(), seq, problem) == a
+            assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
+            assert loads[i].tolist() == machine_loads(a, seq, alphabet, problem.machines.m)
+            assert Fraction(int(scaled[i]), scale) == makespan(a, seq, problem)
+            second.append(a.machine_of[1])
+        # first job d = -1, 0, +1 below/at/above the tie: fast, slow (tie), slow
+        assert second == [1] * 4 + [0] * 4 + [0] * 4
 
 
 class TestDiscardSets:
@@ -221,6 +267,85 @@ class TestDiscardSets:
             opt = cost_exact(BruteForce(), discard, iid_problem)
             for scheduler in (EarliestFinishTime(), LPT()):
                 assert cost_exact(scheduler, discard, iid_problem) >= opt
+
+    def test_eft_cost_counts_every_order(self, iid_problem):
+        # one alphabet-ordered sequence per multiset reaches only 15/2 here
+        discard = ThresholdDiscardSet(n=10, alpha=Fraction(23, 30))
+        assert cost_exact(EarliestFinishTime(), discard, iid_problem) == 8
+        assert eft_worst_cost_by_enumeration(discard, iid_problem) == 8
+
+    def test_eft_cost_matches_order_enumeration(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 120:
+            m = rng.choice((2, 3))
+            k = rng.choice((2, 3))
+            n = rng.randint(1, 8 if k == 2 else 6)
+            times = sorted(rng.sample(range(1, 8), k))
+            speeds = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(m)]
+            _, problem = make_problem(times, speeds)
+            alpha = Fraction(rng.randint(1, 12), 6) * max(times) / problem.machines.v_sum / 2
+            discard = ThresholdDiscardSet(n=n, alpha=alpha)
+            try:
+                want = eft_worst_cost_by_enumeration(discard, problem)
+            except ValueError:  # nothing kept
+                with pytest.raises(DomainError):
+                    cost_exact(EarliestFinishTime(), discard, problem)
+                continue
+            assert cost_exact(EarliestFinishTime(), discard, problem) == want
+            checked += 1
+        # seven machines and a limit near 4000: load-vector keys outgrow int64
+        _, problem = make_problem([1, 700, 1300], [Fraction(v, 3) for v in range(3, 10)])
+        discard = ThresholdDiscardSet(n=4, alpha=Fraction(1300 * 3, 4) / problem.machines.v_sum)
+        assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+
+    def test_lpt_cost_matches_per_multiset_loop(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            m = rng.randint(1, 3)
+            k = rng.randint(1, 3)
+            n = rng.randint(1, 9)
+            times = sorted(rng.sample(range(1, 9), k))
+            _, problem = make_problem(times, [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(m)])
+            alpha = Fraction(rng.randint(3, 8), 6) * max(times) / problem.machines.v_sum
+            discard = ThresholdDiscardSet(n=n, alpha=alpha)
+            threshold = discard.keep_threshold(problem)
+            want = None
+            for counts in itertools.product(range(n + 1), repeat=k):
+                if sum(counts) != n or sum(c * t for c, t in zip(counts, times)) > threshold:
+                    continue
+                seq = JobSequence(tuple(s for s, c in zip(problem.alphabet.symbols, counts) for _ in range(c)))
+                span = makespan(lpt_by_loop(seq, problem), seq, problem)
+                want = span if want is None or span > want else want
+            if want is None:
+                with pytest.raises(DomainError):
+                    cost_exact(LPT(), discard, problem)
+            else:
+                assert cost_exact(LPT(), discard, problem) == want
+
+    def test_eft_order_sweep_budget(self, iid_problem):
+        # 21 multisets x 20 jobs fit the budget; the reachable EFT load vectors do not
+        discard = ThresholdDiscardSet(n=20, alpha=Fraction(1))
+        assert cost_exact(EarliestFinishTime(), discard, iid_problem, budget=2000) == cost_exact(
+            EarliestFinishTime(), discard, iid_problem
+        )
+        with pytest.raises(ResourceError, match="kept more than 500 load vectors"):
+            cost_exact(EarliestFinishTime(), discard, iid_problem, budget=500)
+
+    def test_eft_order_sweep_refuses_a_step_before_extending_it(self):
+        # eight job times on eight machines: up to 8^4 vectors after four jobs,
+        # whose 8 * 8^4 extensions are counted before they are allocated
+        speeds = [Fraction(v) for v in (1, 2, 3, 5, 7, 11, 13, 17)]
+        _, problem = make_problem([1, 97, 211, 307, 401, 503, 601, 701], speeds)
+        discard = ThresholdDiscardSet(n=6, alpha=Fraction(701) / problem.machines.v_sum)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="would extend more than 20000 load vectors at job 5"):
+                cost_exact(EarliestFinishTime(), discard, problem, budget=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
 
     def test_cost_budget_guard(self, iid_problem):
         discard = ThresholdDiscardSet(n=100, alpha=Fraction(1))

@@ -14,23 +14,19 @@ from stochsched import (
     ResourceError,
     SchedulingProblem,
     ebar_theoretical,
-    expected_processing_time,
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
     rng_stream,
     sample_index_matrix,
-    sample_sequence,
     sample_time_matrix,
     stationary_distribution,
     sum_distribution,
-    third_abs_central_moment,
-    variance_processing_time,
 )
 
 from stochsched import stochastic
 
-from .oracles import TailsFromMass, sum_law_by_direct_dp, sum_law_by_enumeration
+from .oracles import TailsFromMass, mean_total_time_by_steps, sum_law_by_direct_dp, sum_law_by_enumeration
 
 UNIFORM = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2)})
 SKEWED = IIDModel({"a": Fraction(3, 4), "b": Fraction(1, 4)})
@@ -291,31 +287,30 @@ class TestExactMoments:
         with pytest.raises(DomainError):
             mean_time_exact(mixture_problem.process, desk_alphabet)
 
-    def test_expected_processing_time(self, desk_alphabet, markov_problem, mixture_problem):
-        assert expected_processing_time(UNIFORM, desk_alphabet) == 2.0
-        assert expected_processing_time(markov_problem.process, desk_alphabet) == pytest.approx(4 / 3)
-        assert expected_processing_time(mixture_problem.process, desk_alphabet) == [2.0, 1.5]
-
     def test_central_moments(self, desk_alphabet):
-        assert variance_processing_time(UNIFORM, desk_alphabet) == 1.0
-        assert variance_processing_time(SKEWED, desk_alphabet) == 0.75
-        assert third_abs_central_moment(UNIFORM, desk_alphabet) == 1.0
-        assert third_abs_central_moment(SKEWED, desk_alphabet) == 0.9375
-        with pytest.raises(DomainError):
-            variance_processing_time(
-                MarkovModel(
-                    ("a", "b"),
-                    ((Fraction(1, 2), Fraction(1, 2)),) * 2,
-                    (Fraction(1, 2), Fraction(1, 2)),
-                ),
-                desk_alphabet,
-            )
+        # (mean, variance, E|T - mean|^3) of the one-job time, as second_order uses them
+        assert stochastic._iid_central_moments(UNIFORM, desk_alphabet)[1:] == (1, 1)
+        assert stochastic._iid_central_moments(SKEWED, desk_alphabet)[1:] == (Fraction(3, 4), Fraction(15, 16))
 
     def test_mean_total_time(self, desk_alphabet, markov_problem, mixture_problem):
         assert mean_total_time_exact(UNIFORM, desk_alphabet, 7) == 14
         # stationary start keeps every marginal stationary
         assert mean_total_time_exact(markov_problem.process, desk_alphabet, 9) == 12
         assert mean_total_time_exact(mixture_problem.process, desk_alphabet, 4) == 7
+
+    @pytest.mark.parametrize("start", ["stationary", "transient"])
+    def test_mean_total_time_matches_per_step_marginals(self, start):
+        alphabet = JobAlphabet({"a": 1, "b": 5, "c": 9})
+        P = (
+            (Fraction(3, 20), Fraction(13, 20), Fraction(4, 20)),
+            (Fraction(11, 20), Fraction(1, 20), Fraction(8, 20)),
+            (Fraction(2, 20), Fraction(7, 20), Fraction(11, 20)),
+        )
+        chain = MarkovModel(("a", "b", "c"), P, (Fraction(1, 20), Fraction(0), Fraction(19, 20)))
+        if start == "stationary":
+            chain = MarkovModel(("a", "b", "c"), P, stationary_distribution(chain))
+        for n in (1, 2, 3, 7, 64, 300):
+            assert mean_total_time_exact(chain, alphabet, n) == mean_total_time_by_steps(chain, alphabet, n)
 
     def test_mean_total_time_transient_start(self, desk_alphabet):
         chain = MarkovModel(
@@ -338,13 +333,6 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
-
-    def test_sample_sequence_deterministic(self, markov_problem):
-        s1 = sample_sequence(markov_problem.process, 12, seed=5)
-        s2 = sample_sequence(markov_problem.process, 12, seed=5)
-        s3 = sample_sequence(markov_problem.process, 12, seed=6)
-        assert s1 == s2
-        assert s1 != s3
 
     def test_trial_streams_independent_of_batching(self, iid_problem):
         wide, _ = sample_index_matrix(iid_problem.process, 10, 8, master_seed=99)

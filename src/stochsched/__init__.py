@@ -41,8 +41,6 @@ from .second_order import (
     SecondOrderRow,
     berry_esseen_error_bound,
     berry_esseen_prediction,
-    normal_cdf,
-    normal_quantile,
     r_n_plus,
     second_order_table,
 )

@@ -15,66 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Sequence
 
 from .core import SchedulingProblem
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .stochastic import IIDModel, SumDistribution, _iid_central_moments, sum_distribution
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-# Rational initial approximation to the normal quantile (Acklam's coefficients),
-# accurate to ~1.15e-9 on (0, 1); Newton steps against normal_cdf finish the job.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _quantile_seed(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF with |Phi(x) - p| <= 1e-10.
-
-    Rational seed refined by Newton iteration on the erfc-based CDF.
-    """
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 < float(p) < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
-    p = float(p)
-    x = _quantile_seed(p)
-    for _ in range(3):
-        err = normal_cdf(x) - p
-        density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if density == 0.0:
-            break
-        x -= err / density
-    if abs(normal_cdf(x) - p) > 1e-10:
-        raise NumericError(f"normal quantile failed to converge at p={p}")
-    return x
+_NORMAL = NormalDist()
 
 
 def r_n_plus(n: int, epsilon: float, problem: SchedulingProblem, _dist: SumDistribution | None = None) -> Fraction:
@@ -107,7 +55,7 @@ def berry_esseen_prediction(n: int, epsilon: float, problem: SchedulingProblem) 
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     mu, var, _ = _require_iid_nondegenerate(problem)
     v_sum = float(problem.machines.v_sum)
-    q = normal_quantile(float(epsilon))
+    q = _NORMAL.inv_cdf(float(epsilon))
     return n * float(mu) / v_sum - math.sqrt(float(var) * n) * q / v_sum
 
 
@@ -176,7 +124,7 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
                 residual=resid,
                 be_bound=berry_esseen_error_bound(n, problem),
                 quantile_atom=dist.mass_at(s_star),
-                gaussian_tail=normal_cdf(-z),
+                gaussian_tail=0.5 * math.erfc(z / math.sqrt(2.0)),  # P(Z > z); 1 - cdf(z) would cancel
             )
         )
     return rows

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SchedulingProblem, as_fraction
+from .core import JobSequence, SchedulingProblem, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
     BruteForce,
@@ -33,9 +33,6 @@ from .schedulers import (
     max_kept_total_time,
 )
 from .stochastic import (
-    IIDModel,
-    MarkovModel,
-    MixtureModel,
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
@@ -45,16 +42,13 @@ from .stochastic import (
 
 
 def _component_rates(problem: SchedulingProblem) -> list[Fraction]:
-    """Long-run per-job rate mean/v_sum of every IID or Markov component.
+    """Long-run per-job rate mean/v_sum of every leaf of flatten_mixture.
 
-    IID and Markov processes are their own single component; mixtures are
+    IID and Markov processes are their own single leaf; mixtures are
     flattened, nested ones included.
     """
-    process = problem.process
-    if not isinstance(process, (IIDModel, MarkovModel, MixtureModel)):
-        raise DomainError(f"unsupported process type {type(process).__name__}")
     v_sum = problem.machines.v_sum
-    return [mean_time_exact(sub, problem.alphabet) / v_sum for _, sub in flatten_mixture(process)]
+    return [mean_time_exact(leaf, problem.alphabet) / v_sum for _, leaf in flatten_mixture(problem.process)]
 
 
 def ebar_theoretical(problem: SchedulingProblem) -> Fraction:
@@ -195,30 +189,22 @@ def achievability_experiment(
         dist = sum_distribution(problem.process, problem.alphabet, discard.n)
         p = dist.prob_above(discard.keep_threshold(problem))
         try:
-            cost = cost_exact(scheduler, discard, problem, budget=budget)
-            rows.append(
-                RateExperimentRow(
-                    n=discard.n,
-                    discard_prob=p,
-                    cost=cost,
-                    cost_per_job=cost / discard.n,
-                    cost_lower=cost,
-                    exact=True,
-                )
-            )
+            cost = cost_lower = cost_exact(scheduler, discard, problem, budget=budget)
+            exact = True
         except ResourceError:
-            lower = Fraction(max_kept_total_time(discard, problem)) / v_sum
-            upper = lower + t_max_over_v_min
-            rows.append(
-                RateExperimentRow(
-                    n=discard.n,
-                    discard_prob=p,
-                    cost=upper,
-                    cost_per_job=upper / discard.n,
-                    cost_lower=lower,
-                    exact=False,
-                )
+            cost_lower = Fraction(max_kept_total_time(discard, problem)) / v_sum
+            cost = cost_lower + t_max_over_v_min
+            exact = False
+        rows.append(
+            RateExperimentRow(
+                n=discard.n,
+                discard_prob=p,
+                cost=cost,
+                cost_per_job=cost / discard.n,
+                cost_lower=cost_lower,
+                exact=exact,
             )
+        )
     return rows
 
 
@@ -281,8 +267,6 @@ def average_case_bracket(
         scaled, scale = batch_eft_makespans_scaled(times, problem.machines)
         spans = scaled.astype(np.float64) / scale
     elif isinstance(scheduler, BruteForce):
-        from .core import JobSequence  # local import to keep module tops tidy
-
         rev = {t: sym for sym, t in problem.alphabet.proc_time.items()}
         spans = np.empty(trials)
         for i in range(trials):

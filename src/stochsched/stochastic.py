@@ -2,6 +2,13 @@
 
 Three model families over a common symbol set: i.i.d. draws, a Markov chain,
 and a finite mixture (one component drawn per sequence, then held fixed).
+`flatten_mixture` is the only code that knows what a mixture is: it resolves
+any process, nested mixtures included, into weighted i.i.d./Markov leaves.
+Each leaf type has one entry in `_LEAVES` (its sum-law kernel, the working
+arrays that kernel holds, its sampler block and its exact E[T_n]), and
+`sum_distribution`, `mean_total_time_exact` and `sample_index_matrix` are
+each one loop over the weighted leaves.
+
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
 and samplers work in binary floating point.
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -132,13 +139,15 @@ class MixtureModel:
 JobProcess = Union[IIDModel, MarkovModel, MixtureModel]
 
 
-def flatten_mixture(process: JobProcess) -> list[tuple[Fraction, JobProcess]]:
-    """Flatten nested mixtures into weighted IID/Markov components."""
+def flatten_mixture(process: JobProcess) -> list[tuple[Fraction, IIDModel | MarkovModel]]:
+    """Flatten nested mixtures into weighted IID/Markov leaves; a leaf is its own single leaf.
+
+    Raises DomainError for any other process type.
+    """
     if isinstance(process, MixtureModel):
-        out = []
-        for w, sub in process.components:
-            out.extend((w * sw, sm) for sw, sm in flatten_mixture(sub))
-        return out
+        return [(w * sw, leaf) for w, sub in process.components for sw, leaf in flatten_mixture(sub)]
+    if type(process) not in _LEAVES:
+        raise DomainError(f"unsupported process type {type(process).__name__}")
     return [(Fraction(1), process)]
 
 
@@ -264,48 +273,6 @@ def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> np.ndarray
     return cur.sum(axis=0)
 
 
-def _mixture_sum(model: MixtureModel, alphabet: JobAlphabet, n: int) -> np.ndarray:
-    # components share one symbol set, so their arrays cover one lattice
-    masses = None
-    for w, sub in model.components:
-        part = float(w) * sum_distribution(sub, alphabet, n).masses
-        masses = part if masses is None else np.add(masses, part, out=masses)
-    return masses
-
-
-_KERNELS = {IIDModel: _iid_sum, MarkovModel: _markov_sum, MixtureModel: _mixture_sum}
-
-
-def _working_rows(process: JobProcess) -> int:
-    """Lattice-wide float64 arrays the kernel for `process` holds at once."""
-    if isinstance(process, IIDModel):
-        return 3  # the largest convolution: both factors and the product
-    if isinstance(process, MarkovModel):
-        return 2 * len(process.symbols) + 1  # two state-resolved buffers and the sum
-    return 1 + max(_working_rows(sub) for _, sub in process.components)  # merged law beside a component
-
-
-def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumDistribution:
-    """Exact dynamic-programming law of the n-job total processing time.
-
-    Cost: O(k^2 * n^2 * span) for a k-state Markov chain, O(log n)
-    convolutions for IID.  Raises ResourceError, before allocating, when the
-    kernel's working arrays would exceed _MAX_BYTES.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sequence length must be a positive integer, got {n!r}")
-    if type(process) not in _KERNELS:
-        raise DomainError(f"unsupported process type {type(process).__name__}")
-    times = _symbol_times(process, alphabet)
-    t_min, t_max = min(times), max(times)
-    if n * t_max > 2**53:
-        raise DomainError(f"total-time bound {n}*{t_max} exceeds the exact double-integer range")
-    needed = 8 * (n * (t_max - t_min) + 1) * _working_rows(process)
-    if needed > _MAX_BYTES:
-        raise ResourceError(f"sum law for n={n} needs {needed} bytes of working arrays (budget {_MAX_BYTES})")
-    return SumDistribution(n, n * t_min, _KERNELS[type(process)](process, alphabet, n))
-
-
 # ---------------------------------------------------------------------------
 # exact closed-form moments
 
@@ -381,29 +348,20 @@ def _matmul(a, b) -> list[list[Fraction]]:
     return [_matvec(columns, row) for row in a]
 
 
-def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) -> Fraction:
-    """Exact E[T_n] for any model, honoring Markov initial distributions."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sequence length must be a positive integer, got {n!r}")
-    if isinstance(process, IIDModel):
-        return n * mean_time_exact(process, alphabet)
-    if isinstance(process, MarkovModel):
-        # initial . (sum_{i<n} P^i) . t by doubling a through the bits of n,
-        # carrying P^a and (sum_{i<a} P^i) . t: O(log n) k x k products
-        times = [Fraction(t) for t in _symbol_times(process, alphabet)]
-        k = len(times)
-        power = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-        partial = [Fraction(0)] * k
-        for bit in bin(n)[2:]:
-            partial = [s + x for s, x in zip(partial, _matvec(power, partial))]
-            power = _matmul(power, power)
-            if bit == "1":
-                partial = [s + x for s, x in zip(partial, _matvec(power, times))]
-                power = _matmul(power, process.transition)
-        return sum((p * s for p, s in zip(process.initial, partial)), Fraction(0))
-    if isinstance(process, MixtureModel):
-        return sum((w * mean_total_time_exact(sub, alphabet, n) for w, sub in process.components), Fraction(0))
-    raise DomainError(f"unsupported process type {type(process).__name__}")
+def _markov_mean_total(model: MarkovModel, alphabet: JobAlphabet, n: int) -> Fraction:
+    # initial . (sum_{i<n} P^i) . t by doubling a through the bits of n,
+    # carrying P^a and (sum_{i<a} P^i) . t: O(log n) k x k products
+    times = [Fraction(t) for t in _symbol_times(model, alphabet)]
+    k = len(times)
+    power = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    partial = [Fraction(0)] * k
+    for bit in bin(n)[2:]:
+        partial = [s + x for s, x in zip(partial, _matvec(power, partial))]
+        power = _matmul(power, power)
+        if bit == "1":
+            partial = [s + x for s, x in zip(partial, _matvec(power, times))]
+            power = _matmul(power, model.transition)
+    return sum((p * s for p, s in zip(model.initial, partial)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -422,32 +380,95 @@ def _cumulative(probs: Iterable[Fraction]) -> np.ndarray:
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1)
+    return np.minimum(idx, len(cum) - 1, out=idx)
 
 
-def _sample_iid_block(model: IIDModel, u: np.ndarray, canon_index: dict[str, int]) -> np.ndarray:
-    cum = _cumulative(model.probs.values())
-    remap = np.array([canon_index[s] for s in model.symbols])
-    return remap[_pick(cum, u)]
+# Each sampler block maps uniforms u of shape (trials, n) to indices into its own symbols.
+def _sample_iid(model: IIDModel, u: np.ndarray) -> np.ndarray:
+    return _pick(_cumulative(model.probs.values()), u)
 
 
-def _sample_markov_block(model: MarkovModel, u: np.ndarray, canon_index: dict[str, int]) -> np.ndarray:
-    rows, n = u.shape
-    cum_init = _cumulative(model.initial)
-    cum_rows = [_cumulative(r) for r in model.transition]
-    remap = np.array([canon_index[s] for s in model.symbols])
-    out = np.empty((rows, n), dtype=np.int64)
-    states = _pick(cum_init, u[:, 0])
+def _sample_markov(model: MarkovModel, u: np.ndarray) -> np.ndarray:
+    cum_rows = np.array([_cumulative(row) for row in model.transition])
+    last = len(model.symbols) - 1
+    out = np.empty(u.shape, dtype=np.int64)
+    states = _pick(_cumulative(model.initial), u[:, 0])
     out[:, 0] = states
-    for i in range(1, n):
-        nxt = np.empty(rows, dtype=np.int64)
-        for j in range(len(model.symbols)):
-            mask = states == j
-            if mask.any():
-                nxt[mask] = _pick(cum_rows[j], u[mask, i])
-        states = nxt
+    for i in range(1, u.shape[1]):
+        # entries of each current state's cumulative row that are <= u: the
+        # count searchsorted(row, u, side="right") returns
+        states = np.minimum((cum_rows[states] <= u[:, i, None]).sum(axis=1), last)
         out[:, i] = states
-    return remap[out]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# one entry per leaf type; every process is a weighted list of leaves
+
+
+class _Leaf(NamedTuple):
+    sum_law: Callable  # (leaf, alphabet, n) -> masses over [n*t_min, n*t_max]
+    rows: Callable  # leaf -> lattice-wide float64 arrays sum_law holds at once
+    sample: Callable  # (leaf, u) -> (trials, n) indices into leaf.symbols
+    mean_total: Callable  # (leaf, alphabet, n) -> exact E[T_n]
+
+
+_LEAVES = {
+    IIDModel: _Leaf(
+        sum_law=_iid_sum,
+        rows=lambda model: 3,  # the largest convolution: both factors and the product
+        sample=_sample_iid,
+        mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
+    ),
+    MarkovModel: _Leaf(
+        sum_law=_markov_sum,
+        rows=lambda model: 2 * len(model.symbols) + 1,  # two state-resolved buffers and their sum
+        sample=_sample_markov,
+        mean_total=_markov_mean_total,
+    ),
+}
+
+
+def _check_length(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"sequence length must be a positive integer, got {n!r}")
+
+
+def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumDistribution:
+    """Exact dynamic-programming law of the n-job total processing time.
+
+    Cost: O(k^2 * n^2 * span) for a k-state Markov chain, O(log n)
+    convolutions for IID.  A mixture adds its leaves' laws with their weights;
+    they share one symbol set, hence one lattice.  Raises ResourceError,
+    before allocating, when the largest leaf kernel's working arrays plus the
+    weighted sum of a mixture would exceed _MAX_BYTES.
+    """
+    _check_length(n)
+    leaves = flatten_mixture(process)
+    times = _symbol_times(process, alphabet)
+    t_min, t_max = min(times), max(times)
+    if n * t_max > 2**53:
+        raise DomainError(f"total-time bound {n}*{t_max} exceeds the exact double-integer range")
+    rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves) + (len(leaves) > 1)
+    needed = 8 * (n * (t_max - t_min) + 1) * rows
+    if needed > _MAX_BYTES:
+        raise ResourceError(f"sum law for n={n} needs {needed} bytes of working arrays (budget {_MAX_BYTES})")
+    masses = None
+    for w, leaf in leaves:
+        part = _LEAVES[type(leaf)].sum_law(leaf, alphabet, n)
+        if w != 1:  # a single leaf's law is returned as it is
+            part *= float(w)
+        masses = part if masses is None else np.add(masses, part, out=masses)
+    return SumDistribution(n, n * t_min, masses)
+
+
+def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) -> Fraction:
+    """Exact E[T_n] for any model, honoring Markov initial distributions."""
+    _check_length(n)
+    return sum(
+        (w * _LEAVES[type(leaf)].mean_total(leaf, alphabet, n) for w, leaf in flatten_mixture(process)),
+        Fraction(0),
+    )
 
 
 def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: int, worker: int = 0) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -455,36 +476,28 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
 
     Returns (matrix of symbol indices, canonical symbol order).  Trial t uses
     the stream (master_seed, worker, t), so any subset of trials reproduces
-    identically regardless of how work is scheduled.
+    identically regardless of how work is scheduled.  A mixture spends the
+    first uniform of each stream on choosing the trial's leaf; a single
+    stream spends none.
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
+    leaves = flatten_mixture(process)
     symbols = process.symbols
-    canon_index = {s: i for i, s in enumerate(symbols)}
-    flat = flatten_mixture(process)
-    is_mixture = isinstance(process, MixtureModel)
-    cols = n + 1 if is_mixture else n
-    u = np.empty((trials, cols), dtype=np.float64)
+    lead = len(leaves) > 1
+    u = np.empty((trials, n + lead), dtype=np.float64)
     for t in range(trials):
-        u[t] = rng_stream(master_seed, worker, t).random(cols)
+        u[t] = rng_stream(master_seed, worker, t).random(n + lead)
+    if not lead:
+        return _LEAVES[type(process)].sample(process, u), symbols
+    chosen = _pick(_cumulative(w for w, _ in leaves), u[:, 0])
+    body = u[:, 1:]
     out = np.empty((trials, n), dtype=np.int64)
-    if is_mixture:
-        cum_w = _cumulative([w for w, _ in flat])
-        comp = _pick(cum_w, u[:, 0])
-        body = u[:, 1:]
-        for c, (_, sub) in enumerate(flat):
-            mask = comp == c
-            if not mask.any():
-                continue
-            block = body[mask]
-            if isinstance(sub, IIDModel):
-                out[mask] = _sample_iid_block(sub, block, canon_index)
-            else:
-                out[mask] = _sample_markov_block(sub, block, canon_index)
-    elif isinstance(process, IIDModel):
-        out = _sample_iid_block(process, u, canon_index)
-    else:
-        out = _sample_markov_block(process, u, canon_index)
+    for c, (_, leaf) in enumerate(leaves):
+        mask = chosen == c
+        if mask.any():
+            remap = np.array([symbols.index(s) for s in leaf.symbols])
+            out[mask] = remap[_LEAVES[type(leaf)].sample(leaf, body[mask])]
     return out, symbols
 
 

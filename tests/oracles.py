@@ -5,7 +5,8 @@ arithmetic, and quadrature-based normal quantiles.  No pruning and no closed
 forms shared with the library code.  Some routines are earlier versions of
 the package's own code, kept as references for the kernels that replaced
 them at sizes enumeration cannot reach: the per-step sum-law DP, the
-one-job-at-a-time EFT and LPT loops, and the per-step exact Markov mean.
+one-job-at-a-time EFT and LPT loops, the per-step exact Markov mean, and the
+sampler with one block per process kind.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from stochsched import (
     MixtureModel,
     SchedulingProblem,
     ThresholdDiscardSet,
+    flatten_mixture,
     makespan,
     scaled_inverse_speeds,
+    stochastic,
 )
 
 
@@ -244,10 +247,80 @@ def mean_total_time_by_steps(process, alphabet, n: int) -> Fraction:
     return total
 
 
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _cumulative(probs) -> np.ndarray:
+    return np.cumsum(np.array([float(p) for p in probs]))
+
+
+def _sample_iid_block(model: IIDModel, u: np.ndarray, canon_index: dict[str, int]) -> np.ndarray:
+    remap = np.array([canon_index[s] for s in model.symbols])
+    return remap[_pick(_cumulative(model.probs.values()), u)]
+
+
+def _sample_markov_block(model: MarkovModel, u: np.ndarray, canon_index: dict[str, int]) -> np.ndarray:
+    rows, n = u.shape
+    cum_init = _cumulative(model.initial)
+    cum_rows = [_cumulative(r) for r in model.transition]
+    remap = np.array([canon_index[s] for s in model.symbols])
+    out = np.empty((rows, n), dtype=np.int64)
+    states = _pick(cum_init, u[:, 0])
+    out[:, 0] = states
+    for i in range(1, n):
+        nxt = np.empty(rows, dtype=np.int64)
+        for j in range(len(model.symbols)):
+            mask = states == j
+            if mask.any():
+                nxt[mask] = _pick(cum_rows[j], u[mask, i])
+        states = nxt
+        out[:, i] = states
+    return remap[out]
+
+
+def sample_index_matrix_by_kind(process, n: int, trials: int, master_seed: int, worker: int = 0):
+    """The sampler with one block per process kind: a searchsorted per IID
+    block, a per-state mask loop per Markov step, and a mixture that spends
+    the first uniform of each trial's stream on its flattened component.
+    Draws come from `stochastic.rng_stream`, looked up at call time.
+    """
+    symbols = process.symbols
+    canon_index = {s: i for i, s in enumerate(symbols)}
+    is_mixture = isinstance(process, MixtureModel)
+    cols = n + 1 if is_mixture else n
+    u = np.empty((trials, cols), dtype=np.float64)
+    for t in range(trials):
+        u[t] = stochastic.rng_stream(master_seed, worker, t).random(cols)
+    if not is_mixture:
+        block = _sample_iid_block if isinstance(process, IIDModel) else _sample_markov_block
+        return block(process, u, canon_index), symbols
+    flat = flatten_mixture(process)
+    comp = _pick(_cumulative([w for w, _ in flat]), u[:, 0])
+    body = u[:, 1:]
+    out = np.empty((trials, n), dtype=np.int64)
+    for c, (_, sub) in enumerate(flat):
+        mask = comp == c
+        if not mask.any():
+            continue
+        block = _sample_iid_block if isinstance(sub, IIDModel) else _sample_markov_block
+        out[mask] = block(sub, body[mask], canon_index)
+    return out, symbols
+
+
+def _normal_density(t: float) -> float:
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
 def _normal_cdf_by_quadrature(x: float) -> float:
-    density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    integral, _ = quad(density, 0.0, x)
+    integral, _ = quad(_normal_density, 0.0, x)
     return 0.5 + integral
+
+
+def normal_upper_tail_by_quadrature(z: float) -> float:
+    """P(Z > z) integrated directly over [z, z + 40], so deep tails keep their relative precision."""
+    integral, _ = quad(_normal_density, z, z + 40.0, epsabs=0.0, epsrel=1e-13)
+    return integral
 
 
 def normal_quantile_by_bisection(p: float) -> float:

@@ -9,42 +9,12 @@ from stochsched import (
     SchedulingProblem,
     berry_esseen_error_bound,
     berry_esseen_prediction,
-    normal_cdf,
-    normal_quantile,
     r_n_plus,
     second_order_table,
     sum_distribution,
 )
 
-from .oracles import _normal_cdf_by_quadrature, normal_quantile_by_bisection
-
-
-class TestNormalPrimitives:
-    def test_cdf_matches_quadrature(self):
-        for x in (-6.0, -1.96, -0.5, 0.0, 0.31, 1.0, 2.575, 5.5):
-            assert normal_cdf(x) == pytest.approx(_normal_cdf_by_quadrature(x), abs=1e-12)
-
-    def test_cdf_symmetry(self):
-        assert normal_cdf(0.0) == 0.5
-        for x in (0.3, 1.7, 4.2):
-            assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-15)
-
-    def test_quantile_desk_value(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
-
-    def test_quantile_matches_bisection_oracle(self):
-        for p in (0.005, 0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975, 0.995):
-            assert normal_quantile(p) == pytest.approx(normal_quantile_by_bisection(p), abs=5e-9)
-
-    def test_quantile_round_trip_everywhere(self):
-        levels = [k / 100 for k in range(1, 100)] + [1e-10, 1e-6, 1 - 1e-6, 1 - 1e-10]
-        for p in levels:
-            assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-10
-
-    def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5, True, "0.5"):
-            with pytest.raises(DomainError):
-                normal_quantile(bad)
+from .oracles import normal_quantile_by_bisection, normal_upper_tail_by_quadrature
 
 
 class TestExactRate:
@@ -140,6 +110,13 @@ class TestSecondOrderTable:
             lo = max(0.0, eps - row.be_bound - row.quantile_atom)
             hi = min(1.0, eps + row.be_bound + row.quantile_atom)
             assert lo <= row.gaussian_tail <= hi
+
+    def test_gaussian_tail_relative_precision(self, iid_problem):
+        # deep in the tail 1 - Phi(z) cancels to 0.0; the column must keep the tail itself
+        for eps in (1e-6, 1e-12, 1e-20):
+            (row,) = second_order_table([100], eps, iid_problem)
+            z = (float(300 * row.r_n_plus) - 200.0) / 10.0  # (s* - n*mu) / sqrt(n*var)
+            assert row.gaussian_tail == pytest.approx(normal_upper_tail_by_quadrature(z), rel=1e-12, abs=0.0)
 
     def test_rejects_markov(self, markov_problem):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from stochsched import (
     DomainError,
     IIDModel,
     JobAlphabet,
+    MachineSet,
     MarkovModel,
     MixtureModel,
     ResourceError,
@@ -26,7 +27,13 @@ from stochsched import (
 
 from stochsched import stochastic
 
-from .oracles import TailsFromMass, mean_total_time_by_steps, sum_law_by_direct_dp, sum_law_by_enumeration
+from .oracles import (
+    TailsFromMass,
+    mean_total_time_by_steps,
+    sample_index_matrix_by_kind,
+    sum_law_by_direct_dp,
+    sum_law_by_enumeration,
+)
 
 UNIFORM = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2)})
 SKEWED = IIDModel({"a": Fraction(3, 4), "b": Fraction(1, 4)})
@@ -258,6 +265,49 @@ class TestDenseKernelAgainstDirectDP:
         assert peak < 1 << 20
 
 
+    def test_nested_mixture_budget_counts_the_largest_leaf_once(self):
+        # a k-state Markov leaf holds 2k+1 lattice-wide rows; a mixture adds
+        # one accumulator, however deeply it nests
+        n, span, k = 10, 10_000_000, 3
+        wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
+        inner = MixtureModel(((Fraction(1, 2), _periodic_chain()), (Fraction(1, 2), _chain_with_zero_start())))
+        nested = MixtureModel(((Fraction(1, 3), inner), (Fraction(2, 3), _IID3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=f"needs {8 * (n * span + 1) * (2 * k + 2)} bytes"):
+                sum_distribution(nested, wide, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class _Opaque:
+    """A process type the kernels do not know, over the symbols of _WIDE."""
+
+    symbols = ("a", "b", "c")
+
+
+class TestUnsupportedProcess:
+    @pytest.mark.parametrize(
+        "process",
+        [_Opaque(), MixtureModel(((Fraction(1, 2), _IID3), (Fraction(1, 2), _Opaque())))],
+        ids=["bare", "in-mixture"],
+    )
+    def test_every_entry_point_raises_domain_error(self, process):
+        problem = SchedulingProblem(_WIDE, MachineSet((Fraction(1), Fraction(2))), process)
+        with pytest.raises(DomainError, match="unsupported process type _Opaque"):
+            flatten_mixture(process)
+        with pytest.raises(DomainError, match="unsupported process type"):
+            sum_distribution(process, _WIDE, 3)
+        with pytest.raises(DomainError, match="unsupported process type"):
+            mean_total_time_exact(process, _WIDE, 3)
+        with pytest.raises(DomainError, match="unsupported process type"):
+            sample_index_matrix(process, 3, 2, master_seed=0)
+        with pytest.raises(DomainError, match="unsupported process type"):
+            ebar_theoretical(problem)
+
+
 class TestExactMoments:
     def test_stationary_desk_value(self, markov_problem):
         pi = stationary_distribution(markov_problem.process)
@@ -323,6 +373,61 @@ class TestExactMoments:
             expect = sum((p * s for s, p in law.items()), Fraction(0))
             assert mean_total_time_exact(chain, desk_alphabet, n) == expect
 
+
+def _three_cycle():
+    """Deterministic a -> b -> c -> a: its cumulative rows hold only 0 and 1."""
+    one, zero = Fraction(1), Fraction(0)
+    rows = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
+    return MarkovModel(("a", "b", "c"), rows, (zero, one, zero))
+
+
+_SAMPLER_CASES = {**_DENSE_CASES, "markov-3-cycle": _three_cycle()}
+
+
+def _bin_edges(process) -> set[float]:
+    """Every cumulative probability a sampler compares its uniforms with."""
+    leaves = flatten_mixture(process)
+    vectors = [[w for w, _ in leaves]]
+    for _, leaf in leaves:
+        vectors += [leaf.probs.values()] if isinstance(leaf, IIDModel) else [leaf.initial, *leaf.transition]
+    return {float(c) for v in vectors for c in np.cumsum([float(p) for p in v])}
+
+
+# uniforms on every bin edge below 1, and between them
+_EDGE_GRID = np.array(
+    sorted({0.0, 0.05, 0.45, 0.55, 0.95} | {c for p in _SAMPLER_CASES.values() for c in _bin_edges(p) if c < 1.0})
+)
+
+
+class _EdgeStream:
+    """Stands in for rng_stream: each (master_seed, worker, trial) draws from _EDGE_GRID."""
+
+    def __init__(self, master_seed, worker, trial):
+        self._rng = np.random.default_rng((master_seed, worker, trial))
+
+    def random(self, size):
+        return self._rng.choice(_EDGE_GRID, size)
+
+
+class TestSamplerAgainstPerKindReference:
+    @pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
+    @pytest.mark.parametrize("n, trials", [(1, 5), (37, 200)])
+    def test_draws_bit_identical(self, case, n, trials):
+        process = _SAMPLER_CASES[case]
+        idx, symbols = sample_index_matrix(process, n, trials, master_seed=2024, worker=1)
+        ref, ref_symbols = sample_index_matrix_by_kind(process, n, trials, master_seed=2024, worker=1)
+        assert symbols == ref_symbols
+        assert idx.dtype == ref.dtype
+        assert np.array_equal(idx, ref)
+
+    @pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
+    def test_draws_on_bin_edges(self, monkeypatch, case):
+        # a uniform equal to a cumulative probability falls in the bin above it
+        process = _SAMPLER_CASES[case]
+        monkeypatch.setattr(stochastic, "rng_stream", _EdgeStream)
+        idx, _ = sample_index_matrix(process, 37, 200, master_seed=5)
+        ref, _ = sample_index_matrix_by_kind(process, 37, 200, master_seed=5)
+        assert np.array_equal(idx, ref)
 
 class TestSampling:
     def test_rng_stream_is_counter_addressed(self):

@@ -258,17 +258,20 @@ def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> np.ndarray
     trans_t = np.array([[float(p) for p in row] for row in model.transition]).T.copy()
     # state-resolved law of the running total re-based at step*t_min, in two
     # buffers used in turn; after `step` jobs the first step*span+1 columns
-    # are live.  Row j is only ever written at [shift_j, shift_j + width), a
-    # range that grows every step, so its other columns stay zero.
+    # are live.  Each job is one k x k product of the live window into a
+    # reused buffer (BLAS reads the strided window in place), whose row j is
+    # then copied to [shift_j, shift_j + width) of the next state.  That
+    # range grows every step, so row j's other columns stay zero.
     cur = np.zeros((len(times), n * span + 1))
     nxt = np.zeros_like(cur)
+    product = np.empty_like(cur)
     for j, shift in enumerate(shifts):
         cur[j, shift] = float(model.initial[j])
     for step in range(1, n):
         width = step * span + 1
-        live = cur[:, :width]
+        moved = np.matmul(trans_t, cur[:, :width], out=product[:, :width])
         for j, shift in enumerate(shifts):
-            np.dot(trans_t[j], live, out=nxt[j, shift : shift + width])
+            nxt[j, shift : shift + width] = moved[j]
         cur, nxt = nxt, cur
     return cur.sum(axis=0)
 
@@ -422,7 +425,7 @@ _LEAVES = {
     ),
     MarkovModel: _Leaf(
         sum_law=_markov_sum,
-        rows=lambda model: 2 * len(model.symbols) + 1,  # two state-resolved buffers and their sum
+        rows=lambda model: 3 * len(model.symbols) + 1,  # two state buffers, the product buffer and the sum
         sample=_sample_markov,
         mean_total=_markov_mean_total,
     ),
@@ -459,6 +462,7 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
         if w != 1:  # a single leaf's law is returned as it is
             part *= float(w)
         masses = part if masses is None else np.add(masses, part, out=masses)
+        del part  # not alive while the next leaf's kernel runs
     return SumDistribution(n, n * t_min, masses)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -229,6 +230,26 @@ _DENSE_CASES = {
 }
 
 
+def _four_state_chain():
+    """k=4 with zero transition entries; irreducible through a -> b -> c -> d -> a."""
+    zero = Fraction(0)
+    rows = (
+        (zero, Fraction(1, 2), zero, Fraction(1, 2)),
+        (Fraction(1, 3), zero, Fraction(2, 3), zero),
+        (zero, zero, Fraction(1, 4), Fraction(3, 4)),
+        (Fraction(1, 5), Fraction(2, 5), zero, Fraction(2, 5)),
+    )
+    return MarkovModel(("a", "b", "c", "d"), rows, (Fraction(1, 2), zero, Fraction(1, 2), zero))
+
+
+# (process, alphabet) shapes at the edges of the Markov kernel's buffers
+_EDGE_SHAPES = {
+    "one-state": (MarkovModel(("b",), ((Fraction(1),),), (Fraction(1),)), _WIDE),
+    "span-0": (_chain_with_zero_start(), JobAlphabet({"a": 4, "b": 4, "c": 4})),
+    "four-state-zero-entries": (_four_state_chain(), JobAlphabet({"a": 2, "b": 5, "c": 11, "d": 7})),
+}
+
+
 class TestDenseKernelAgainstDirectDP:
     @pytest.mark.parametrize("case", sorted(_DENSE_CASES))
     @pytest.mark.parametrize("n", [1, 2, 7, 150, 400])
@@ -248,6 +269,50 @@ class TestDenseKernelAgainstDirectDP:
             if 0.0 < tails.above[s] < 1.0:
                 assert dist.upper_quantile_total(tails.above[s]) == tails.upper_quantile_total(tails.above[s])
 
+    @pytest.mark.parametrize("case", ["markov-zero-start", "markov-periodic", "mixture"])
+    def test_masses_where_they_underflow(self, case):
+        # at n=1200 the zero-start chain has subnormal masses and most of its
+        # lattice is 0.0; the two DPs may round a subnormal total differently,
+        # so only masses >= 1e-290 are compared
+        process = _DENSE_CASES[case]
+        n = 1200
+        dist = sum_distribution(process, _WIDE, n)
+        oracle = sum_law_by_direct_dp(process, _WIDE, n)
+        normal = {s for s, p in oracle.items() if p >= 1e-290}
+        assert {s for s, p in dist.mass.items() if p >= 1e-290} == normal
+        for total in normal:
+            assert abs(dist.mass_at(total) - oracle[total]) <= 1e-12 * oracle[total]
+        assert abs(float(dist.masses.sum()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(_EDGE_SHAPES))
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_edge_shapes(self, case, n):
+        process, alphabet = _EDGE_SHAPES[case]
+        dist = sum_distribution(process, alphabet, n)
+        oracle = sum_law_by_direct_dp(process, alphabet, n)
+        assert set(dist.mass) == set(oracle)
+        for total, p in oracle.items():
+            assert abs(dist.mass_at(total) - p) <= 1e-12 * p
+        assert abs(float(dist.masses.sum()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["iid", "markov-zero-start", "mixture", "mixture-nested"])
+    def test_peak_memory_within_the_budget(self, monkeypatch, case):
+        # the bytes sum_distribution budgets must cover what its kernels hold
+        process = _DENSE_CASES[case]
+        n = 3000
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_MAX_BYTES", 0)
+            with pytest.raises(ResourceError) as refused:
+                sum_distribution(process, _WIDE, n)
+        needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+        tracemalloc.start()
+        try:
+            sum_distribution(process, _WIDE, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needed + (64 << 10)
+
     def test_byte_budget_refuses_before_allocating(self):
         n, span, k = 10, 10_000_000, 3
         wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
@@ -266,15 +331,16 @@ class TestDenseKernelAgainstDirectDP:
 
 
     def test_nested_mixture_budget_counts_the_largest_leaf_once(self):
-        # a k-state Markov leaf holds 2k+1 lattice-wide rows; a mixture adds
-        # one accumulator, however deeply it nests
+        # a k-state Markov leaf holds 3k+1 lattice-wide rows (two state
+        # buffers, the product buffer and the sum); a mixture adds one
+        # accumulator, however deeply it nests
         n, span, k = 10, 10_000_000, 3
         wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
         inner = MixtureModel(((Fraction(1, 2), _periodic_chain()), (Fraction(1, 2), _chain_with_zero_start())))
         nested = MixtureModel(((Fraction(1, 3), inner), (Fraction(2, 3), _IID3)))
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceError, match=f"needs {8 * (n * span + 1) * (2 * k + 2)} bytes"):
+            with pytest.raises(ResourceError, match=f"needs {8 * (n * span + 1) * (3 * k + 2)} bytes"):
                 sum_distribution(nested, wide, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

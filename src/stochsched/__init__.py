@@ -31,6 +31,7 @@ from .schedulers import (
     ThresholdDiscardSet,
     batch_eft_loads,
     batch_eft_makespans_scaled,
+    batch_optimal_makespans_scaled,
     brute_force_optimal,
     cost_exact,
     discard_probability,

@@ -2,7 +2,9 @@
 
 Three scheduling strategies share one dispatch surface:
 
-* BruteForce      exact optimum by pruned depth-first search,
+* BruteForce      exact optimum: a pruned depth-first search for one
+                  sequence's assignment, a dynamic programme over machines
+                  on a job multiset's count vector for its makespan,
 * EarliestFinishTime  list scheduling onto the machine that finishes first,
 * LPT             EFT over the jobs reordered longest-first.
 
@@ -16,16 +18,21 @@ A ThresholdDiscardSet drops every length-n sequence whose normalized total
 time exceeds alpha; COST of a scheduler against a discard set is the largest
 makespan over the kept sequences.  Keeping or dropping a sequence depends
 only on its job multiset, and so do the brute-force optimum and the LPT
-makespan, so their COST walks job count vectors.  The EFT makespan depends
+makespan, so their COST walks job count vectors.  The optimum never falls
+when a job is lengthened, so its COST is attained on the maximal kept count
+vectors, those where no job can move to the next longer type and stay kept.
+List schedules can fall when a job is lengthened (Graham's timing
+anomalies), so LPT walks every kept count vector.  The EFT makespan depends
 on job order, so its COST walks every order of every kept sequence.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -80,6 +87,15 @@ class ThresholdDiscardSet:
         return self.n * problem.machines.v_sum * self.alpha
 
 
+def _refuse_assignments_over_budget(m: int, n: int, budget: int) -> None:
+    """The brute-force budget: refuse n jobs on m >= 2 machines when m^n exceeds budget."""
+    if m > 1 and m**n > budget:
+        raise ResourceError(
+            f"brute force would enumerate {m}^{n} assignments (budget {budget}); "
+            "use EarliestFinishTime or LPT instead"
+        )
+
+
 def brute_force_optimal(
     seq: JobSequence, problem: SchedulingProblem, budget: int = 10_000_000
 ) -> tuple[Assignment, Fraction]:
@@ -97,11 +113,7 @@ def brute_force_optimal(
     weights, scale = scaled_inverse_speeds(problem.machines)
     if m == 1:
         return Assignment((0,) * n), Fraction(sum(times) * weights[0], scale)
-    if m**n > budget:
-        raise ResourceError(
-            f"brute force would enumerate {m}^{n} assignments (budget {budget}); "
-            "use EarliestFinishTime or LPT instead"
-        )
+    _refuse_assignments_over_budget(m, n, budget)
     if n > _MAX_DFS_DEPTH:
         raise ResourceError(f"brute force recurses once per job; n={n} exceeds the depth limit {_MAX_DFS_DEPTH}")
     loads = [0] * m
@@ -157,6 +169,35 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
     return choice
 
 
+def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
+    """Optimal scaled makespan of counts[j] jobs of time times[j] on machines with scaled inverse speeds weights.
+
+    A dynamic programme over machines on the grid of sub-multisets a <= counts,
+    where f[a] is the least scaled makespan of placing a on the machines so
+    far.  The first machine takes load[a]*w; each middle machine takes
+    min over b <= a of max(f[a-b], load[b]*w), one slice operation per b; the
+    last machine needs f only at the full vector, one vector operation.
+    """
+    present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
+    total = sum(c * t for c, t in present)
+    if len(weights) == 1:
+        return total * weights[0]
+    w = _weight_array(weights, total)
+    sizes = [c + 1 for c, _ in present]
+    load = np.zeros(sizes, dtype=w.dtype)
+    for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
+        load = load + along_axis
+    f = load * w[0]
+    for wi in w[1:-1]:
+        machine = load * wi
+        g = f.copy()  # b = 0: the machine stays empty
+        for b in itertools.islice(np.ndindex(*sizes), 1, None):
+            upper = g[tuple(slice(x, None) for x in b)]
+            np.minimum(upper, np.maximum(f[tuple(slice(s - x) for s, x in zip(sizes, b))], machine[b]), out=upper)
+        f = g
+    return int(np.maximum(f, load[(slice(None, None, -1),) * load.ndim] * w[-1]).min())
+
+
 def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem) -> Assignment:
     """Run one scheduling strategy on a sequence.
 
@@ -200,13 +241,60 @@ def batch_eft_makespans_scaled(times: np.ndarray, machines) -> tuple[np.ndarray,
     return (loads * _weight_array(weights, int(loads.sum(axis=1).max(initial=0)))).max(axis=1), scale
 
 
-def _count_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for c in range(n + 1):
-        for rest in _count_vectors(n - c, k - 1):
-            yield (c,) + rest
+def batch_optimal_makespans_scaled(times: np.ndarray, machines, budget: int = 10_000_000) -> tuple[list[int], int]:
+    """Optimal makespans of many integer job rows as (scaled integers, scale): makespan = scaled/scale.
+
+    The optimum depends only on a row's job multiset, so each distinct count
+    vector is solved once by the dynamic programme.  Refused (ResourceError)
+    on two or more machines when m^n exceeds budget, as brute force is.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    _refuse_assignments_over_budget(machines.m, times.shape[1], budget)
+    weights, scale = scaled_inverse_speeds(machines)
+    tvals = np.unique(times)
+    counts = np.stack([(times == t).sum(axis=1) for t in tvals], axis=1)
+    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+    scaled = [_optimal_scaled(c, tvals.tolist(), weights) for c in distinct]
+    return [scaled[i] for i in inverse.ravel()], scale
+
+
+def _kept_count_vectors(times: list[int], n: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every job count vector (one column per symbol, n jobs) whose total time is at most limit, with its total.
+
+    Rows come in lexicographic order.  The vectors are built one column at a
+    time, and a partial vector survives only while its remaining jobs fit
+    under the limit at the shortest time still to come, so every partial
+    vector extends to a kept one.
+    """
+    dtype = np.int64 if n * max(times) < 2**62 else object
+    limit = min(limit, n * max(times))
+    counts = np.zeros((1, 0), dtype=np.int64)
+    totals = np.zeros(1, dtype=dtype)
+    for j, t in enumerate(times):
+        left = n - counts.sum(axis=1)
+        if j == len(times) - 1:
+            rows, c = np.arange(len(counts)), left
+        else:
+            rows = np.repeat(np.arange(len(counts)), left + 1)
+            c = np.arange(len(rows)) - np.repeat(np.cumsum(left + 1) - (left + 1), left + 1)
+        grown = totals[rows] + c.astype(dtype) * t
+        fit = grown + (left[rows] - c).astype(dtype) * min(times[j + 1 :], default=0) <= limit
+        counts = np.column_stack([counts[rows[fit]], c[fit]])
+        totals = grown[fit]
+    return counts, totals
+
+
+def _maximal(counts: np.ndarray, totals: np.ndarray, times: list[int], limit: int) -> np.ndarray:
+    """The kept count vectors where no job can move to the next longer type and stay kept.
+
+    Types are ordered by time, then index, so a job of a type with equal
+    times always moves, and only the last type of each time keeps jobs.
+    """
+    order = sorted(range(len(times)), key=lambda j: (times[j], j))
+    maximal = np.ones(len(counts), dtype=bool)
+    for j, longer in zip(order, order[1:]):
+        maximal &= (counts[:, j] == 0) | (totals + (times[longer] - times[j]) > limit)
+    return counts[maximal]
 
 
 def _distinct_rows(loads: np.ndarray, limit: int) -> np.ndarray:
@@ -263,8 +351,11 @@ def cost_exact(
 
     Every scheduler is refused (ResourceError) when multisets * n exceeds
     budget.  BruteForce and LPT do not depend on job order, so they walk the
-    kept job count vectors: the brute-force optimum of each, and for LPT one
-    batch EFT pass over all of them laid out longest-first.  EFT does depend
+    kept job count vectors.  The optimum cannot fall when a job is
+    lengthened, so BruteForce solves only the maximal kept vectors, each by
+    one dynamic programme, and is refused on two or more machines when m^n
+    exceeds BruteForce.budget.  LPT can fall, so it takes one batch EFT pass
+    over all kept vectors laid out longest-first.  EFT does depend
     on order, so its cost is the worst over every order of every kept
     sequence, found by sweeping the distinct EFT load vectors of kept
     prefixes; it is also refused once the vectors kept, summed over steps,
@@ -285,18 +376,17 @@ def cost_exact(
     if isinstance(scheduler, EarliestFinishTime):
         scaled = _eft_worst_scaled(times, n, limit, weights, budget)
         best = None if scaled is None else Fraction(scaled, scale)
+    elif not isinstance(scheduler, (BruteForce, LPT)):
+        raise DomainError(f"unknown scheduler {scheduler!r}")
     else:
-        kept = [c for c in _count_vectors(n, k) if sum(ci * t for ci, t in zip(c, times)) <= limit]
-        if isinstance(scheduler, BruteForce):
-            for counts in kept:
-                seq = JobSequence(tuple(sym for sym, c in zip(symbols, counts) for _ in range(c)))
-                opt = brute_force_optimal(seq, problem, budget=scheduler.budget)[1]
-                best = opt if best is None or opt > best else best
-        elif not isinstance(scheduler, LPT):
-            raise DomainError(f"unknown scheduler {scheduler!r}")
-        elif kept:
+        kept, totals = _kept_count_vectors(times, n, limit)
+        if len(kept) and isinstance(scheduler, BruteForce):
+            _refuse_assignments_over_budget(problem.machines.m, n, scheduler.budget)
+            scaled = max(_optimal_scaled(c, times, weights) for c in _maximal(kept, totals, times, limit))
+            best = Fraction(scaled, scale)
+        elif len(kept):
             rank = sorted(range(k), key=lambda j: (-times[j], j))
-            counts = np.array(kept, dtype=np.int64)[:, rank]
+            counts = kept[:, rank]
             rows = np.repeat(np.tile(np.array(times)[rank], len(kept)), counts.ravel()).reshape(len(kept), n)
             scaled, _ = batch_eft_makespans_scaled(rows, problem.machines)
             best = Fraction(int(scaled.max()), scale)
@@ -308,30 +398,29 @@ def cost_exact(
 
 
 def max_kept_total_time(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int:
-    """Largest attainable total time among kept sequences, via reachability DP."""
+    """Largest attainable total time among kept sequences, by a big-integer bitset sweep.
+
+    Bit s of reach is set when some sequence of the jobs so far has total
+    s + (jobs so far) * t_min; each job ORs in reach shifted by t - t_min for
+    every time t, and the bits above the limit are masked off at the end.
+    """
     n = discard.n
     threshold = math.floor(discard.keep_threshold(problem))
     tvals = sorted(set(problem.alphabet.proc_time.values()))
-    t_min, t_max = tvals[0], tvals[-1]
-    span = t_max - t_min
-    reach = np.zeros(span + 1, dtype=bool)
-    for t in tvals:
-        reach[t - t_min] = True
-    for step in range(1, n):
-        new = np.zeros(step * span + span + 1, dtype=bool)
-        width = step * span + 1
-        for t in tvals:
-            off = t - t_min
-            new[off : off + width] |= reach
-        reach = new
-    offset = n * t_min
-    kept = np.nonzero(reach)[0] + offset
-    kept = kept[kept <= threshold]
-    if kept.size == 0:
+    t_min = tvals[0]
+    reach = 1
+    for _ in range(n):
+        step = reach
+        for t in tvals[1:]:
+            step |= reach << (t - t_min)
+        reach = step
+    room = min(threshold - n * t_min, n * (tvals[-1] - t_min))
+    reach &= (1 << (room + 1)) - 1 if room >= 0 else 0
+    if not reach:
         raise DomainError(
             f"discard set keeps no sequences (alpha={discard.alpha} drops every length-{n} stream)"
         )
-    return int(kept.max())
+    return n * t_min + reach.bit_length() - 1
 
 
 def discard_probability(

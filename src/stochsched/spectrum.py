@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import JobSequence, SchedulingProblem, as_fraction
+from .core import SchedulingProblem, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
     BruteForce,
@@ -28,7 +28,7 @@ from .schedulers import (
     Scheduler,
     ThresholdDiscardSet,
     batch_eft_makespans_scaled,
-    brute_force_optimal,
+    batch_optimal_makespans_scaled,
     cost_exact,
     max_kept_total_time,
 )
@@ -267,11 +267,8 @@ def average_case_bracket(
         scaled, scale = batch_eft_makespans_scaled(times, problem.machines)
         spans = scaled.astype(np.float64) / scale
     elif isinstance(scheduler, BruteForce):
-        rev = {t: sym for sym, t in problem.alphabet.proc_time.items()}
-        spans = np.empty(trials)
-        for i in range(trials):
-            seq = JobSequence(tuple(rev[int(t)] for t in times[i]))
-            spans[i] = float(brute_force_optimal(seq, problem, budget=scheduler.budget)[1])
+        scaled, scale = batch_optimal_makespans_scaled(times, problem.machines, scheduler.budget)
+        spans = np.array([s / scale for s in scaled])
     else:
         raise DomainError(f"unknown scheduler {scheduler!r}")
     per_job = spans / n

@@ -20,6 +20,7 @@ from scipy.integrate import quad
 
 from stochsched import (
     Assignment,
+    DomainError,
     IIDModel,
     JobSequence,
     MarkovModel,
@@ -184,6 +185,40 @@ def optimal_cost_by_enumeration(
     if best is None:
         raise ValueError("empty kept set")
     return best
+
+
+def count_vectors(n: int, k: int):
+    """Every count vector of n jobs over k symbols, in lexicographic order."""
+    if k == 1:
+        yield (n,)
+        return
+    for c in range(n + 1):
+        for rest in count_vectors(n - c, k - 1):
+            yield (c,) + rest
+
+
+def max_kept_total_time_by_steps(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int:
+    """Largest kept total time from a boolean array of reachable totals, grown one job at a time."""
+    n = discard.n
+    threshold = math.floor(discard.keep_threshold(problem))
+    tvals = sorted(set(problem.alphabet.proc_time.values()))
+    t_min, t_max = tvals[0], tvals[-1]
+    span = t_max - t_min
+    reach = np.zeros(span + 1, dtype=bool)
+    for t in tvals:
+        reach[t - t_min] = True
+    for step in range(1, n):
+        new = np.zeros(step * span + span + 1, dtype=bool)
+        width = step * span + 1
+        for t in tvals:
+            off = t - t_min
+            new[off : off + width] |= reach
+        reach = new
+    kept = np.nonzero(reach)[0] + n * t_min
+    kept = kept[kept <= threshold]
+    if kept.size == 0:
+        raise DomainError("discard set keeps no sequences")
+    return int(kept.max())
 
 
 def eft_by_loop(seq: JobSequence, problem: SchedulingProblem) -> Assignment:

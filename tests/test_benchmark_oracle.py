@@ -1,9 +1,11 @@
-"""The benchmark's reference law and the tests' direct DP give one law of T_n.
+"""The benchmark's checks and the package agree on the law of T_n and on exact routes.
 
 `perfbench/verify.py` checks every benchmark table's probabilities against
 its own copy of the direct dynamic programme, `reference_law`; tier-1 checks
 the package against `tests/oracles.sum_law_by_direct_dp`.  If the two
-oracles agree, both gates check the same law.  verify.py imports its sibling
+oracles agree, both gates check the same law.  verify.py also decides which
+achievability rows must be exact; that decision must follow the package's
+budgets, or the benchmark fails correct rows.  verify.py imports its sibling
 `exact` by bare name, so it is loaded by path with `perfbench/` briefly on
 `sys.path`.
 """
@@ -15,7 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from stochsched import IIDModel, JobAlphabet, MarkovModel, MixtureModel
+from stochsched import (
+    BruteForce,
+    IIDModel,
+    JobAlphabet,
+    LPT,
+    MachineSet,
+    MarkovModel,
+    MixtureModel,
+    SchedulingProblem,
+    achievability_experiment,
+)
 from stochsched.cli import _emit_process
 
 from .oracles import sum_law_by_direct_dp
@@ -64,3 +76,33 @@ def test_reference_law_matches_direct_dp(verify, case, n):
     assert set(reference) == set(oracle)
     for total, p in oracle.items():
         assert abs(reference[total] - p) <= 1e-12 * p
+
+
+def test_brute_force_budget_matches_the_package(verify):
+    assert verify.BRUTE_FORCE_BUDGET == BruteForce().budget
+
+
+def test_must_be_exact_matches_achievability_routes(verify):
+    # two symbols: n(n+1) work units against budget 30 flips between n=5 and n=6;
+    # m^n against BruteForce's 10^7 flips between n=23 and 24 (m=2) and n=14 and 15 (m=3)
+    alphabet = JobAlphabet({"a": 1, "b": 3})
+    process = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    n_grid = [5, 6, 14, 15, 23, 24]
+    routes = set()
+    for m in (1, 2, 3):
+        speeds = ["1", "3/2", "2"][:m]
+        problem = SchedulingProblem(alphabet, MachineSet(tuple(Fraction(v) for v in speeds)), process)
+        pb = verify.Problem(
+            {"problem": {"alphabet": dict(alphabet.proc_time), "machines": speeds, "process": _emit_process(process)}}
+        )
+        for name, scheduler in (("lpt", LPT()), ("brute-force", BruteForce())):
+            for budget in (30, 2_000_000):
+                rows = achievability_experiment(problem, Fraction(1, 10), scheduler, n_grid, budget=budget)
+                for n, row in zip(n_grid, rows):
+                    expected = verify._must_be_exact({"scheduler": name, "budget": budget}, n, pb)
+                    assert row.exact is expected, (name, m, budget, n)
+                    routes.add((name, m, budget, n, row.exact))
+    assert {("lpt", 1, 30, 5, True), ("lpt", 1, 30, 6, False)} <= routes
+    assert {("brute-force", 2, 2_000_000, 23, True), ("brute-force", 2, 2_000_000, 24, False)} <= routes
+    assert {("brute-force", 3, 2_000_000, 14, True), ("brute-force", 3, 2_000_000, 15, False)} <= routes
+    assert ("brute-force", 1, 2_000_000, 24, True) in routes

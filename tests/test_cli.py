@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from stochsched.cli import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     ResultTable,
+    _build_parser,
     emit,
     main,
     parse_config,
@@ -293,3 +297,35 @@ class TestMain:
             with pytest.raises(SystemExit):  # argparse exits on missing --config
                 main([kind])
             capsys.readouterr()
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process; a second call must not see the first one's arguments
+        cost = self.write(tmp_path, COST_TEXT)
+        validate = tmp_path / "validate.json"
+        validate.write_text(config_text(PROBLEM_MARKOV, kind="validate"))
+        calls = [["cost", "--config", cost, "--format", "jsonl"], ["validate", "--config", str(validate)]]
+        _build_parser()
+        outputs = []
+        for argv in calls:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert _build_parser.cache_info().misses == 1
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv, out in zip(calls, outputs):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "stochsched.cli", *argv], capture_output=True, text=True, env=env, check=True
+            )
+            assert _without_wall_time(out) == _without_wall_time(fresh.stdout)
+
+
+def _without_wall_time(text: str) -> list[str]:
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            record = json.loads(line)
+            record.get("metadata", {}).pop("wall_time_s", None)
+            line = json.dumps(record, sort_keys=True)
+        elif line.startswith("# wall_time_s="):
+            continue
+        lines.append(line)
+    return lines

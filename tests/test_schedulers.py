@@ -17,23 +17,28 @@ from stochsched import (
     ThresholdDiscardSet,
     batch_eft_loads,
     batch_eft_makespans_scaled,
+    batch_optimal_makespans_scaled,
     brute_force_optimal,
     cost_exact,
     discard_probability,
     machine_loads,
     makespan,
     max_kept_total_time,
+    scaled_inverse_speeds,
     schedule,
     span_lower_bound,
     span_upper_bound,
 )
+from stochsched.schedulers import _kept_count_vectors, _optimal_scaled, _weight_array
 
 from .oracles import (
     best_makespan_by_enumeration,
+    count_vectors,
     discard_probability_by_enumeration,
     eft_by_loop,
     eft_worst_cost_by_enumeration,
     lpt_by_loop,
+    max_kept_total_time_by_steps,
     optimal_assignments_by_enumeration,
     optimal_cost_by_enumeration,
 )
@@ -86,6 +91,143 @@ class TestBruteForce:
         seq = JobSequence(("a",) * 3000)
         with pytest.raises(ResourceError, match="depth"):
             brute_force_optimal(seq, iid_problem, budget=2**3000)
+
+
+def _sequence(alphabet, counts) -> JobSequence:
+    return JobSequence(tuple(sym for sym, c in zip(alphabet.symbols, counts) for _ in range(c)))
+
+
+def _maximal_by_upgrades(kept, times, threshold):
+    """Kept count vectors where no job can change to a later type of at least its time and stay kept."""
+    rank = sorted(range(len(times)), key=lambda j: (times[j], j))
+    out = []
+    for c in kept:
+        total = sum(ci * t for ci, t in zip(c, times))
+        if not any(
+            c[j] and total - times[j] + times[longer] <= threshold
+            for i, j in enumerate(rank)
+            for longer in rank[i + 1 :]
+        ):
+            out.append(c)
+    return out
+
+
+class TestCountVectorOptimum:
+    def test_matches_assignment_enumeration(self):
+        rng = random.Random(61)
+        seen = set()
+        for m in (1, 2, 3, 4):
+            for _ in range(40):
+                k = rng.randint(1, 4)
+                times = [rng.randint(1, 6) for _ in range(k)]
+                if rng.random() < 0.3:
+                    speeds = [Fraction(rng.randint(1, 3), rng.randint(1, 2))] * m
+                else:
+                    speeds = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(m)]
+                counts = [0] * k
+                for _ in range(rng.randint(1, 6 if m < 4 else 5)):
+                    counts[rng.randrange(k)] += 1
+                alphabet, problem = make_problem(times, speeds)
+                weights, scale = scaled_inverse_speeds(problem.machines)
+                got = Fraction(_optimal_scaled(counts, times, weights), scale)
+                assert got == best_makespan_by_enumeration(_sequence(alphabet, counts), problem)
+                seen.update(
+                    {
+                        "zero count": 0 in counts,
+                        "equal times": len(set(times)) < k,
+                        "identical speeds": m > 1 and len(set(speeds)) == 1,
+                    }.items()
+                )
+        assert all((case, True) in seen for case in ("zero count", "equal times", "identical speeds"))
+
+    def test_python_int_weights(self):
+        # scaled finish times near 2^31 * 999_999_937 * 3 overflow int64's safe range
+        times = [2**31, 2**31 * 999_999_936, 5]
+        alphabet, problem = make_problem(times, [Fraction(1), Fraction(999_999_937)])
+        weights, scale = scaled_inverse_speeds(problem.machines)
+        for counts in ([2, 1, 0], [1, 1, 1], [0, 2, 1], [3, 0, 0]):
+            total = sum(c * t for c, t in zip(counts, times))
+            assert _weight_array(weights, total).dtype == object
+            got = Fraction(_optimal_scaled(counts, times, weights), scale)
+            assert got == best_makespan_by_enumeration(_sequence(alphabet, counts), problem)
+            rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]] * 2)
+            scaled, batch_scale = batch_optimal_makespans_scaled(rows, problem.machines)
+            assert [Fraction(v, batch_scale) for v in scaled] == [got, got]
+
+    def test_batch_solves_each_row(self):
+        rng = random.Random(9)
+        alphabet, problem = make_problem([2, 3, 7], [Fraction(1), Fraction(3, 2), Fraction(5, 2)])
+        seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=6))) for _ in range(30)]
+        rows = np.array([[alphabet.time_of(sym) for sym in seq.items] for seq in seqs])
+        scaled, scale = batch_optimal_makespans_scaled(rows, problem.machines)
+        assert [Fraction(v, scale) for v in scaled] == [brute_force_optimal(seq, problem)[1] for seq in seqs]
+
+    def test_kept_count_vectors_match_the_recursive_generator(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            n = rng.randint(1, 8)
+            times = [rng.randint(1, 9) for _ in range(k)]
+            limit = rng.randint(n * min(times) - 3, n * max(times) + 3)
+            counts, totals = _kept_count_vectors(times, n, limit)
+            want = [c for c in count_vectors(n, k) if sum(ci * t for ci, t in zip(c, times)) <= limit]
+            assert counts.shape == (len(want), k)
+            assert [tuple(c) for c in counts.tolist()] == want
+            assert totals.tolist() == [sum(ci * t for ci, t in zip(c, times)) for c in want]
+
+    def test_cost_on_the_antichain_matches_sequence_enumeration(self):
+        rng = random.Random(83)
+        checked = 0
+        while checked < 40:
+            m = rng.randint(1, 3)
+            k = rng.randint(2, 3)
+            n = rng.randint(2, 5)
+            if (k * m) ** n > 5000:
+                continue
+            times = [rng.randint(1, 7) for _ in range(k)]
+            _, problem = make_problem(times, [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(m)])
+            alpha = Fraction(rng.randint(2, 12), 6) * max(times) / problem.machines.v_sum / 2
+            discard = ThresholdDiscardSet(n=n, alpha=alpha)
+            threshold = discard.keep_threshold(problem)
+            kept = [c for c in count_vectors(n, k) if sum(ci * t for ci, t in zip(c, times)) <= threshold]
+            if not kept or len(_maximal_by_upgrades(kept, times, threshold)) == len(kept):
+                continue
+            assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(discard, problem)
+            checked += 1
+
+
+class TestListSchedulerAnomalies:
+    """Lengthening a job can shorten a list schedule, so EFT and LPT COST must not be taken on the antichain."""
+
+    def test_eft_shortens_when_a_job_grows(self):
+        _, problem = make_problem([2, 5, 9], [Fraction(3, 2), Fraction(1, 2)])
+        spans = []
+        for items in ("aabbca", "aacbca"):  # the third job lengthened from b to c
+            seq = JobSequence(tuple(items))
+            spans.append(makespan(schedule(EarliestFinishTime(), seq, problem), seq, problem))
+        assert spans == [Fraction(46, 3), Fraction(44, 3)]
+
+    def test_lpt_shortens_when_a_job_grows(self):
+        _, problem = make_problem([7, 8, 9], [Fraction(2), Fraction(1, 2), Fraction(1)])
+        spans = []
+        for items in ("aaaabc", "aaaacc"):  # b lengthened to c
+            seq = JobSequence(tuple(items))
+            spans.append(makespan(schedule(LPT(), seq, problem), seq, problem))
+        assert spans == [15, 14]
+
+    def test_lpt_cost_needs_every_kept_vector(self):
+        times = [5, 8, 9]
+        alphabet, problem = make_problem(times, [Fraction(2), Fraction(1)])
+        discard = ThresholdDiscardSet(n=4, alpha=Fraction(9, 4))
+        threshold = discard.keep_threshold(problem)
+        kept = [c for c in count_vectors(4, 3) if sum(ci * t for ci, t in zip(c, times)) <= threshold]
+
+        def worst(vectors):
+            seqs = [_sequence(alphabet, c) for c in vectors]
+            return max(makespan(lpt_by_loop(seq, problem), seq, problem) for seq in seqs)
+
+        assert worst(_maximal_by_upgrades(kept, times, threshold)) == Fraction(19, 2)
+        assert cost_exact(LPT(), discard, problem) == worst(kept) == 10
 
 
 class TestListSchedulers:
@@ -351,6 +493,26 @@ class TestDiscardSets:
         discard = ThresholdDiscardSet(n=100, alpha=Fraction(1))
         with pytest.raises(ResourceError):
             cost_exact(BruteForce(), discard, iid_problem, budget=5000)
+
+    def test_max_kept_total_matches_the_stepwise_array(self):
+        rng = random.Random(31)
+        empty = 0
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            times = [rng.randint(1, 12) for _ in range(k)]
+            speeds = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            _, problem = make_problem(times, speeds)
+            alpha = Fraction(rng.randint(0, 40), 20) * max(times) / problem.machines.v_sum
+            discard = ThresholdDiscardSet(n=rng.randint(1, 60), alpha=alpha)
+            try:
+                want = max_kept_total_time_by_steps(discard, problem)
+            except DomainError:
+                empty += 1
+                with pytest.raises(DomainError):
+                    max_kept_total_time(discard, problem)
+                continue
+            assert max_kept_total_time(discard, problem) == want
+        assert empty > 0
 
     def test_max_kept_total_by_enumeration(self, iid_problem):
         for n in (1, 2, 3, 4, 5):

@@ -1,6 +1,7 @@
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stochsched import (
@@ -12,13 +13,16 @@ from stochsched import (
     MixtureModel,
     RateExperimentRow,
     ResourceError,
+    JobSequence,
     ThresholdDiscardSet,
     achievability_experiment,
     average_case_bracket,
+    brute_force_optimal,
     converse_experiment,
     cost_exact,
     ebar_theoretical,
     ebar_underline_theoretical,
+    sample_time_matrix,
     spectral_scan,
     strong_converse_holds,
 )
@@ -168,6 +172,18 @@ class TestAchievability:
                 exact=True,
             )
 
+    def test_brute_force_budget_refuses_before_the_dp(self, iid_problem):
+        # 2^24 assignments exceed BruteForce's budget while 25 multisets x 24 jobs fit cost_exact's
+        discard = ThresholdDiscardSet(n=24, alpha=Fraction(1))
+        with pytest.raises(ResourceError, match=r"2\^24 assignments"):
+            cost_exact(BruteForce(), discard, iid_problem)
+        with pytest.raises(ResourceError, match=r"2\^24 assignments"):
+            average_case_bracket(iid_problem, 24, 4, seed=0, scheduler=BruteForce())
+        (row,) = achievability_experiment(iid_problem, Fraction(1, 10), BruteForce(), [24])
+        assert row.exact is False
+        assert cost_exact(BruteForce(budget=2**24), discard, iid_problem) >= row.cost_lower
+        average_case_bracket(iid_problem, 24, 4, seed=0, scheduler=BruteForce(budget=2**24))
+
     def test_gamma_must_be_positive(self, iid_problem):
         with pytest.raises(DomainError):
             achievability_experiment(iid_problem, Fraction(0), BruteForce(), [2])
@@ -218,6 +234,14 @@ class TestAverageCase:
         lpt = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler=LPT())
         assert opt.mc_mean_span_per_job <= eft.mc_mean_span_per_job
         assert opt.mc_mean_span_per_job <= lpt.mc_mean_span_per_job
+
+    def test_brute_force_mean_matches_per_trial_search(self, iid_problem):
+        res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler=BruteForce())
+        times = sample_time_matrix(iid_problem.process, iid_problem.alphabet, 7, 50, 5)
+        symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
+        seqs = [JobSequence(tuple(symbol[t] for t in row)) for row in times.tolist()]
+        spans = [float(brute_force_optimal(seq, iid_problem)[1]) for seq in seqs]
+        assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
 
     def test_markov_run(self, markov_problem):
         res = average_case_bracket(markov_problem, 80, 300, seed=1, scheduler=EarliestFinishTime())

@@ -417,7 +417,7 @@ def _run_average_case(problem: SchedulingProblem, p: dict, seed: int):
 def _run_cost(problem: SchedulingProblem, p: dict, seed: int):
     discard = ThresholdDiscardSet(n=p["n"], alpha=p["alpha"])
     cost = cost_exact(_SCHEDULERS[p["scheduler"]](), discard, problem, budget=p["budget"])
-    prob = discard_probability(discard, problem.process, problem)
+    prob = discard_probability(discard, problem)
     return [(p["n"], p["alpha"], prob, cost, cost / p["n"])], {"scheduler": p["scheduler"]}
 
 

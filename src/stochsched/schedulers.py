@@ -2,9 +2,9 @@
 
 Three scheduling strategies share one dispatch surface:
 
-* BruteForce      exact optimum: a pruned depth-first search for one
-                  sequence's assignment, a dynamic programme over machines
-                  on a job multiset's count vector for its makespan,
+* BruteForce      exact optimum: a dynamic programme over machines on a
+                  job multiset's count vector, backtracked through its
+                  tables when one sequence's assignment is asked for,
 * EarliestFinishTime  list scheduling onto the machine that finishes first,
 * LPT             EFT over the jobs reordered longest-first.
 
@@ -44,9 +44,7 @@ from .core import (
     scaled_inverse_speeds,
 )
 from .errors import DomainError, ResourceError
-from .stochastic import JobProcess, sum_distribution
-
-_MAX_DFS_DEPTH = 500  # brute-force DFS recursion depth, well inside the interpreter's limit
+from .stochastic import sum_distribution
 
 
 @dataclass(frozen=True)
@@ -99,55 +97,42 @@ def _refuse_assignments_over_budget(m: int, n: int, budget: int) -> None:
 def brute_force_optimal(
     seq: JobSequence, problem: SchedulingProblem, budget: int = 10_000_000
 ) -> tuple[Assignment, Fraction]:
-    """Exact optimal assignment by pruned DFS over machine choices.
+    """Exact optimal assignment by the count-vector dynamic programme, with backtracking.
 
-    Prunes a branch as soon as its partial makespan reaches the incumbent,
-    and skips machines identical in (speed, current load) to an earlier one.
-    Among optimal assignments, returns the lexicographically smallest
-    machine vector (DFS visits machines in index order, so the first
-    optimum found is that one).
+    Solves the sequence's job count vector as `_optimal_scaled` does, keeping
+    the table of every machine but the last, then walks back from the last
+    machine: each machine takes the first sub-vector, in C order, that
+    attains the optimum of the machines up to it.  Each symbol's positions
+    are handed out in sequence order, machine 0 first.  Which of several
+    optimal assignments is returned follows from that walk alone.
     """
     m = problem.machines.m
-    n = seq.n
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
     weights, scale = scaled_inverse_speeds(problem.machines)
     if m == 1:
-        return Assignment((0,) * n), Fraction(sum(times) * weights[0], scale)
-    _refuse_assignments_over_budget(m, n, budget)
-    if n > _MAX_DFS_DEPTH:
-        raise ResourceError(f"brute force recurses once per job; n={n} exceeds the depth limit {_MAX_DFS_DEPTH}")
-    loads = [0] * m
-    choice = [0] * n
-    best_scaled: int | None = None
-    best: tuple[int, ...] | None = None
-
-    def dfs(pos: int, cur_max: int) -> None:
-        nonlocal best_scaled, best
-        if pos == n:
-            if best_scaled is None or cur_max < best_scaled:
-                best_scaled = cur_max
-                best = tuple(choice)
-            return
-        t = times[pos]
-        seen: set[tuple[int, int]] = set()
-        for i in range(m):
-            key = (weights[i], loads[i])
-            if key in seen:
-                continue
-            seen.add(key)
-            finish = (loads[i] + t) * weights[i]
-            new_max = finish if finish > cur_max else cur_max
-            if best_scaled is not None and new_max >= best_scaled:
-                continue
-            loads[i] += t
-            choice[pos] = i
-            dfs(pos + 1, new_max)
-            loads[i] -= t
-        return
-
-    dfs(0, 0)
-    assert best is not None and best_scaled is not None
-    return Assignment(best), Fraction(best_scaled, scale)
+        total = sum(problem.alphabet.time_of(sym) for sym in seq.items)
+        return Assignment((0,) * seq.n), Fraction(total * weights[0], scale)
+    _refuse_assignments_over_budget(m, seq.n, budget)
+    positions: dict[str, list[int]] = {}
+    for i, sym in enumerate(seq.items):
+        positions.setdefault(sym, []).append(i)
+    load, w = _load_grid([(len(p), problem.alphabet.time_of(sym)) for sym, p in positions.items()], weights)
+    tables = list(_prefix_tables(load, w))
+    last = _with_last_machine(tables[-1], load, w[-1])
+    a = np.unravel_index(last.argmin(), last.shape)
+    best = int(last[a])
+    shares = [np.subtract(load.shape, 1) - a]
+    for f, wi in zip(tables[-2::-1], w[-2:0:-1]):
+        below = tuple(slice(x + 1) for x in a)
+        split = np.maximum(f[tuple(slice(x, None, -1) for x in a)], load[below] * wi)  # f[a - b] against b
+        b = np.unravel_index(split.argmin(), split.shape)
+        shares.append(b)
+        a = np.subtract(a, b)
+    shares.append(a)
+    shares = np.array(shares[::-1])
+    machine_of = np.empty(seq.n, dtype=np.int64)
+    for j, p in enumerate(positions.values()):
+        machine_of[p] = np.repeat(np.arange(m), shares[:, j])
+    return Assignment(tuple(machine_of.tolist())), Fraction(best, scale)
 
 
 def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
@@ -169,33 +154,52 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
     return choice
 
 
-def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
-    """Optimal scaled makespan of counts[j] jobs of time times[j] on machines with scaled inverse speeds weights.
-
-    A dynamic programme over machines on the grid of sub-multisets a <= counts,
-    where f[a] is the least scaled makespan of placing a on the machines so
-    far.  The first machine takes load[a]*w; each middle machine takes
-    min over b <= a of max(f[a-b], load[b]*w), one slice operation per b; the
-    last machine needs f only at the full vector, one vector operation.
-    """
-    present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
-    total = sum(c * t for c, t in present)
-    if len(weights) == 1:
-        return total * weights[0]
-    w = _weight_array(weights, total)
-    sizes = [c + 1 for c, _ in present]
-    load = np.zeros(sizes, dtype=w.dtype)
+def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype."""
+    w = _weight_array(weights, sum(c * t for c, t in present))
+    load = np.zeros([c + 1 for c, _ in present], dtype=w.dtype)
     for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
         load = load + along_axis
+    return load, w
+
+
+def _prefix_tables(load: np.ndarray, w: np.ndarray):
+    """The dynamic programme over machines: yields f for every machine but the last.
+
+    f[a] is the least scaled makespan of placing the sub-multiset a on the
+    machines so far.  The first machine takes load[a]*w; each middle machine
+    takes min over b <= a of max(f[a-b], load[b]*w), one slice operation per b.
+    """
     f = load * w[0]
+    yield f
     for wi in w[1:-1]:
         machine = load * wi
         g = f.copy()  # b = 0: the machine stays empty
-        for b in itertools.islice(np.ndindex(*sizes), 1, None):
+        for b in itertools.islice(np.ndindex(*load.shape), 1, None):
             upper = g[tuple(slice(x, None) for x in b)]
-            np.minimum(upper, np.maximum(f[tuple(slice(s - x) for s, x in zip(sizes, b))], machine[b]), out=upper)
+            np.minimum(upper, np.maximum(f[tuple(slice(s - x) for s, x in zip(load.shape, b))], machine[b]), out=upper)
         f = g
-    return int(np.maximum(f, load[(slice(None, None, -1),) * load.ndim] * w[-1]).min())
+        yield f
+
+
+def _with_last_machine(f: np.ndarray, load: np.ndarray, w_last) -> np.ndarray:
+    """Scaled makespan when the machines before the last take a and the last takes the rest, for every a."""
+    return np.maximum(f, load[(slice(None, None, -1),) * load.ndim] * w_last)
+
+
+def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
+    """Optimal scaled makespan of counts[j] jobs of time times[j] on machines with scaled inverse speeds weights.
+
+    Runs `_prefix_tables` keeping only the latest table; the last machine
+    needs it only at the full vector, one vector operation.
+    """
+    present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
+    if len(weights) == 1:
+        return sum(c * t for c, t in present) * weights[0]
+    load, w = _load_grid(present, weights)
+    for f in _prefix_tables(load, w):
+        pass
+    return int(_with_last_machine(f, load, w[-1]).min())
 
 
 def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem) -> Assignment:
@@ -423,9 +427,7 @@ def max_kept_total_time(discard: ThresholdDiscardSet, problem: SchedulingProblem
     return n * t_min + reach.bit_length() - 1
 
 
-def discard_probability(
-    discard: ThresholdDiscardSet, process: JobProcess, problem: SchedulingProblem
-) -> float:
-    """Probability that a random length-n sequence is discarded."""
-    dist = sum_distribution(process, problem.alphabet, discard.n)
+def discard_probability(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> float:
+    """Probability that a random length-n sequence of the problem's process is discarded."""
+    dist = sum_distribution(problem.process, problem.alphabet, discard.n)
     return dist.prob_above(discard.keep_threshold(problem))

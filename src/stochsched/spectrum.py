@@ -30,6 +30,7 @@ from .schedulers import (
     batch_eft_makespans_scaled,
     batch_optimal_makespans_scaled,
     cost_exact,
+    discard_probability,
     max_kept_total_time,
 )
 from .stochastic import (
@@ -186,8 +187,7 @@ def achievability_experiment(
     rows = []
     for n in n_grid:
         discard = ThresholdDiscardSet(n=int(n), alpha=alpha)
-        dist = sum_distribution(problem.process, problem.alphabet, discard.n)
-        p = dist.prob_above(discard.keep_threshold(problem))
+        p = discard_probability(discard, problem)
         try:
             cost = cost_lower = cost_exact(scheduler, discard, problem, budget=budget)
             exact = True
@@ -223,13 +223,7 @@ def converse_experiment(
     if not 0 < gap < ebar:
         raise DomainError(f"gap out of range: need 0 < gap < ebar = {ebar}, got {gap}")
     alpha = ebar - gap
-    v_sum = problem.machines.v_sum
-    out = []
-    for n in n_grid:
-        n = int(n)
-        dist = sum_distribution(problem.process, problem.alphabet, n)
-        out.append((n, dist.prob_above(n * v_sum * alpha)))
-    return out
+    return [(int(n), _tails_for_n(problem, int(n), [alpha])[0]) for n in n_grid]
 
 
 @dataclass(frozen=True)

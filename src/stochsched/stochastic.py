@@ -28,7 +28,7 @@ from .core import JobAlphabet, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
-_MAX_BYTES = 1 << 30  # refuse sum laws whose working arrays would exceed 1 GiB
+_MAX_BYTES = 1 << 30  # refuse sum laws and samples whose working arrays would exceed 1 GiB
 
 
 def _normalised(values: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
@@ -482,10 +482,15 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     the stream (master_seed, worker, t), so any subset of trials reproduces
     identically regardless of how work is scheduled.  A mixture spends the
     first uniform of each stream on choosing the trial's leaf; a single
-    stream spends none.
+    stream spends none.  Raises ResourceError, before allocating, when the
+    uniforms, the indices and the time matrix built from them would exceed
+    _MAX_BYTES.
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
+    needed = 3 * 8 * trials * (n + 1)
+    if needed > _MAX_BYTES:
+        raise ResourceError(f"sampling {trials} trials of n={n} needs {needed} bytes of arrays (budget {_MAX_BYTES})")
     leaves = flatten_mixture(process)
     symbols = process.symbols
     lead = len(leaves) > 1

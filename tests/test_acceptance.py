@@ -294,4 +294,4 @@ def test_08_multiset_enumeration_cross_oracle():
                 )
                 expect = discard_probability_by_enumeration(discard, problem.process, problem)
                 # dyadic sequence probabilities: both routes are exact in floats
-                assert discard_probability(discard, problem.process, problem) == float(expect)
+                assert discard_probability(discard, problem) == float(expect)

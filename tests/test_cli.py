@@ -284,6 +284,12 @@ class TestMain:
         assert main(["cost", "--config", self.write(tmp_path, text)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
 
+    def test_oversized_sample_exit_code(self, tmp_path, capsys):
+        # more bytes than numpy can address: refused before any array is made
+        text = config_text(PROBLEM_IID, kind="average-case", n=10**9, trials=10**10)
+        assert main(["average-case", "--config", self.write(tmp_path, text)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+
     def test_numeric_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def explode(config):
             raise NumericError("statistical check failed")

@@ -50,7 +50,8 @@ class TestBruteForce:
         seq = JobSequence(("a", "b", "b"))
         assignment, opt = brute_force_optimal(seq, iid_problem)
         assert opt == 3
-        assert assignment.machine_of == (0, 1, 1)
+        assert assignment.machine_of in optimal_assignments_by_enumeration(seq, iid_problem)
+        assert makespan(assignment, seq, iid_problem) == opt
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(7)
@@ -64,15 +65,16 @@ class TestBruteForce:
             assert opt == best_makespan_by_enumeration(seq, problem)
             assert makespan(assignment, seq, problem) == opt
 
-    def test_returns_lexicographically_smallest_optimum(self):
+    def test_returns_an_optimal_assignment(self):
         rng = random.Random(40)
         for _ in range(40):
             m = rng.randint(2, 3)
             times = sorted(set(rng.choices(range(1, 6), k=2)))
             alphabet, problem = make_problem(times, [Fraction(rng.randint(1, 2)) for _ in range(m)])
             seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=4)))
-            assignment, _ = brute_force_optimal(seq, problem)
-            assert assignment.machine_of == optimal_assignments_by_enumeration(seq, problem)[0]
+            assignment, opt = brute_force_optimal(seq, problem)
+            assert assignment.machine_of in optimal_assignments_by_enumeration(seq, problem)
+            assert makespan(assignment, seq, problem) == opt
 
     def test_budget_guard(self, iid_problem):
         seq = JobSequence(("a",) * 30)
@@ -87,10 +89,13 @@ class TestBruteForce:
         assert opt == Fraction(2 * 1500 + 5 * 1500) / Fraction(3, 2)
         assert makespan(assignment, seq, problem) == opt
 
-    def test_deep_search_refused_before_recursing(self, iid_problem):
+    def test_long_sequence_solved_without_a_depth_limit(self, iid_problem):
+        # 3000 unit jobs on speeds (1, 2): 1000 and 2000 of them finish together at 1000
         seq = JobSequence(("a",) * 3000)
-        with pytest.raises(ResourceError, match="depth"):
-            brute_force_optimal(seq, iid_problem, budget=2**3000)
+        assignment, opt = brute_force_optimal(seq, iid_problem, budget=2**3000)
+        assert opt == 1000
+        assert makespan(assignment, seq, iid_problem) == 1000
+        assert makespan(schedule(BruteForce(budget=2**3000), seq, iid_problem), seq, iid_problem) == 1000
 
 
 def _sequence(alphabet, counts) -> JobSequence:
@@ -149,7 +154,11 @@ class TestCountVectorOptimum:
             total = sum(c * t for c, t in zip(counts, times))
             assert _weight_array(weights, total).dtype == object
             got = Fraction(_optimal_scaled(counts, times, weights), scale)
-            assert got == best_makespan_by_enumeration(_sequence(alphabet, counts), problem)
+            seq = _sequence(alphabet, counts)
+            assert got == best_makespan_by_enumeration(seq, problem)
+            assignment, opt = brute_force_optimal(seq, problem)
+            assert opt == got
+            assert makespan(assignment, seq, problem) == got
             rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]] * 2)
             scaled, batch_scale = batch_optimal_makespans_scaled(rows, problem.machines)
             assert [Fraction(v, batch_scale) for v in scaled] == [got, got]
@@ -160,7 +169,7 @@ class TestCountVectorOptimum:
         seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=6))) for _ in range(30)]
         rows = np.array([[alphabet.time_of(sym) for sym in seq.items] for seq in seqs])
         scaled, scale = batch_optimal_makespans_scaled(rows, problem.machines)
-        assert [Fraction(v, scale) for v in scaled] == [brute_force_optimal(seq, problem)[1] for seq in seqs]
+        assert [Fraction(v, scale) for v in scaled] == [best_makespan_by_enumeration(seq, problem) for seq in seqs]
 
     def test_kept_count_vectors_match_the_recursive_generator(self):
         rng = random.Random(23)
@@ -364,14 +373,14 @@ class TestDiscardSets:
     def test_desk_cost_and_probability(self, iid_problem):
         discard = ThresholdDiscardSet(n=2, alpha=Fraction(23, 30))
         assert cost_exact(BruteForce(), discard, iid_problem) == Fraction(3, 2)
-        assert discard_probability(discard, iid_problem.process, iid_problem) == 0.25
+        assert discard_probability(discard, iid_problem) == 0.25
         assert max_kept_total_time(discard, iid_problem) == 4
 
     def test_threshold_edges(self, iid_problem):
         everything = ThresholdDiscardSet(n=3, alpha=Fraction(2))  # keeps all sequences
-        assert discard_probability(everything, iid_problem.process, iid_problem) == 0.0
+        assert discard_probability(everything, iid_problem) == 0.0
         nothing = ThresholdDiscardSet(n=3, alpha=Fraction(1, 4))  # drops all sequences
-        assert discard_probability(nothing, iid_problem.process, iid_problem) == 1.0
+        assert discard_probability(nothing, iid_problem) == 1.0
         with pytest.raises(DomainError):
             cost_exact(BruteForce(), nothing, iid_problem)
         with pytest.raises(DomainError):
@@ -392,7 +401,7 @@ class TestDiscardSets:
         discard = ThresholdDiscardSet(n=n, alpha=Fraction(23, 30))
         expect = discard_probability_by_enumeration(discard, problem.process, problem)
         # dyadic masses: the DP sums are exact in binary floating point
-        assert discard_probability(discard, problem.process, problem) == float(expect)
+        assert discard_probability(discard, problem) == float(expect)
 
     def test_cost_monotone_in_alpha(self, iid_problem):
         grid = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)]

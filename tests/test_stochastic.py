@@ -564,3 +564,16 @@ class TestSampling:
             sample_index_matrix(iid_problem.process, 0, 1, master_seed=0)
         with pytest.raises(DomainError):
             sample_index_matrix(iid_problem.process, 1, 0, master_seed=0)
+
+    def test_sampling_refuses_before_allocating(self, iid_problem, mixture_problem):
+        # 10^10 trials of 10^9 jobs: more bytes than numpy can address, so a
+        # missing check fails here instead of allocating
+        for process in (iid_problem.process, mixture_problem.process):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceError, match="bytes"):
+                    sample_index_matrix(process, 10**9, 10**10, master_seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20

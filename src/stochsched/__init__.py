@@ -30,11 +30,10 @@ from .schedulers import (
     Scheduler,
     ThresholdDiscardSet,
     batch_eft_loads,
-    batch_eft_makespans_scaled,
-    batch_optimal_makespans_scaled,
     brute_force_optimal,
     cost_exact,
     discard_probability,
+    makespans_scaled,
     max_kept_total_time,
     schedule,
 )

@@ -264,16 +264,8 @@ def _parse_process(spec, path: str, errors: _Errors):
             _check_keys(spec, {"kind", "symbols", "transition", "initial"}, path, errors)
             if initial_spec == "stationary":
                 k = len(symbols)
-                probe = MarkovModel(
-                    symbols=tuple(symbols),
-                    transition=tuple(rows),
-                    initial=tuple(Fraction(1, k) for _ in range(k)),
-                )
-                return MarkovModel(
-                    symbols=tuple(symbols),
-                    transition=tuple(rows),
-                    initial=stationary_distribution(probe),
-                )
+                probe = MarkovModel(symbols=tuple(symbols), transition=tuple(rows), initial=(Fraction(1, k),) * k)
+                return dataclasses.replace(probe, initial=stationary_distribution(probe))
             if not isinstance(initial_spec, list):
                 errors.add(f"{path}.initial", 'expected a list of rationals or "stationary"')
                 return None

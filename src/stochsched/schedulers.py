@@ -10,9 +10,10 @@ Three scheduling strategies share one dispatch surface:
 
 EFT and LPT run on one kernel, `_eft_step`: one job per row of a (rows, m)
 load matrix goes to the machine where it finishes first, comparing exact
-scaled-integer finish times.  `schedule` runs it on one row, batch EFT on
-many rows at once, and `cost_exact` on every kept multiset (LPT) or on every
-reachable EFT load vector (EFT).
+scaled-integer finish times.  `schedule` runs it on one row, and EFT's COST
+on every reachable EFT load vector.  `makespans_scaled` is the one route
+from many job rows to makespans under every scheduler, for the average case
+and for the COST of LPT and the optimum.
 
 A ThresholdDiscardSet drops every length-n sequence whose normalized total
 time exceeds alpha; COST of a scheduler against a discard set is the largest
@@ -30,12 +31,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
+from . import stochastic
 from .core import (
     Assignment,
     JobSequence,
@@ -95,7 +98,7 @@ def _refuse_assignments_over_budget(m: int, n: int, budget: int) -> None:
 
 
 def brute_force_optimal(
-    seq: JobSequence, problem: SchedulingProblem, budget: int = 10_000_000
+    seq: JobSequence, problem: SchedulingProblem, budget: int = BruteForce.budget
 ) -> tuple[Assignment, Fraction]:
     """Exact optimal assignment by the count-vector dynamic programme, with backtracking.
 
@@ -115,7 +118,8 @@ def brute_force_optimal(
     positions: dict[str, list[int]] = {}
     for i, sym in enumerate(seq.items):
         positions.setdefault(sym, []).append(i)
-    load, w = _load_grid([(len(p), problem.alphabet.time_of(sym)) for sym, p in positions.items()], weights)
+    present = [(len(p), problem.alphabet.time_of(sym)) for sym, p in positions.items()]
+    load, w = _load_grid(present, weights, _PREFIX_GRIDS + m - 1)
     tables = list(_prefix_tables(load, w))
     last = _with_last_machine(tables[-1], load, w[-1])
     a = np.unravel_index(last.argmin(), last.shape)
@@ -154,9 +158,25 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
     return choice
 
 
-def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype."""
-    w = _weight_array(weights, sum(c * t for c, t in present))
+# grids of the sub-multiset lattice that `_prefix_tables` holds at once: the
+# loads, the previous and the next table, a machine's finish times and one temporary
+_PREFIX_GRIDS = 5
+
+
+def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...], grids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype.
+
+    Refused (ResourceError) before allocating when `grids` such grids exceed
+    `stochastic._MAX_BYTES`, an object entry counting its pointer and its largest value.
+    """
+    max_total = sum(c * t for c, t in present)
+    w = _weight_array(weights, max_total)
+    entry = 8 if w.dtype == np.int64 else 8 + sys.getsizeof(max_total * max(weights))
+    needed = grids * math.prod(c + 1 for c, _ in present) * entry
+    if needed > stochastic._MAX_BYTES:
+        raise ResourceError(
+            f"brute force needs {needed} bytes of count-vector tables (budget {stochastic._MAX_BYTES})"
+        )
     load = np.zeros([c + 1 for c, _ in present], dtype=w.dtype)
     for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
         load = load + along_axis
@@ -196,7 +216,7 @@ def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
     present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
     if len(weights) == 1:
         return sum(c * t for c, t in present) * weights[0]
-    load, w = _load_grid(present, weights)
+    load, w = _load_grid(present, weights, _PREFIX_GRIDS)
     for f in _prefix_tables(load, w):
         pass
     return int(_with_last_machine(f, load, w[-1]).min())
@@ -235,31 +255,28 @@ def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
     return loads
 
 
-def batch_eft_makespans_scaled(times: np.ndarray, machines) -> tuple[np.ndarray, int]:
-    """EFT makespans as (scaled integers, scale): makespan = scaled/scale.
+def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
+    """Makespans of integer job rows (rows, n) under one scheduler as (scaled, scale): makespan = scaled/scale.
 
-    The scaled values are int64, or Python ints where int64 could overflow.
+    EFT takes each row in order and LPT longest first, in one batch EFT pass
+    (int64, or Python ints in an object array where int64 could overflow).
+    BruteForce solves each distinct count vector of job times once and
+    returns a list of Python ints; it is refused as brute_force_optimal is.
     """
     weights, scale = scaled_inverse_speeds(machines)
+    if isinstance(scheduler, BruteForce):
+        times = np.asarray(times)
+        _refuse_assignments_over_budget(machines.m, times.shape[1], scheduler.budget)
+        tvals = np.unique(times).tolist()
+        counts = [tuple(c) for c in np.stack([(times == t).sum(axis=1) for t in tvals], axis=1).tolist()]
+        optimum = {c: _optimal_scaled(c, tvals, weights) for c in dict.fromkeys(counts)}
+        return [optimum[c] for c in counts], scale
+    if isinstance(scheduler, LPT):
+        times = np.sort(np.asarray(times, dtype=np.int64), axis=1)[:, ::-1]
+    elif not isinstance(scheduler, EarliestFinishTime):
+        raise DomainError(f"unknown scheduler {scheduler!r}")
     loads = batch_eft_loads(times, machines)
     return (loads * _weight_array(weights, int(loads.sum(axis=1).max(initial=0)))).max(axis=1), scale
-
-
-def batch_optimal_makespans_scaled(times: np.ndarray, machines, budget: int = 10_000_000) -> tuple[list[int], int]:
-    """Optimal makespans of many integer job rows as (scaled integers, scale): makespan = scaled/scale.
-
-    The optimum depends only on a row's job multiset, so each distinct count
-    vector is solved once by the dynamic programme.  Refused (ResourceError)
-    on two or more machines when m^n exceeds budget, as brute force is.
-    """
-    times = np.asarray(times, dtype=np.int64)
-    _refuse_assignments_over_budget(machines.m, times.shape[1], budget)
-    weights, scale = scaled_inverse_speeds(machines)
-    tvals = np.unique(times)
-    counts = np.stack([(times == t).sum(axis=1) for t in tvals], axis=1)
-    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
-    scaled = [_optimal_scaled(c, tvals.tolist(), weights) for c in distinct]
-    return [scaled[i] for i in inverse.ravel()], scale
 
 
 def _kept_count_vectors(times: list[int], n: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,15 +372,14 @@ def cost_exact(
 
     Every scheduler is refused (ResourceError) when multisets * n exceeds
     budget.  BruteForce and LPT do not depend on job order, so they walk the
-    kept job count vectors.  The optimum cannot fall when a job is
-    lengthened, so BruteForce solves only the maximal kept vectors, each by
-    one dynamic programme, and is refused on two or more machines when m^n
-    exceeds BruteForce.budget.  LPT can fall, so it takes one batch EFT pass
-    over all kept vectors laid out longest-first.  EFT does depend
-    on order, so its cost is the worst over every order of every kept
-    sequence, found by sweeping the distinct EFT load vectors of kept
-    prefixes; it is also refused once the vectors kept, summed over steps,
-    or the extensions of one step exceed budget.
+    kept job count vectors, laid out as rows for one `makespans_scaled`
+    call.  The optimum cannot fall when a job is lengthened, so BruteForce
+    takes only the maximal kept vectors (and is refused on two or more
+    machines when m^n exceeds BruteForce.budget); LPT can fall, so it takes
+    every kept vector.  EFT does depend on order, so its cost is the worst
+    over every order of every kept sequence, found by sweeping the distinct
+    EFT load vectors of kept prefixes; it is also refused once the vectors
+    kept, summed over steps, or the extensions of one step exceed budget.
     """
     n = discard.n
     symbols = problem.alphabet.symbols
@@ -380,20 +396,14 @@ def cost_exact(
     if isinstance(scheduler, EarliestFinishTime):
         scaled = _eft_worst_scaled(times, n, limit, weights, budget)
         best = None if scaled is None else Fraction(scaled, scale)
-    elif not isinstance(scheduler, (BruteForce, LPT)):
-        raise DomainError(f"unknown scheduler {scheduler!r}")
     else:
         kept, totals = _kept_count_vectors(times, n, limit)
-        if len(kept) and isinstance(scheduler, BruteForce):
-            _refuse_assignments_over_budget(problem.machines.m, n, scheduler.budget)
-            scaled = max(_optimal_scaled(c, times, weights) for c in _maximal(kept, totals, times, limit))
-            best = Fraction(scaled, scale)
-        elif len(kept):
-            rank = sorted(range(k), key=lambda j: (-times[j], j))
-            counts = kept[:, rank]
-            rows = np.repeat(np.tile(np.array(times)[rank], len(kept)), counts.ravel()).reshape(len(kept), n)
-            scaled, _ = batch_eft_makespans_scaled(rows, problem.machines)
-            best = Fraction(int(scaled.max()), scale)
+        if isinstance(scheduler, BruteForce):
+            kept = _maximal(kept, totals, times, limit)
+        if len(kept):
+            rows = np.repeat(np.tile(np.array(times), len(kept)), kept.ravel()).reshape(len(kept), n)
+            scaled, _ = makespans_scaled(scheduler, rows, problem.machines)
+            best = Fraction(int(np.max(scaled)), scale)
     if best is None:
         raise DomainError(
             f"discard set keeps no sequences (alpha={discard.alpha} drops every length-{n} stream)"

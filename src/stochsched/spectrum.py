@@ -22,15 +22,11 @@ import numpy as np
 from .core import SchedulingProblem, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
-    BruteForce,
-    EarliestFinishTime,
-    LPT,
     Scheduler,
     ThresholdDiscardSet,
-    batch_eft_makespans_scaled,
-    batch_optimal_makespans_scaled,
     cost_exact,
     discard_probability,
+    makespans_scaled,
     max_kept_total_time,
 )
 from .stochastic import (
@@ -247,6 +243,9 @@ def average_case_bracket(
 ) -> AverageCaseResult:
     """Monte-Carlo mean of SPAN/n against the exact bracket [E T_n/(n v_sum), + t_max/(n v_min)].
 
+    The sampled rows' makespans come from one `makespans_scaled` call, which
+    raises DomainError for an unknown scheduler.
+
     Every sampled makespan lies in its per-sequence bracket, so the mean must
     fall inside the bracket up to Monte-Carlo noise; a violation beyond three
     standard errors raises NumericError.
@@ -254,17 +253,11 @@ def average_case_bracket(
     if not isinstance(trials, int) or trials < 2:
         raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
     times = sample_time_matrix(problem.process, problem.alphabet, n, trials, seed)
-    if isinstance(scheduler, LPT):
-        times = -np.sort(-times, axis=1)
-        scheduler = EarliestFinishTime()
-    if isinstance(scheduler, EarliestFinishTime):
-        scaled, scale = batch_eft_makespans_scaled(times, problem.machines)
-        spans = scaled.astype(np.float64) / scale
-    elif isinstance(scheduler, BruteForce):
-        scaled, scale = batch_optimal_makespans_scaled(times, problem.machines, scheduler.budget)
+    scaled, scale = makespans_scaled(scheduler, times, problem.machines)
+    if isinstance(scaled, list):  # the optimum's Python ints, divided exactly
         spans = np.array([s / scale for s in scaled])
     else:
-        raise DomainError(f"unknown scheduler {scheduler!r}")
+        spans = scaled.astype(np.float64) / scale
     per_job = spans / n
     mc_mean = float(per_job.mean())
     std_error = float(per_job.std(ddof=1) / math.sqrt(trials))

@@ -86,6 +86,10 @@ class MarkovModel:
         if not _strongly_connected(rows):
             raise DomainError("Markov chain is reducible; spectral rates need an irreducible chain")
 
+    @cached_property
+    def _stationary(self) -> tuple[Fraction, ...]:
+        return _solve_stationary(self)
+
 
 def _strongly_connected(rows: Sequence[Sequence[Fraction]]) -> bool:
     k = len(rows)
@@ -281,11 +285,12 @@ def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> np.ndarray
 
 
 def stationary_distribution(model: MarkovModel) -> tuple[Fraction, ...]:
-    """Exact stationary vector of an irreducible chain (pi @ P == pi, sum 1).
+    """Exact stationary vector of an irreducible chain (pi @ P == pi, sum 1), solved once per model."""
+    return model._stationary
 
-    Solved by rational Gaussian elimination on (P^T - I) with the last
-    equation replaced by normalization.
-    """
+
+def _solve_stationary(model: MarkovModel) -> tuple[Fraction, ...]:
+    """Rational Gaussian elimination on (P^T - I) with the last equation replaced by normalization."""
     k = len(model.symbols)
     rows: list[list[Fraction]] = [
         [model.transition[j][i] - (1 if i == j else 0) for j in range(k)] for i in range(k)

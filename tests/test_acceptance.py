@@ -28,7 +28,6 @@ from stochsched import (
     ThresholdDiscardSet,
     achievability_experiment,
     average_case_bracket,
-    batch_eft_makespans_scaled,
     brute_force_optimal,
     converse_experiment,
     cost_exact,
@@ -36,6 +35,7 @@ from stochsched import (
     ebar_theoretical,
     ebar_underline_theoretical,
     makespan,
+    makespans_scaled,
     schedule,
     second_order_table,
     span_lower_bound,
@@ -113,9 +113,8 @@ def test_02_heuristics_within_certified_bound():
             total = times.sum(axis=1).astype(object)
             worst = times.max(axis=1).astype(object)
             spans = {}
-            for name in ("eft", "lpt"):
-                arr = times if name == "eft" else -np.sort(-times, axis=1)
-                scaled, scale = batch_eft_makespans_scaled(arr, machines)
+            for name, scheduler in (("eft", EarliestFinishTime()), ("lpt", LPT())):
+                scaled, scale = makespans_scaled(scheduler, times, machines)
                 # exact check of scaled/scale <= total/S + worst/V via cross-multiplication
                 lhs = scaled.astype(object) * (S.numerator * V.numerator)
                 rhs = scale * (

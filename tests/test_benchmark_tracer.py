@@ -1,18 +1,22 @@
-"""The names the benchmark's tracer looks up in the package still exist.
+"""The names and parameters the benchmark's tracer looks up in the package still exist.
 
-`perfbench/tracing.py` wraps package functions and methods by name; a
-renamed or deleted one would only surface as a crash of a traced benchmark
-run.  The module imports only the standard library, so it is loaded here by
-path, without the rest of the benchmark.
+`perfbench/tracing.py` wraps package functions and methods by name, and its
+counters read their arguments by parameter name; a renamed or deleted one
+would only surface as a crash of a traced benchmark run, so a small table
+of every CLI kind is also run traced here.  The tracing module imports only
+the standard library, so it is loaded by path, without the rest of the
+benchmark.
 """
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import stochsched
+import stochsched.cli
 from stochsched import stochastic
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,3 +52,43 @@ def test_renamed_spans_name_public_functions(tracing):
         layer, name = key.split(".")
         assert layer in tracing.LAYERS, key
         assert _public_function(layer, name), key
+
+
+_IID = {
+    "alphabet": {"a": 1, "b": 3},
+    "machines": ["1", "2"],
+    "process": {"kind": "iid", "probs": {"a": "1/2", "b": "1/2"}},
+}
+_TABLES = [
+    {"kind": "validate"},
+    {"kind": "scan", "alpha_grid": ["1/2", "1"], "n_grid": [2, 4, 8]},
+    {"kind": "achievability", "gamma": "1/10", "n_grid": [3, 40], "budget": 100},  # n=40 takes the bracket
+    {"kind": "converse", "gap": "1/10", "n_grid": [4]},
+    {"kind": "second-order", "epsilon": 0.1, "n_grid": [4, 8]},
+    *({"kind": "average-case", "n": 6, "trials": 20, "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+    *({"kind": "cost", "n": 4, "alpha": "1", "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+]
+
+
+def test_traced_tables_run_and_feed_every_counter(tracing, tmp_path, capsys):
+    # a renamed parameter that a counter reads would raise in flush()
+    tracer = tracing.Tracer()
+    tracer.install(stochsched)
+    try:
+        for i, experiment in enumerate(_TABLES):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps({"problem": _IID, "experiment": experiment}))
+            assert stochsched.cli.main([experiment["kind"], "--config", str(path), "--format", "jsonl"]) == 0
+            tracer.flush()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for counter in (
+        "schedulers.batch_eft.row_jobs",
+        "stochastic.sample.draws",
+        "schedulers.cost_exact.multisets",
+        "schedulers.max_kept.lattice_points",
+        "stochastic.sum_law.iid.lattice_points",
+        "cli.emit.bytes",
+    ):
+        assert tracer.counts[counter] > 0, counter

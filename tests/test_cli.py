@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stochsched import ConfigError, DomainError, NumericError
+from stochsched import ConfigError, DomainError, NumericError, stochastic
 from stochsched.cli import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -175,6 +175,28 @@ class TestRun:
             "be_bound", "quantile_atom", "gaussian_tail",
         )
         assert [r[0] for r in table.rows] == [16, 32]
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            {"kind": "validate"},
+            {"kind": "converse", "gap": "1/10", "n_grid": [4]},
+            {"kind": "achievability", "gamma": "1/10", "n_grid": [3]},
+        ],
+    )
+    def test_markov_leaf_stationary_vector_solved_once(self, monkeypatch, experiment):
+        markov_and_iid = {
+            "kind": "mixture",
+            "components": [
+                {"weight": "1/2", "process": PROBLEM_MARKOV["process"]},
+                {"weight": "1/2", "process": PROBLEM_IID["process"]},
+            ],
+        }
+        solved = []
+        solve = stochastic._solve_stationary
+        monkeypatch.setattr(stochastic, "_solve_stationary", lambda model: solved.append(model) or solve(model))
+        run(parse_config(config_text({**PROBLEM_IID, "process": markov_and_iid}, **experiment)))
+        assert len(solved) == 1
 
     def test_deterministic_apart_from_wall_time(self):
         config = parse_config(COST_TEXT)

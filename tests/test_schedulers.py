@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,24 +11,28 @@ from stochsched import (
     BruteForce,
     DomainError,
     EarliestFinishTime,
+    IIDModel,
+    JobAlphabet,
     JobSequence,
     LPT,
     MachineSet,
     ResourceError,
+    SchedulingProblem,
     ThresholdDiscardSet,
+    average_case_bracket,
     batch_eft_loads,
-    batch_eft_makespans_scaled,
-    batch_optimal_makespans_scaled,
     brute_force_optimal,
     cost_exact,
     discard_probability,
     machine_loads,
     makespan,
+    makespans_scaled,
     max_kept_total_time,
     scaled_inverse_speeds,
     schedule,
     span_lower_bound,
     span_upper_bound,
+    stochastic,
 )
 from stochsched.schedulers import _kept_count_vectors, _optimal_scaled, _weight_array
 
@@ -160,7 +165,7 @@ class TestCountVectorOptimum:
             assert opt == got
             assert makespan(assignment, seq, problem) == got
             rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]] * 2)
-            scaled, batch_scale = batch_optimal_makespans_scaled(rows, problem.machines)
+            scaled, batch_scale = makespans_scaled(BruteForce(), rows, problem.machines)
             assert [Fraction(v, batch_scale) for v in scaled] == [got, got]
 
     def test_batch_solves_each_row(self):
@@ -168,7 +173,7 @@ class TestCountVectorOptimum:
         alphabet, problem = make_problem([2, 3, 7], [Fraction(1), Fraction(3, 2), Fraction(5, 2)])
         seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=6))) for _ in range(30)]
         rows = np.array([[alphabet.time_of(sym) for sym in seq.items] for seq in seqs])
-        scaled, scale = batch_optimal_makespans_scaled(rows, problem.machines)
+        scaled, scale = makespans_scaled(BruteForce(), rows, problem.machines)
         assert [Fraction(v, scale) for v in scaled] == [best_makespan_by_enumeration(seq, problem) for seq in seqs]
 
     def test_kept_count_vectors_match_the_recursive_generator(self):
@@ -185,8 +190,10 @@ class TestCountVectorOptimum:
             assert totals.tolist() == [sum(ci * t for ci, t in zip(c, times)) for c in want]
 
     def test_cost_on_the_antichain_matches_sequence_enumeration(self):
+        # brute force counts jobs per distinct time, so symbols of equal time merge
         rng = random.Random(83)
         checked = 0
+        equal_times = False
         while checked < 40:
             m = rng.randint(1, 3)
             k = rng.randint(2, 3)
@@ -203,6 +210,71 @@ class TestCountVectorOptimum:
                 continue
             assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(discard, problem)
             checked += 1
+            equal_times |= len(set(times)) < k
+        assert equal_times
+
+
+class TestCountVectorByteBudget:
+    """The count-vector DP refuses, before allocating, tables beyond stochastic._MAX_BYTES."""
+
+    def test_refused_before_allocating(self):
+        # 40 job types of one job each: a 2^40-entry grid, whatever m^n budget is given
+        times = list(range(1, 41))
+        alphabet = JobAlphabet({f"j{t}": t for t in times})
+        uniform = IIDModel({sym: Fraction(1, 40) for sym in alphabet.symbols})
+        problem = SchedulingProblem(alphabet, MachineSet((Fraction(1), Fraction(2))), uniform)
+        seq = JobSequence(alphabet.symbols)
+        for solve in (
+            lambda: brute_force_optimal(seq, problem, budget=2**3000),
+            lambda: makespans_scaled(BruteForce(budget=2**3000), np.array([times]), problem.machines),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceError, match="bytes"):
+                    solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "m,times,counts",
+        [
+            (2, [3, 5, 7], [40, 30, 20]),
+            (3, [3, 5, 7], [30, 20, 12]),
+            (4, [3, 5, 7], [12, 10, 8]),
+            (3, [2**70 + 3, 2**70 + 5, 2**70 + 7], [20, 15, 10]),  # Python-int grids
+        ],
+    )
+    def test_peak_memory_within_the_budget(self, monkeypatch, m, times, counts):
+        # the bytes the DP budgets must cover the grids it holds; numpy's
+        # ufunc buffers for strided operands, a fixed size, come on top
+        alphabet, problem = make_problem(times, [Fraction(i + 2, 2) for i in range(m)])
+        seq = _sequence(alphabet, counts)
+        rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]])
+        slack = (64 << 10) + 2 * 8 * np.getbufsize()
+        for solve in (
+            lambda: brute_force_optimal(seq, problem, budget=2**3000),
+            lambda: makespans_scaled(BruteForce(budget=2**3000), rows, problem.machines),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(stochastic, "_MAX_BYTES", 0)
+                with pytest.raises(ResourceError) as refused:
+                    solve()
+            needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+            with monkeypatch.context() as patch:
+                patch.setattr(stochastic, "_MAX_BYTES", needed)
+                solve()  # admitted at exactly its budget
+                patch.setattr(stochastic, "_MAX_BYTES", needed - 1)
+                with pytest.raises(ResourceError):
+                    solve()
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= needed + slack
 
 
 class TestListSchedulerAnomalies:
@@ -312,7 +384,7 @@ class TestBatchEft:
                 seqs.append(seq)
                 rows.append([alphabet.time_of(s) for s in seq.items])
             loads = batch_eft_loads(np.array(rows), problem.machines)
-            scaled, scale = batch_eft_makespans_scaled(np.array(rows), problem.machines)
+            scaled, scale = makespans_scaled(EarliestFinishTime(), np.array(rows), problem.machines)
             for i, seq in enumerate(seqs):
                 a = eft_by_loop(seq, problem)
                 assert schedule(EarliestFinishTime(), seq, problem) == a
@@ -346,7 +418,7 @@ class TestBatchEft:
                 seqs.append(seq)
                 rows.append([alphabet.time_of(s) for s in seq.items])
         loads = batch_eft_loads(np.array(rows), problem.machines)
-        scaled, scale = batch_eft_makespans_scaled(np.array(rows), problem.machines)
+        scaled, scale = makespans_scaled(EarliestFinishTime(), np.array(rows), problem.machines)
         second = []
         for i, seq in enumerate(seqs):
             a = eft_by_loop(seq, problem)
@@ -357,6 +429,30 @@ class TestBatchEft:
             second.append(a.machine_of[1])
         # first job d = -1, 0, +1 below/at/above the tie: fast, slow (tie), slow
         assert second == [1] * 4 + [0] * 4 + [0] * 4
+
+
+class TestMakespansScaled:
+    def test_lpt_matches_the_loop(self):
+        tie = 2**31 * 999_999_936
+        rng = random.Random(17)
+        for times, speeds in (
+            ([1, 2, 2, 5], [Fraction(3, 2), Fraction(1), Fraction(7, 3)]),  # equal times
+            ([2**31, tie - 1, tie, tie + 1], [Fraction(1), Fraction(999_999_937)]),  # Python-int weights
+        ):
+            alphabet, problem = make_problem(times, speeds)
+            seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=3))) for _ in range(40)]
+            rows = np.array([[alphabet.time_of(s) for s in seq.items] for seq in seqs])
+            scaled, scale = makespans_scaled(LPT(), rows, problem.machines)
+            spans = [Fraction(int(v), scale) for v in scaled]
+            assert spans == [makespan(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
+
+    def test_unknown_scheduler_is_a_domain_error(self, iid_problem):
+        with pytest.raises(DomainError, match="unknown scheduler"):
+            makespans_scaled(object(), np.array([[1, 3]]), iid_problem.machines)
+        with pytest.raises(DomainError, match="unknown scheduler"):
+            cost_exact(object(), ThresholdDiscardSet(n=3, alpha=Fraction(1)), iid_problem)
+        with pytest.raises(DomainError, match="unknown scheduler"):
+            average_case_bracket(iid_problem, 4, 8, seed=0, scheduler=object())
 
 
 class TestDiscardSets:

@@ -22,10 +22,13 @@ from stochsched import (
     cost_exact,
     ebar_theoretical,
     ebar_underline_theoretical,
+    makespan,
     sample_time_matrix,
     spectral_scan,
     strong_converse_holds,
 )
+
+from .oracles import lpt_by_loop
 
 
 class TestTheoreticalRates:
@@ -241,6 +244,14 @@ class TestAverageCase:
         symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
         seqs = [JobSequence(tuple(symbol[t] for t in row)) for row in times.tolist()]
         spans = [float(brute_force_optimal(seq, iid_problem)[1]) for seq in seqs]
+        assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
+
+    def test_lpt_mean_matches_per_trial_loop(self, iid_problem):
+        res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler=LPT())
+        times = sample_time_matrix(iid_problem.process, iid_problem.alphabet, 7, 50, 5)
+        symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
+        seqs = [JobSequence(tuple(symbol[t] for t in row)) for row in times.tolist()]
+        spans = [float(makespan(lpt_by_loop(seq, iid_problem), seq, iid_problem)) for seq in seqs]
         assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
 
     def test_markov_run(self, markov_problem):

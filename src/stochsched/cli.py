@@ -205,6 +205,13 @@ def _list_of(parse, what: str):
     return parse_list
 
 
+def _parse_str(value, path: str, errors: _Errors) -> str | None:
+    if not isinstance(value, str):
+        errors.add(path, f"expected a string, got {value!r}")
+        return None
+    return value
+
+
 def _parse_scheduler(value, path: str, errors: _Errors) -> str | None:
     if value not in _SCHEDULERS:
         errors.add(path, f"expected one of {sorted(_SCHEDULERS)}, got {value!r}")
@@ -241,39 +248,21 @@ def _parse_process(spec, path: str, errors: _Errors):
             _check_keys(spec, {"kind", "probs"}, path, errors)
             return IIDModel(probs=parsed)
         if kind == "markov":
-            symbols = spec.get("symbols")
-            if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
-                errors.add(f"{path}.symbols", "expected a list of strings")
-                return None
-            transition = spec.get("transition")
-            if not isinstance(transition, list):
-                errors.add(f"{path}.transition", "expected a matrix (list of lists)")
-                return None
-            rows = []
-            for i, row in enumerate(transition):
-                if not isinstance(row, list):
-                    errors.add(f"{path}.transition[{i}]", "expected a list")
-                    return None
-                rows.append(
-                    tuple(
-                        _parse_fraction(p, f"{path}.transition[{i}][{j}]", errors) or Fraction(0)
-                        for j, p in enumerate(row)
-                    )
-                )
-            initial_spec = spec.get("initial")
+            symbols = _list_of(_parse_str, "strings")(spec.get("symbols"), f"{path}.symbols", errors)
+            transition = _list_of(_fraction_list, "rows")(spec.get("transition"), f"{path}.transition", errors)
+            initial = spec.get("initial")
+            if initial != "stationary":
+                initial = _list_of(_parse_fraction, 'rationals, or "stationary"')(initial, f"{path}.initial", errors)
             _check_keys(spec, {"kind", "symbols", "transition", "initial"}, path, errors)
-            if initial_spec == "stationary":
-                k = len(symbols)
-                probe = MarkovModel(symbols=tuple(symbols), transition=tuple(rows), initial=(Fraction(1, k),) * k)
-                return dataclasses.replace(probe, initial=stationary_distribution(probe))
-            if not isinstance(initial_spec, list):
-                errors.add(f"{path}.initial", 'expected a list of rationals or "stationary"')
+            if symbols is None or transition is None or initial is None:
                 return None
-            initial = tuple(
-                _parse_fraction(p, f"{path}.initial[{i}]", errors) or Fraction(0)
-                for i, p in enumerate(initial_spec)
-            )
-            return MarkovModel(symbols=tuple(symbols), transition=tuple(rows), initial=initial)
+            if initial != "stationary":
+                return MarkovModel(symbols=symbols, transition=transition, initial=initial)
+            k = len(symbols)
+            chain = MarkovModel(symbols=symbols, transition=transition, initial=(Fraction(1, k),) * k)
+            # the stationary vector does not depend on the start, so the chain keeps its one solve
+            object.__setattr__(chain, "initial", stationary_distribution(chain))
+            return chain
         if kind == "mixture":
             comps_spec = spec.get("components")
             if not isinstance(comps_spec, list):

@@ -15,6 +15,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -158,6 +160,14 @@ def scaled_inverse_speeds(machines: MachineSet) -> tuple[tuple[int, ...], int]:
     scale = math.lcm(*(v.numerator for v in machines.speeds))
     weights = tuple(v.denominator * (scale // v.numerator) for v in machines.speeds)
     return weights, scale
+
+
+def _int_dtype(bound: int):
+    """The dtype of an array of exact integers that never exceed bound: int64, else Python ints (object).
+
+    int64 only below 2**62, so that the sum of two entries cannot wrap either.
+    """
+    return np.int64 if bound < 2**62 else object
 
 
 def total_processing_time(seq: JobSequence, alphabet: JobAlphabet) -> int:

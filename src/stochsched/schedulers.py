@@ -15,6 +15,10 @@ on every reachable EFT load vector.  `makespans_scaled` is the one route
 from many job rows to makespans under every scheduler, for the average case
 and for the COST of LPT and the optimum.
 
+Every array of job times, loads, finish times or keys takes its dtype from
+`core._int_dtype` and a bound on its entries: int64 below 2**62, Python ints
+in an object array above, so no route wraps and every makespan is exact.
+
 A ThresholdDiscardSet drops every length-n sequence whose normalized total
 time exceeds alpha; COST of a scheduler against a discard set is the largest
 makespan over the kept sequences.  Keeping or dropping a sequence depends
@@ -43,6 +47,7 @@ from .core import (
     Assignment,
     JobSequence,
     SchedulingProblem,
+    _int_dtype,
     as_fraction,
     scaled_inverse_speeds,
 )
@@ -140,17 +145,16 @@ def brute_force_optimal(
 
 
 def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
-    """Scaled inverse speeds as int64 when every finish time up to max_total fits, else as Python ints."""
-    exact_int64 = (max_total + 1) * max(weights) < 2**62
-    return np.array(weights, dtype=np.int64 if exact_int64 else object)
+    """Scaled inverse speeds in the dtype of every finish time up to max_total; loads take the same dtype."""
+    return np.array(weights, dtype=_int_dtype((max_total + 1) * max(weights)))
 
 
 def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
     """Place one job per row (t: one time per row, or one for all) where it finishes first.
 
     Finish times are compared as scaled integers, ties going to the lowest
-    machine index.  Updates the int64 loads (rows, m) in place and returns
-    the chosen machine of each row.
+    machine index.  Updates the loads (rows, m), in the weights' dtype, in
+    place and returns the chosen machine of each row.
     """
     t = np.broadcast_to(t, loads.shape[:1])
     choice = ((loads + t[:, None]) * weights).argmin(axis=1)
@@ -238,7 +242,7 @@ def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem)
         rank = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
         order = sorted(order, key=lambda i: (-times[i], rank[seq.items[i]]))
     weights = _weight_array(scaled_inverse_speeds(problem.machines)[0], sum(times))
-    loads = np.zeros((1, problem.machines.m), dtype=np.int64)
+    loads = np.zeros((1, problem.machines.m), dtype=weights.dtype)
     machine_of = [0] * seq.n
     for i in order:
         machine_of[i] = int(_eft_step(loads, times[i], weights)[0])
@@ -246,10 +250,13 @@ def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem)
 
 
 def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
-    """EFT over many integer job rows at once, one kernel step per column; int64 loads (rows, m)."""
-    times = np.asarray(times, dtype=np.int64)
-    weights = _weight_array(scaled_inverse_speeds(machines)[0], int(times.sum(axis=1).max(initial=0)))
-    loads = np.zeros((len(times), machines.m), dtype=np.int64)
+    """EFT over many integer job rows at once, one kernel step per column; loads (rows, m) in the weights' dtype.
+
+    Every row total is bounded by n * t_max, so no row sum is taken.
+    """
+    times = np.asarray(times)
+    weights = _weight_array(scaled_inverse_speeds(machines)[0], int(times.max(initial=0)) * times.shape[1])
+    loads = np.zeros((len(times), machines.m), dtype=weights.dtype)
     for column in times.T:
         _eft_step(loads, column, weights)
     return loads
@@ -259,24 +266,24 @@ def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
     """Makespans of integer job rows (rows, n) under one scheduler as (scaled, scale): makespan = scaled/scale.
 
     EFT takes each row in order and LPT longest first, in one batch EFT pass
-    (int64, or Python ints in an object array where int64 could overflow).
-    BruteForce solves each distinct count vector of job times once and
-    returns a list of Python ints; it is refused as brute_force_optimal is.
+    whose makespans keep its loads' dtype.  BruteForce solves each distinct
+    count vector of job times once, its Python ints in an object array; it
+    is refused as brute_force_optimal is.
     """
     weights, scale = scaled_inverse_speeds(machines)
+    times = np.asarray(times)
     if isinstance(scheduler, BruteForce):
-        times = np.asarray(times)
         _refuse_assignments_over_budget(machines.m, times.shape[1], scheduler.budget)
         tvals = np.unique(times).tolist()
         counts = [tuple(c) for c in np.stack([(times == t).sum(axis=1) for t in tvals], axis=1).tolist()]
         optimum = {c: _optimal_scaled(c, tvals, weights) for c in dict.fromkeys(counts)}
-        return [optimum[c] for c in counts], scale
+        return np.array([optimum[c] for c in counts], dtype=object), scale
     if isinstance(scheduler, LPT):
-        times = np.sort(np.asarray(times, dtype=np.int64), axis=1)[:, ::-1]
+        times = np.sort(times, axis=1)[:, ::-1]
     elif not isinstance(scheduler, EarliestFinishTime):
         raise DomainError(f"unknown scheduler {scheduler!r}")
     loads = batch_eft_loads(times, machines)
-    return (loads * _weight_array(weights, int(loads.sum(axis=1).max(initial=0)))).max(axis=1), scale
+    return (loads * np.array(weights, dtype=loads.dtype)).max(axis=1), scale
 
 
 def _kept_count_vectors(times: list[int], n: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +294,7 @@ def _kept_count_vectors(times: list[int], n: int, limit: int) -> tuple[np.ndarra
     under the limit at the shortest time still to come, so every partial
     vector extends to a kept one.
     """
-    dtype = np.int64 if n * max(times) < 2**62 else object
+    dtype = _int_dtype(n * max(times))
     limit = min(limit, n * max(times))
     counts = np.zeros((1, 0), dtype=np.int64)
     totals = np.zeros(1, dtype=dtype)
@@ -319,12 +326,9 @@ def _maximal(counts: np.ndarray, totals: np.ndarray, times: list[int], limit: in
 
 
 def _distinct_rows(loads: np.ndarray, limit: int) -> np.ndarray:
-    """The distinct rows of a load matrix with entries in [0, limit], keyed base limit+1.
-
-    The keys are int64 when every key fits, else Python ints.
-    """
+    """The distinct rows of a load matrix with entries in [0, limit], keyed base limit+1."""
     powers = [(limit + 1) ** i for i in range(loads.shape[1])]
-    dtype = np.int64 if (limit + 1) * powers[-1] <= 2**63 else object
+    dtype = _int_dtype((limit + 1) * powers[-1])
     keys = loads.astype(dtype) @ np.array(powers, dtype=dtype)
     return loads[np.unique(keys, return_index=True)[1]]
 
@@ -339,8 +343,8 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
     the second check comes before the extensions are allocated.
     """
     t_min = min(times)
-    loads = np.zeros((1, len(weights)), dtype=np.int64)
     weights = _weight_array(weights, limit)
+    loads = np.zeros((1, len(weights)), dtype=weights.dtype)
     swept = 0
     for step in range(1, n + 1):
         room = limit - (n - step) * t_min
@@ -401,7 +405,8 @@ def cost_exact(
         if isinstance(scheduler, BruteForce):
             kept = _maximal(kept, totals, times, limit)
         if len(kept):
-            rows = np.repeat(np.tile(np.array(times), len(kept)), kept.ravel()).reshape(len(kept), n)
+            tiled = np.tile(np.array(times, dtype=_int_dtype(max(times))), len(kept))
+            rows = np.repeat(tiled, kept.ravel()).reshape(len(kept), n)
             scaled, _ = makespans_scaled(scheduler, rows, problem.machines)
             best = Fraction(int(np.max(scaled)), scale)
     if best is None:

@@ -254,11 +254,7 @@ def average_case_bracket(
         raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
     times = sample_time_matrix(problem.process, problem.alphabet, n, trials, seed)
     scaled, scale = makespans_scaled(scheduler, times, problem.machines)
-    if isinstance(scaled, list):  # the optimum's Python ints, divided exactly
-        spans = np.array([s / scale for s in scaled])
-    else:
-        spans = scaled.astype(np.float64) / scale
-    per_job = spans / n
+    per_job = np.asarray(scaled / scale, dtype=np.float64) / n  # Python ints divide exactly
     mc_mean = float(per_job.mean())
     std_error = float(per_job.std(ddof=1) / math.sqrt(trials))
     v_sum = problem.machines.v_sum

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import JobAlphabet, as_fraction
+from .core import JobAlphabet, _int_dtype, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
@@ -376,9 +376,10 @@ def _markov_mean_total(model: MarkovModel, alphabet: JobAlphabet, n: int) -> Fra
 # sampling
 
 
-def rng_stream(master_seed: int, worker: int, trial: int) -> np.random.Generator:
-    """Counter-style stream: (master_seed, worker, trial) fully determines the draws."""
-    key = (int(master_seed) & (2**64 - 1), int(worker), int(trial))
+def rng_stream(master_seed: int, trial: int) -> np.random.Generator:
+    """Counter-style stream: (master_seed, trial) fully determines the draws."""
+    # the middle entry is fixed: a key of another shape would change every sampled table
+    key = (int(master_seed) & (2**64 - 1), 0, int(trial))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
@@ -480,11 +481,11 @@ def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) ->
     )
 
 
-def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: int, worker: int = 0) -> tuple[np.ndarray, tuple[str, ...]]:
+def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Sample `trials` independent length-n symbol sequences, one stream per trial.
 
     Returns (matrix of symbol indices, canonical symbol order).  Trial t uses
-    the stream (master_seed, worker, t), so any subset of trials reproduces
+    the stream (master_seed, t), so any subset of trials reproduces
     identically regardless of how work is scheduled.  A mixture spends the
     first uniform of each stream on choosing the trial's leaf; a single
     stream spends none.  Raises ResourceError, before allocating, when the
@@ -501,7 +502,7 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     lead = len(leaves) > 1
     u = np.empty((trials, n + lead), dtype=np.float64)
     for t in range(trials):
-        u[t] = rng_stream(master_seed, worker, t).random(n + lead)
+        u[t] = rng_stream(master_seed, t).random(n + lead)
     if not lead:
         return _LEAVES[type(process)].sample(process, u), symbols
     chosen = _pick(_cumulative(w for w, _ in leaves), u[:, 0])
@@ -515,8 +516,8 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     return out, symbols
 
 
-def sample_time_matrix(process: JobProcess, alphabet: JobAlphabet, n: int, trials: int, master_seed: int, worker: int = 0) -> np.ndarray:
+def sample_time_matrix(process: JobProcess, alphabet: JobAlphabet, n: int, trials: int, master_seed: int) -> np.ndarray:
     """Processing-time matrix (trials, n) sampled per-trial as in sample_index_matrix."""
-    idx, symbols = sample_index_matrix(process, n, trials, master_seed, worker)
-    t_of = np.array([alphabet.time_of(s) for s in symbols], dtype=np.int64)
-    return t_of[idx]
+    idx, symbols = sample_index_matrix(process, n, trials, master_seed)
+    times = [alphabet.time_of(s) for s in symbols]
+    return np.array(times, dtype=_int_dtype(max(times)))[idx]

@@ -314,7 +314,7 @@ def _sample_markov_block(model: MarkovModel, u: np.ndarray, canon_index: dict[st
     return remap[out]
 
 
-def sample_index_matrix_by_kind(process, n: int, trials: int, master_seed: int, worker: int = 0):
+def sample_index_matrix_by_kind(process, n: int, trials: int, master_seed: int):
     """The sampler with one block per process kind: a searchsorted per IID
     block, a per-state mask loop per Markov step, and a mixture that spends
     the first uniform of each trial's stream on its flattened component.
@@ -326,7 +326,7 @@ def sample_index_matrix_by_kind(process, n: int, trials: int, master_seed: int, 
     cols = n + 1 if is_mixture else n
     u = np.empty((trials, cols), dtype=np.float64)
     for t in range(trials):
-        u[t] = stochastic.rng_stream(master_seed, worker, t).random(cols)
+        u[t] = stochastic.rng_stream(master_seed, t).random(cols)
     if not is_mixture:
         block = _sample_iid_block if isinstance(process, IIDModel) else _sample_markov_block
         return block(process, u, canon_index), symbols

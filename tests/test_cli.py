@@ -89,6 +89,20 @@ class TestParsing:
         config = parse_config(config_text(problem, kind="validate"))
         assert config.problem.process.initial == (Fraction(5, 6), Fraction(1, 6))
 
+    @pytest.mark.parametrize("initial", [["1/3", "1/3", "1/3"], "stationary"])
+    def test_bad_markov_entry_reported_once(self, initial):
+        process = {
+            "kind": "markov",
+            "symbols": ["a", "b", "c"],
+            "transition": [["1/2", "1/2", "0"], ["1/2", "0", "x"], ["1", "0", "0"]],
+            "initial": initial,
+        }
+        problem = {**PROBLEM_IID, "alphabet": {"a": 1, "b": 3, "c": 5}, "process": process}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text(problem, kind="validate"))
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith("problem.process.transition[1][2]: ")
+
     def test_all_errors_reported_together(self):
         text = json.dumps(
             {
@@ -198,6 +212,17 @@ class TestRun:
         run(parse_config(config_text({**PROBLEM_IID, "process": markov_and_iid}, **experiment)))
         assert len(solved) == 1
 
+    def test_stationary_start_solved_once(self, monkeypatch):
+        problem = json.loads(json.dumps(PROBLEM_MARKOV))
+        problem["process"]["initial"] = "stationary"
+        solved = []
+        solve = stochastic._solve_stationary
+        monkeypatch.setattr(stochastic, "_solve_stationary", lambda model: solved.append(model) or solve(model))
+        config = parse_config(config_text(problem, kind="validate"))
+        assert len(solved) == 1
+        run(config)
+        assert len(solved) == 1
+
     def test_deterministic_apart_from_wall_time(self):
         config = parse_config(COST_TEXT)
         a, b = run(config), run(config)
@@ -305,6 +330,33 @@ class TestMain:
         text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=10)
         assert main(["cost", "--config", self.write(tmp_path, text)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
+
+    @pytest.mark.parametrize("t", [2**62, 2**63], ids=["2^62", "2^63"])
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            {"kind": "validate"},
+            {"kind": "scan", "alpha_grid": ["1/2"], "n_grid": [2]},
+            {"kind": "achievability", "gamma": "1/10", "n_grid": [2]},
+            {"kind": "converse", "gap": "1/10", "n_grid": [2]},
+            {"kind": "second-order", "epsilon": 0.1, "n_grid": [2]},
+            *({"kind": "average-case", "n": 4, "trials": 20, "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+            *({"kind": "cost", "n": 2, "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+        ],
+        ids=lambda e: "-".join(v for k, v in e.items() if k in ("kind", "scheduler")),
+    )
+    def test_job_times_past_int64(self, tmp_path, capsys, t, experiment):
+        # every kind gives a table or a typed error: no traceback, no NumericError from a wrapped makespan
+        problem = {**PROBLEM_IID, "alphabet": {"a": t, "b": t + 2}}
+        if experiment["kind"] == "cost":
+            experiment = {**experiment, "alpha": str(t + 2)}  # keeps every sequence
+        code = main([experiment["kind"], "--config", self.write(tmp_path, config_text(problem, **experiment))])
+        err = capsys.readouterr().err
+        if experiment["kind"] == "average-case":
+            assert code == 0, err
+        elif code:
+            assert code in (2, 3)
+            assert json.loads(err)["error"] in ("domain", "resource")
 
     def test_oversized_sample_exit_code(self, tmp_path, capsys):
         # more bytes than numpy can address: refused before any array is made

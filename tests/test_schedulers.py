@@ -455,6 +455,46 @@ class TestMakespansScaled:
             average_case_bracket(iid_problem, 4, 8, seed=0, scheduler=object())
 
 
+class TestExactAtEveryMagnitude:
+    """Speeds (1, 3/2), n=4, every sequence kept: each route against its Python-int oracle.
+
+    Times {t, t+1, t+3} at every magnitude, and times {1, 2, 2**63 + 1},
+    which numpy lays out as float64, rounding the largest, unless told otherwise.
+    """
+
+    TIMES = [(t, t + 1, t + 3) for t in (2**40, 2**61, 2**62, 2**63, 2**70)] + [(1, 2, 2**63 + 1)]
+    IDS = [f"2^{times[0].bit_length() - 1}" for times in TIMES[:-1]] + ["mixed"]
+
+    @staticmethod
+    def _instance(times):
+        _, problem = make_problem(times, [Fraction(1), Fraction(3, 2)])
+        return problem, ThresholdDiscardSet(n=4, alpha=max(times) / problem.machines.v_sum)
+
+    @pytest.mark.parametrize("times", TIMES, ids=IDS)
+    def test_cost_exact(self, times):
+        problem, discard = self._instance(times)
+        symbols = problem.alphabet.symbols
+        assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+        multisets = [JobSequence(items) for items in itertools.combinations_with_replacement(symbols, 4)]
+        lpt_worst = max(makespan(lpt_by_loop(seq, problem), seq, problem) for seq in multisets)
+        assert cost_exact(LPT(), discard, problem) == lpt_worst
+        assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(discard, problem)
+
+    @pytest.mark.parametrize("times", TIMES, ids=IDS)
+    def test_schedule(self, times):
+        problem, _ = self._instance(times)
+        for items in itertools.product(problem.alphabet.symbols, repeat=4):
+            seq = JobSequence(items)
+            assert schedule(EarliestFinishTime(), seq, problem) == eft_by_loop(seq, problem)
+            assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
+
+    @pytest.mark.parametrize("scheduler", [EarliestFinishTime(), LPT(), BruteForce()])
+    def test_row_total_past_int64(self, scheduler):
+        scaled, scale = makespans_scaled(scheduler, np.array([[2**62, 2**62]]), MachineSet((Fraction(1),)))
+        assert isinstance(scaled, np.ndarray)
+        assert (scaled.tolist(), scale) == ([2**63], 1)
+
+
 class TestDiscardSets:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -466,10 +466,10 @@ _EDGE_GRID = np.array(
 
 
 class _EdgeStream:
-    """Stands in for rng_stream: each (master_seed, worker, trial) draws from _EDGE_GRID."""
+    """Stands in for rng_stream: each (master_seed, trial) draws from _EDGE_GRID."""
 
-    def __init__(self, master_seed, worker, trial):
-        self._rng = np.random.default_rng((master_seed, worker, trial))
+    def __init__(self, master_seed, trial):
+        self._rng = np.random.default_rng((master_seed, 0, trial))
 
     def random(self, size):
         return self._rng.choice(_EDGE_GRID, size)
@@ -480,8 +480,8 @@ class TestSamplerAgainstPerKindReference:
     @pytest.mark.parametrize("n, trials", [(1, 5), (37, 200)])
     def test_draws_bit_identical(self, case, n, trials):
         process = _SAMPLER_CASES[case]
-        idx, symbols = sample_index_matrix(process, n, trials, master_seed=2024, worker=1)
-        ref, ref_symbols = sample_index_matrix_by_kind(process, n, trials, master_seed=2024, worker=1)
+        idx, symbols = sample_index_matrix(process, n, trials, master_seed=2024)
+        ref, ref_symbols = sample_index_matrix_by_kind(process, n, trials, master_seed=2024)
         assert symbols == ref_symbols
         assert idx.dtype == ref.dtype
         assert np.array_equal(idx, ref)
@@ -497,13 +497,16 @@ class TestSamplerAgainstPerKindReference:
 
 class TestSampling:
     def test_rng_stream_is_counter_addressed(self):
-        a = rng_stream(123, 0, 7).random(5)
-        b = rng_stream(123, 0, 7).random(5)
-        c = rng_stream(123, 0, 8).random(5)
-        d = rng_stream(123, 1, 7).random(5)
+        a = rng_stream(123, 7).random(5)
+        b = rng_stream(123, 7).random(5)
+        c = rng_stream(123, 8).random(5)
+        d = rng_stream(124, 7).random(5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+        # the stream key is (master_seed, 0, trial), so every sampled table keeps its draws
+        key = np.random.SeedSequence((123, 0, 7))
+        assert np.array_equal(a, np.random.Generator(np.random.PCG64(key)).random(5))
 
     def test_trial_streams_independent_of_batching(self, iid_problem):
         wide, _ = sample_index_matrix(iid_problem.process, 10, 8, master_seed=99)

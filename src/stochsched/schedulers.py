@@ -295,7 +295,6 @@ def _kept_count_vectors(times: list[int], n: int, limit: int) -> tuple[np.ndarra
     vector extends to a kept one.
     """
     dtype = _int_dtype(n * max(times))
-    limit = min(limit, n * max(times))
     counts = np.zeros((1, 0), dtype=np.int64)
     totals = np.zeros(1, dtype=dtype)
     for j, t in enumerate(times):
@@ -393,8 +392,8 @@ def cost_exact(
         raise ResourceError(
             f"cost enumeration needs ~{n_multisets * n} work units (budget {budget})"
         )
-    limit = math.floor(discard.keep_threshold(problem))
     times = [problem.alphabet.time_of(sym) for sym in symbols]
+    limit = min(math.floor(discard.keep_threshold(problem)), n * max(times))  # no load passes n * t_max
     weights, scale = scaled_inverse_speeds(problem.machines)
     best: Fraction | None = None
     if isinstance(scheduler, EarliestFinishTime):

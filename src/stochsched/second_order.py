@@ -7,7 +7,9 @@ additive t_max/v_min.  The Gaussian prediction
 matches that cost up to a bounded residual; the Berry-Esseen bound
 rho/(sigma^3 sqrt(n)) quantifies how far the exact tail may sit from the
 Gaussian tail, with the lattice atom at the quantile covering the
-strict/non-strict tail convention.
+strict/non-strict tail convention.  The quantile total s is read from the law
+of T_n as an exact integer, and the Gaussian tail takes its z from the exact
+s - n*E[T], so no float holds a total and every column holds at any job time.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from typing import Sequence
 
 from .core import SchedulingProblem
 from .errors import DomainError
-from .stochastic import IIDModel, SumDistribution, _iid_central_moments, sum_distribution
+from .stochastic import IIDModel, _iid_central_moments, sum_distribution
 
 _NORMAL = NormalDist()
 
 
-def r_n_plus(n: int, epsilon: float, problem: SchedulingProblem, _dist: SumDistribution | None = None) -> Fraction:
+def r_n_plus(n: int, epsilon: float, problem: SchedulingProblem) -> Fraction:
     """Smallest rate alpha with P(T_n/(n*v_sum) > alpha) <= epsilon, as an exact rational.
 
     The tail is a right-continuous step function dropping only at attainable
@@ -35,8 +37,7 @@ def r_n_plus(n: int, epsilon: float, problem: SchedulingProblem, _dist: SumDistr
     """
     if not 0.0 < float(epsilon) < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    dist = _dist if _dist is not None else sum_distribution(problem.process, problem.alphabet, n)
-    s = dist.upper_quantile_total(float(epsilon))
+    s = sum_distribution(problem.process, problem.alphabet, n).upper_quantile_total(float(epsilon))
     return Fraction(s) / (n * problem.machines.v_sum)
 
 
@@ -104,15 +105,13 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
     for n in n_grid:
         n = int(n)
         dist = sum_distribution(problem.process, problem.alphabet, n)
-        r = r_n_plus(n, epsilon, problem, _dist=dist)
+        s = dist.upper_quantile_total(epsilon)
+        r = Fraction(s) / (n * v_sum)
         lo = n * r
         hi = lo + slack
         pred = berry_esseen_prediction(n, epsilon, problem)
         resid = float(lo + hi) / 2.0 - pred
-        s_star = n * v_sum * r
-        assert s_star.denominator == 1
-        s_star = int(s_star)
-        z = (s_star - n * float(mu)) / math.sqrt(n * float(var))
+        z = float(s - n * mu) / math.sqrt(n * float(var))
         rows.append(
             SecondOrderRow(
                 n=n,
@@ -123,7 +122,7 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
                 prediction=pred,
                 residual=resid,
                 be_bound=berry_esseen_error_bound(n, problem),
-                quantile_atom=dist.mass_at(s_star),
+                quantile_atom=dist.mass_at(s),
                 gaussian_tail=0.5 * math.erfc(z / math.sqrt(2.0)),  # P(Z > z); 1 - cdf(z) would cancel
             )
         )

@@ -11,7 +11,9 @@ each one loop over the weighted leaves.
 
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
-and samplers work in binary floating point.
+and samplers work in binary floating point.  The law of T_n is
+`SumDistribution(n, offset, masses)`, whose queries index the float masses by
+exact integer totals, so tails and quantiles hold at any job time.
 """
 
 from __future__ import annotations
@@ -163,40 +165,39 @@ def flatten_mixture(process: JobProcess) -> list[tuple[Fraction, IIDModel | Mark
 class SumDistribution:
     """Exact lattice law of the total processing time of n jobs.
 
-    masses[i] = P(T_n = offset + i), dense over every reachable total.  The
-    support and the {total: probability} view `mass` hold the totals of
-    positive mass; totals whose probability underflows double precision drop out.
+    masses[i] = P(T_n = offset + i), dense over every reachable total.  Every
+    query indexes masses by the exact integer total - offset, so tails and
+    quantiles hold at any job time.  The support and the {total: probability}
+    view `mass` hold the totals of positive mass; totals whose probability
+    underflows double precision drop out.
     """
 
     n: int
     offset: int
     masses: np.ndarray
 
-    @cached_property
-    def _support(self) -> np.ndarray:
-        return np.flatnonzero(self.masses > 0.0) + self.offset
+    def _index(self, total: int) -> int:
+        """total - offset, clipped to [0, len(masses)]."""
+        return min(max(total - self.offset, 0), len(self.masses))
 
     @cached_property
-    def _probs(self) -> np.ndarray:
-        return self.masses[self._support - self.offset]
+    def _at_least(self) -> np.ndarray:
+        # _at_least[i] = P(T_n >= offset + i), summed from the top; one trailing 0 entry
+        return np.concatenate([np.cumsum(self.masses[::-1])[::-1], [0.0]])
+
+    @cached_property
+    def _below(self) -> np.ndarray:
+        # _below[i] = P(T_n < offset + i); one leading 0 entry
+        return np.concatenate([[0.0], np.cumsum(self.masses)])
 
     @cached_property
     def mass(self) -> dict[int, float]:
-        return dict(zip(self._support.tolist(), self._probs.tolist()))
-
-    @cached_property
-    def _suffix(self) -> np.ndarray:
-        # _suffix[i] = P(T_n >= support[i]); one extra trailing 0 entry
-        tail = np.cumsum(self._probs[::-1])[::-1]
-        return np.concatenate([tail, [0.0]])
-
-    @cached_property
-    def _prefix(self) -> np.ndarray:
-        # _prefix[i] = P(T_n < support[i])
-        return np.concatenate([[0.0], np.cumsum(self._probs)])[: len(self._probs) + 1]
+        index = np.flatnonzero(self.masses > 0.0)
+        totals = index.astype(_int_dtype(self.offset + len(self.masses))) + self.offset
+        return dict(zip(totals.tolist(), self.masses[index].tolist()))
 
     def support(self) -> list[int]:
-        return self._support.tolist()
+        return list(self.mass)
 
     def mass_at(self, total: int) -> float:
         i = total - self.offset
@@ -205,28 +206,27 @@ class SumDistribution:
     def prob_above(self, threshold) -> float:
         """P(T_n > threshold), exact placement for rational thresholds."""
         cut = math.floor(as_fraction(threshold)) + 1  # T_n > thr  <=>  T_n >= cut
-        idx = int(np.searchsorted(self._support, cut, side="left"))
-        return float(min(1.0, max(0.0, self._suffix[idx])))
+        return float(min(1.0, max(0.0, self._at_least[self._index(cut)])))
 
     def prob_below(self, threshold) -> float:
         """P(T_n < threshold)."""
-        cut = math.ceil(as_fraction(threshold)) - 1  # T_n < thr  <=>  T_n <= cut
-        idx = int(np.searchsorted(self._support, cut, side="right"))
-        return float(min(1.0, max(0.0, self._prefix[idx])))
+        cut = math.ceil(as_fraction(threshold))  # T_n < thr  <=>  T_n < cut
+        return float(min(1.0, max(0.0, self._below[self._index(cut)])))
 
     def mean(self) -> float:
-        return float(np.dot(self._support.astype(np.float64), self._probs))
+        steps = np.dot(np.arange(len(self.masses), dtype=np.float64), self.masses)
+        return self.offset * float(self.masses.sum()) + float(steps)
 
     def total_mass(self) -> float:
-        return float(self._probs.sum())
+        return float(self.masses.sum())
 
     def upper_quantile_total(self, epsilon: float) -> int:
-        """Smallest attainable total s with P(T_n > s) <= epsilon."""
+        """Smallest total s of positive mass with P(T_n > s) <= epsilon."""
         if not 0 < epsilon < 1:
             raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-        tail_after = self._suffix[1:]  # tail_after[i] = P(T_n > support[i])
-        idx = int(np.argmax(tail_after <= epsilon))  # first hit; always exists (last entry is 0)
-        return int(self._support[idx])
+        # the tail after a total only falls as the total grows, and is 0 after the last one
+        first = int(np.argmax(self._at_least[1:] <= epsilon))
+        return self.offset + first + int(np.argmax(self.masses[first:] > 0.0))
 
 
 def _symbol_times(process: JobProcess, alphabet: JobAlphabet) -> list[int]:
@@ -456,8 +456,6 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
     leaves = flatten_mixture(process)
     times = _symbol_times(process, alphabet)
     t_min, t_max = min(times), max(times)
-    if n * t_max > 2**53:
-        raise DomainError(f"total-time bound {n}*{t_max} exceeds the exact double-integer range")
     rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves) + (len(leaves) > 1)
     needed = 8 * (n * (t_max - t_min) + 1) * rows
     if needed > _MAX_BYTES:

@@ -30,6 +30,7 @@ from stochsched import (
     max_kept_total_time,
     scaled_inverse_speeds,
     schedule,
+    schedulers,
     span_lower_bound,
     span_upper_bound,
     stochastic,
@@ -487,6 +488,16 @@ class TestExactAtEveryMagnitude:
             seq = JobSequence(items)
             assert schedule(EarliestFinishTime(), seq, problem) == eft_by_loop(seq, problem)
             assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
+
+    def test_generous_alpha_keeps_the_eft_sweep_in_int64(self, monkeypatch):
+        # no load passes n * t_max, so a limit far above it keeps the same sequences and the same dtypes
+        _, problem = make_problem([2, 5, 11], [Fraction(1), Fraction(3, 2), Fraction(2)])
+        dtypes = []
+        int_dtype = schedulers._int_dtype
+        monkeypatch.setattr(schedulers, "_int_dtype", lambda bound: dtypes.append(int_dtype(bound)) or dtypes[-1])
+        for alpha in (Fraction(22, 9), 10**18):
+            assert cost_exact(EarliestFinishTime(), ThresholdDiscardSet(n=14, alpha=alpha), problem) == Fraction(110, 3)
+        assert dtypes and object not in dtypes
 
     @pytest.mark.parametrize("scheduler", [EarliestFinishTime(), LPT(), BruteForce()])
     def test_row_total_past_int64(self, scheduler):

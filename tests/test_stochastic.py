@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochsched import (
     DomainError,
@@ -15,6 +17,10 @@ from stochsched import (
     MixtureModel,
     ResourceError,
     SchedulingProblem,
+    SumDistribution,
+    ThresholdDiscardSet,
+    converse_experiment,
+    discard_probability,
     ebar_theoretical,
     flatten_mixture,
     mean_time_exact,
@@ -22,6 +28,8 @@ from stochsched import (
     rng_stream,
     sample_index_matrix,
     sample_time_matrix,
+    second_order_table,
+    spectral_scan,
     stationary_distribution,
     sum_distribution,
 )
@@ -187,7 +195,7 @@ class TestSumDistribution:
             assert dist.mean() == pytest.approx(exact, rel=1e-10)
 
     def test_lattice_guards(self, iid_problem):
-        with pytest.raises(DomainError):
+        with pytest.raises(ResourceError):  # 2^53 jobs of span 2: refused by the byte budget before allocating
             sum_distribution(iid_problem.process, iid_problem.alphabet, 2**53)
         wide = JobAlphabet({"a": 1, "b": 3})
         with pytest.raises(ResourceError):
@@ -346,6 +354,94 @@ class TestDenseKernelAgainstDirectDP:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+_MACHINES = MachineSet((Fraction(1), Fraction(3, 2), Fraction(2)))
+
+
+class TestTranslationInvariance:
+    """Adding c to every job time moves T_n by exactly n*c: its masses and every tail stay as they are."""
+
+    SHIFTS = [2**53, 2**62, 2**70]
+    N_GRID = (1, 7, 40)
+    ALPHAS = tuple(Fraction(t) / _MACHINES.v_sum for t in (3, 5, 6, 8))
+
+    @staticmethod
+    def _problems(process, c):
+        shifted = JobAlphabet({sym: t + c for sym, t in _WIDE.proc_time.items()})
+        return SchedulingProblem(_WIDE, _MACHINES, process), SchedulingProblem(shifted, _MACHINES, process)
+
+    @pytest.mark.parametrize("c", SHIFTS, ids=lambda c: f"2^{c.bit_length() - 1}")
+    @pytest.mark.parametrize("case", ["iid", "markov-zero-start", "mixture-nested"])
+    def test_law_and_tails(self, case, c):
+        base, moved = self._problems(_DENSE_CASES[case], c)
+        shift = Fraction(c) / _MACHINES.v_sum
+        for n in self.N_GRID:
+            a = sum_distribution(base.process, base.alphabet, n)
+            b = sum_distribution(moved.process, moved.alphabet, n)
+            assert b.offset == a.offset + n * c
+            assert b.masses.tobytes() == a.masses.tobytes()
+            assert b.support() == [s + n * c for s in a.support()]
+            for s in [a.offset - 1, *a.support(), a.offset + len(a.masses)]:
+                for x in (s, Fraction(2 * s + 1, 2)):
+                    assert b.prob_above(x + n * c) == a.prob_above(x)
+                    assert b.prob_below(x + n * c) == a.prob_below(x)
+            for alpha in self.ALPHAS:
+                kept_a, kept_b = ThresholdDiscardSet(n, alpha), ThresholdDiscardSet(n, alpha + shift)
+                assert discard_probability(kept_b, moved) == discard_probability(kept_a, base)
+        scan_a = spectral_scan(base, self.ALPHAS, self.N_GRID)
+        scan_b = spectral_scan(moved, [alpha + shift for alpha in self.ALPHAS], self.N_GRID)
+        assert scan_b.tail == scan_a.tail
+        gap = Fraction(1, 10)
+        assert converse_experiment(moved, gap, self.N_GRID) == converse_experiment(base, gap, self.N_GRID)
+
+    @pytest.mark.parametrize("c", SHIFTS, ids=lambda c: f"2^{c.bit_length() - 1}")
+    def test_second_order_table(self, c):
+        base, moved = self._problems(_IID3, c)
+        for epsilon in (0.01, 0.1, 0.5):
+            rows_a = second_order_table(self.N_GRID, epsilon, base)
+            rows_b = second_order_table(self.N_GRID, epsilon, moved)
+            for a, b in zip(rows_a, rows_b, strict=True):
+                assert (b.quantile_atom, b.be_bound, b.gaussian_tail) == (a.quantile_atom, a.be_bound, a.gaussian_tail)
+                assert b.r_n_plus == a.r_n_plus + Fraction(c) / _MACHINES.v_sum
+
+
+_MASS_ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormal
+    st.floats(min_value=1e-6, max_value=1 / 64),  # up to 64 entries sum below 1
+)
+
+
+class TestQueriesOnTheDenseLaw:
+    """Every query of SumDistribution(n, offset, masses) against sequential sums over its positive masses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        masses=st.lists(_MASS_ENTRY, min_size=1, max_size=64).filter(any),
+        offset=st.sampled_from([0, 2**62, 2**63 + 1]),
+    )
+    @example(masses=[0.0, 0.0, 5e-324, 1 / 64, 0.0, 0.0, 1e-6, 0.0], offset=2**63 + 1)
+    def test_matches_sequential_sums(self, masses, offset):
+        dist = SumDistribution(1, offset, np.array(masses))
+        mass = {offset + i: p for i, p in enumerate(masses) if p > 0.0}
+        tails = TailsFromMass(mass)
+        support = tails.support
+        at_least_first = tails.above[support[0]] + mass[support[0]]  # P(T_n >= first total), from the top
+        at_most_last = tails.below[support[-1]] + mass[support[-1]]  # P(T_n <= last total), from the bottom
+        assert dist.support() == support
+        assert dist.mass == mass
+        ends = [offset - 1, Fraction(2 * offset - 1, 2), offset + len(masses), Fraction(2 * offset + 2 * len(masses) + 1, 2)]
+        for x in [*ends, *support, *(Fraction(2 * s + 1, 2) for s in support)]:
+            not_above = [s for s in support if s <= x]
+            not_below = [s for s in support if s >= x]
+            assert dist.prob_above(x) == (tails.above[not_above[-1]] if not_above else at_least_first)
+            assert dist.prob_below(x) == (tails.below[not_below[0]] if not_below else at_most_last)
+        epsilons = {e for p in tails.above.values() for e in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0))}
+        for epsilon in sorted(e for e in epsilons | {1e-300, 0.5} if 0.0 < e < 1.0):
+            s = dist.upper_quantile_total(float(epsilon))
+            assert s == tails.upper_quantile_total(epsilon)
+            assert dist.mass_at(s) > 0.0
 
 
 class _Opaque:

@@ -36,7 +36,9 @@ Each kind is one entry of the `_EXPERIMENTS` registry: its parameters (a
 parser and a default each), its output columns and its runner.  The
 command line's kind argument, config validation and `run` all read that one
 table; the columns of achievability, second-order and average-case are the
-fields of their result dataclasses.
+fields of their result dataclasses.  One combinator, `_record(fields)`,
+parses every JSON object of a config; each process kind is one `_PROCESSES`
+entry, its constructor and its fields.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class _Errors:
         self.items: list[str] = []
 
     def add(self, path: str, message: str) -> None:
-        self.items.append(f"{path}: {message}")
+        self.items.append(f"{path or 'config'}: {message}")
 
     def check(self) -> None:
         if self.items:
@@ -163,11 +165,8 @@ def _no_duplicate_keys(pairs):
     return out
 
 
-def _expect_mapping(value, path: str, errors: _Errors) -> dict | None:
-    if not isinstance(value, dict):
-        errors.add(path, f"expected an object, got {type(value).__name__}")
-        return None
-    return value
+# A parser takes (value, path, errors), reports each problem it finds at its
+# path and returns the parsed value, or None when it found a problem.
 
 
 def _parse_fraction(value, path: str, errors: _Errors) -> Fraction | None:
@@ -178,18 +177,43 @@ def _parse_fraction(value, path: str, errors: _Errors) -> Fraction | None:
         return None
 
 
-def _parse_int(value, path: str, errors: _Errors) -> int | None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.add(path, f"expected an integer, got {value!r}")
-        return None
-    return value
+def _typed(types, what: str, convert=None):
+    """Parser of a JSON value of one of `types`, booleans excluded, passed through `convert`."""
+
+    def parse_typed(value, path: str, errors: _Errors):
+        if isinstance(value, bool) or not isinstance(value, types):
+            errors.add(path, f"expected {what}, got {value!r}")
+            return None
+        return value if convert is None else convert(value)
+
+    return parse_typed
 
 
-def _parse_float(value, path: str, errors: _Errors) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.add(path, f"expected a number, got {value!r}")
+_parse_int = _typed(int, "an integer")
+_parse_float = _typed((int, float), "a number", float)
+_parse_str = _typed(str, "a string")
+
+
+def _parse_workers(value, path: str, errors: _Errors) -> int | None:
+    workers = _parse_int(value, path, errors)
+    cpus = os.cpu_count() or 1
+    if workers is not None and not 1 <= workers <= cpus:
+        errors.add(path, f"expected 1 to {cpus} (the CPU count), got {workers}")
         return None
-    return float(value)
+    return workers
+
+
+def _one_of(names):
+    """Parser of one of the strings in `names`."""
+    names = tuple(names)
+
+    def parse_name(value, path: str, errors: _Errors) -> str | None:
+        if value not in names:
+            errors.add(path, f"expected one of {list(names)}, got {value!r}")
+            return None
+        return value
+
+    return parse_name
 
 
 def _list_of(parse, what: str):
@@ -205,130 +229,127 @@ def _list_of(parse, what: str):
     return parse_list
 
 
-def _parse_str(value, path: str, errors: _Errors) -> str | None:
-    if not isinstance(value, str):
-        errors.add(path, f"expected a string, got {value!r}")
-        return None
-    return value
+def _map_of(parse):
+    """Parser of a JSON object whose values each go through `parse`; returns a dict."""
+
+    def parse_map(value, path: str, errors: _Errors) -> dict | None:
+        if not isinstance(value, dict):
+            errors.add(path, f"expected an object, got {type(value).__name__}")
+            return None
+        out = {key: parse(v, f"{path}.{key}", errors) for key, v in value.items()}
+        return None if any(v is None for v in out.values()) else out
+
+    return parse_map
 
 
-def _parse_scheduler(value, path: str, errors: _Errors) -> str | None:
-    if value not in _SCHEDULERS:
-        errors.add(path, f"expected one of {sorted(_SCHEDULERS)}, got {value!r}")
-        return None
-    return value
+_REQUIRED = object()  # default of a field the config must give
 
 
-def _parse_workers(value, path: str, errors: _Errors) -> int | None:
-    workers = _parse_int(value, path, errors)
-    cpus = os.cpu_count() or 1
-    if workers is not None and not 1 <= workers <= cpus:
-        errors.add(path, f"expected 1 to {cpus} (the CPU count), got {workers}")
-        return None
-    return workers
+def _record(fields: dict):
+    """Parser of a JSON object with the given fields, name -> (parser, default or _REQUIRED).
+
+    It reports a non-object, each unknown key, each missing required field
+    and every field's own problems at `path.name`, and returns {name: value}
+    when no field has a problem.  An absent field reads as its default, which
+    goes through the field's parser like a given value.
+    """
+
+    def parse_record(spec, path: str, errors: _Errors) -> dict | None:
+        if not isinstance(spec, dict):
+            errors.add(path, f"expected an object, got {type(spec).__name__}")
+            return None
+        prefix = f"{path}." if path else ""
+        for key in spec:
+            if key not in fields:
+                errors.add(prefix + key, "unknown key")
+        out = {}
+        for name, (parse, default) in fields.items():
+            if name in spec or default is not _REQUIRED:
+                out[name] = parse(spec.get(name, default), prefix + name, errors)
+            else:
+                errors.add(prefix + name, "required parameter is missing")
+                out[name] = None
+        return None if any(v is None for v in out.values()) else out
+
+    return parse_record
 
 
-def _parse_process(spec, path: str, errors: _Errors):
-    spec = _expect_mapping(spec, path, errors)
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    try:
-        if kind == "iid":
-            probs = _expect_mapping(spec.get("probs"), f"{path}.probs", errors)
-            if probs is None:
-                return None
-            parsed = {}
-            for sym, p in probs.items():
-                f = _parse_fraction(p, f"{path}.probs.{sym}", errors)
-                if f is not None:
-                    parsed[sym] = f
-            if len(parsed) != len(probs):
-                return None
-            _check_keys(spec, {"kind", "probs"}, path, errors)
-            return IIDModel(probs=parsed)
-        if kind == "markov":
-            symbols = _list_of(_parse_str, "strings")(spec.get("symbols"), f"{path}.symbols", errors)
-            transition = _list_of(_fraction_list, "rows")(spec.get("transition"), f"{path}.transition", errors)
-            initial = spec.get("initial")
-            if initial != "stationary":
-                initial = _list_of(_parse_fraction, 'rationals, or "stationary"')(initial, f"{path}.initial", errors)
-            _check_keys(spec, {"kind", "symbols", "transition", "initial"}, path, errors)
-            if symbols is None or transition is None or initial is None:
-                return None
-            if initial != "stationary":
-                return MarkovModel(symbols=symbols, transition=transition, initial=initial)
-            k = len(symbols)
-            chain = MarkovModel(symbols=symbols, transition=transition, initial=(Fraction(1, k),) * k)
-            # the stationary vector does not depend on the start, so the chain keeps its one solve
-            object.__setattr__(chain, "initial", stationary_distribution(chain))
-            return chain
-        if kind == "mixture":
-            comps_spec = spec.get("components")
-            if not isinstance(comps_spec, list):
-                errors.add(f"{path}.components", "expected a list of components")
-                return None
-            comps = []
-            for i, comp in enumerate(comps_spec):
-                comp = _expect_mapping(comp, f"{path}.components[{i}]", errors)
-                if comp is None:
-                    return None
-                w = _parse_fraction(comp.get("weight"), f"{path}.components[{i}].weight", errors)
-                sub = _parse_process(comp.get("process"), f"{path}.components[{i}].process", errors)
-                _check_keys(comp, {"weight", "process"}, f"{path}.components[{i}]", errors)
-                if w is None or sub is None:
-                    return None
-                comps.append((w, sub))
-            _check_keys(spec, {"kind", "components"}, path, errors)
-            return MixtureModel(components=tuple(comps))
-        errors.add(f"{path}.kind", f'expected "iid", "markov", or "mixture", got {kind!r}')
-        return None
-    except (DomainError, NumericError) as exc:
-        errors.add(path, str(exc))
-        return None
+def _build(make, parse):
+    """Parser that hands what `parse` returns to `make`, reporting make's own errors at the same path."""
 
-
-def _check_keys(mapping: dict, allowed: set[str], path: str, errors: _Errors) -> None:
-    for key in mapping:
-        if key not in allowed:
-            errors.add(f"{path}.{key}", "unknown key")
-
-
-def _parse_problem(spec, errors: _Errors) -> SchedulingProblem | None:
-    spec = _expect_mapping(spec, "problem", errors)
-    if spec is None:
-        return None
-    _check_keys(spec, {"alphabet", "machines", "process"}, "problem", errors)
-    alphabet = None
-    alpha_spec = _expect_mapping(spec.get("alphabet"), "problem.alphabet", errors)
-    if alpha_spec is not None:
+    def parse_and_make(value, path: str, errors: _Errors):
+        parsed = parse(value, path, errors)
+        if parsed is None:
+            return None
         try:
-            alphabet = JobAlphabet(proc_time=alpha_spec)
-        except DomainError as exc:
-            errors.add("problem.alphabet", str(exc))
-    machines = None
-    machine_spec = spec.get("machines")
-    if not isinstance(machine_spec, list):
-        errors.add("problem.machines", "expected a list of speeds")
-    else:
-        speeds = []
-        for i, v in enumerate(machine_spec):
-            f = _parse_fraction(v, f"problem.machines[{i}]", errors)
-            if f is not None:
-                speeds.append(f)
-        if len(speeds) == len(machine_spec):
-            try:
-                machines = MachineSet(speeds=tuple(speeds))
-            except DomainError as exc:
-                errors.add("problem.machines", str(exc))
-    process = _parse_process(spec.get("process"), "problem.process", errors)
-    if alphabet is None or machines is None or process is None:
-        return None
-    try:
-        return SchedulingProblem(alphabet=alphabet, machines=machines, process=process)
-    except DomainError as exc:
-        errors.add("problem", str(exc))
-        return None
+            return make(parsed)
+        except (DomainError, NumericError) as exc:
+            errors.add(path, str(exc))
+            return None
+
+    return parse_and_make
+
+
+def _kind_of(spec, table: dict, default=None):
+    """The entry of `table` that the object's "kind" (else `default`) names, or None."""
+    kind = spec.get("kind", default) if isinstance(spec, dict) else default
+    return table.get(kind) if isinstance(kind, str) else None
+
+
+def _process_fields(spec, path: str, errors: _Errors) -> dict | None:
+    _, fields = _kind_of(spec, _PROCESSES) or (None, {})
+    return _record({"kind": (_one_of(_PROCESSES), _REQUIRED), **fields})(spec, path, errors)
+
+
+_parse_process = _build(lambda fields: _PROCESSES[fields.pop("kind")][0](**fields), _process_fields)
+
+
+def _parse_initial(value, path: str, errors: _Errors):
+    if value == "stationary":
+        return value
+    return _list_of(_parse_fraction, 'rationals, or "stationary"')(value, path, errors)
+
+
+def _markov(symbols, transition, initial) -> MarkovModel:
+    stationary = initial == "stationary"
+    k = len(symbols)
+    chain = MarkovModel(symbols, transition, (Fraction(1, k),) * k if stationary else initial)
+    if stationary:  # the stationary vector does not depend on the start, so the chain keeps its one solve
+        object.__setattr__(chain, "initial", stationary_distribution(chain))
+    return chain
+
+
+_fraction_list = _list_of(_parse_fraction, "rationals")
+_int_list = _list_of(_parse_int, "integers")
+_component = _record({"weight": (_parse_fraction, _REQUIRED), "process": (_parse_process, _REQUIRED)})
+
+# process kind -> (constructor, fields); the constructor takes the fields as keywords
+_PROCESSES = {
+    "iid": (IIDModel, {"probs": (_map_of(_parse_fraction), _REQUIRED)}),
+    "markov": (
+        _markov,
+        {
+            "symbols": (_list_of(_parse_str, "strings"), _REQUIRED),
+            "transition": (_list_of(_fraction_list, "rows"), _REQUIRED),
+            "initial": (_parse_initial, _REQUIRED),
+        },
+    ),
+    "mixture": (
+        MixtureModel,
+        {"components": (_list_of(_build(lambda c: (c["weight"], c["process"]), _component), "components"), _REQUIRED)},
+    ),
+}
+
+_parse_problem = _build(
+    lambda fields: SchedulingProblem(**fields),
+    _record(
+        {
+            "alphabet": (_build(JobAlphabet, _map_of(_parse_int)), _REQUIRED),
+            "machines": (_build(MachineSet, _list_of(_parse_fraction, "speeds")), _REQUIRED),
+            "process": (_parse_process, _REQUIRED),
+        }
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +423,6 @@ def _run_cost(problem: SchedulingProblem, p: dict, seed: int):
     return [(p["n"], p["alpha"], prob, cost, cost / p["n"])], {"scheduler": p["scheduler"]}
 
 
-_REQUIRED = object()  # default of a parameter the config must give
-
-
 @dataclass(frozen=True)
 class _Experiment:
     params: dict  # name -> (parser, default or _REQUIRED)
@@ -412,8 +430,7 @@ class _Experiment:
     run: Callable
 
 
-_fraction_list = _list_of(_parse_fraction, "rationals")
-_int_list = _list_of(_parse_int, "integers")
+_scheduler = _one_of(_SCHEDULERS)
 
 _EXPERIMENTS: dict[str, _Experiment] = {
     "validate": _Experiment(
@@ -435,7 +452,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         {
             "gamma": (_parse_fraction, _REQUIRED),
             "n_grid": (_int_list, _REQUIRED),
-            "scheduler": (_parse_scheduler, "eft"),
+            "scheduler": (_scheduler, "eft"),
             "budget": (_parse_int, 2_000_000),
         },
         _columns(RateExperimentRow),
@@ -455,7 +472,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         {
             "n": (_parse_int, _REQUIRED),
             "trials": (_parse_int, _REQUIRED),
-            "scheduler": (_parse_scheduler, "eft"),
+            "scheduler": (_scheduler, "eft"),
         },
         _columns(AverageCaseResult),
         _run_average_case,
@@ -464,7 +481,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         {
             "n": (_parse_int, _REQUIRED),
             "alpha": (_parse_fraction, _REQUIRED),
-            "scheduler": (_parse_scheduler, "brute-force"),
+            "scheduler": (_scheduler, "brute-force"),
             "budget": (_parse_int, 2_000_000),
         },
         ("n", "alpha", "discard_prob", "cost", "cost_per_job"),
@@ -475,57 +492,38 @@ _EXPERIMENTS: dict[str, _Experiment] = {
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
+def _parse_experiment(expected_kind: str | None):
+    """Parser of the experiment block: its kind, master_seed and the parameters of its registry entry."""
+
+    def parse_kind(value, path: str, errors: _Errors) -> str | None:
+        kind = _one_of(EXPERIMENT_KINDS)(value, path, errors)
+        if kind is None or expected_kind in (None, kind):
+            return kind
+        errors.add(path, f"config says {kind!r} but the {expected_kind!r} subcommand was invoked")
+        return None
+
+    common = {"kind": (parse_kind, expected_kind or _REQUIRED), "master_seed": (_parse_int, 0)}
+
+    def parse_experiment(spec, path: str, errors: _Errors) -> dict | None:
+        experiment = _kind_of(spec, _EXPERIMENTS, expected_kind)
+        return _record({**common, **(experiment.params if experiment else {})})(spec, path, errors)
+
+    return parse_experiment
+
+
 def parse_config(text: str, expected_kind: str | None = None) -> ExperimentConfig:
     """Parse and validate configuration text, reporting every problem found."""
-    errors = _Errors()
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except ValueError as exc:
         raise ConfigError([f"config: not valid JSON ({exc})"]) from None
-    raw = _expect_mapping(raw, "config", errors)
+    errors = _Errors()
+    fields = {"problem": (_parse_problem, _REQUIRED), "experiment": (_parse_experiment(expected_kind), {})}
+    config = _record(fields)(raw, "", errors)
     errors.check()
-    _check_keys(raw, {"problem", "experiment"}, "config", errors)
-    problem = _parse_problem(raw.get("problem"), errors)
-
-    exp = raw.get("experiment")
-    kind = expected_kind
-    params: dict = {}
-    master_seed = 0
-    exp = _expect_mapping(exp, "experiment", errors) if exp is not None else {}
-    if exp is None:
-        exp = {}
-    if "kind" in exp:
-        kind_val = exp["kind"]
-        if kind_val not in EXPERIMENT_KINDS:
-            errors.add("experiment.kind", f"expected one of {list(EXPERIMENT_KINDS)}, got {kind_val!r}")
-        elif expected_kind is not None and kind_val != expected_kind:
-            errors.add(
-                "experiment.kind",
-                f"config says {kind_val!r} but the {expected_kind!r} subcommand was invoked",
-            )
-        else:
-            kind = kind_val
-    if kind is None:
-        errors.add("experiment.kind", "missing experiment kind")
-        errors.check()
-    spec = _EXPERIMENTS[kind].params
-    seed_val = exp.get("master_seed", 0)
-    parsed_seed = _parse_int(seed_val, "experiment.master_seed", errors)
-    if parsed_seed is not None:
-        master_seed = parsed_seed
-    _check_keys(exp, {"kind", "master_seed", *spec}, "experiment", errors)
-    for name, (parse, default) in spec.items():
-        if name in exp:
-            value = parse(exp[name], f"experiment.{name}", errors)
-            if value is not None:
-                params[name] = value
-        elif default is _REQUIRED:
-            errors.add(f"experiment.{name}", "required parameter is missing")
-        else:
-            params[name] = default
-    errors.check()
-    assert problem is not None
-    return ExperimentConfig(problem=problem, kind=kind, params=params, master_seed=master_seed)
+    params = config["experiment"]
+    kind, master_seed = params.pop("kind"), params.pop("master_seed")
+    return ExperimentConfig(problem=config["problem"], kind=kind, params=params, master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------

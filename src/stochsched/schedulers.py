@@ -167,20 +167,26 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
 _PREFIX_GRIDS = 5
 
 
+def _refuse_bytes(entries: int, largest: int, what: str) -> None:
+    """Refuse (ResourceError) arrays of `entries` integers up to `largest` beyond `stochastic._MAX_BYTES`.
+
+    Called before the arrays are allocated.  An entry counts 8 bytes in
+    int64 and, in an object array, its pointer plus the size of `largest`.
+    """
+    needed = entries * (8 if _int_dtype(largest) is np.int64 else 8 + sys.getsizeof(largest))
+    if needed > stochastic._MAX_BYTES:
+        raise ResourceError(f"{what} needs {needed} bytes (budget {stochastic._MAX_BYTES})")
+
+
 def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...], grids: int) -> tuple[np.ndarray, np.ndarray]:
     """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype.
 
-    Refused (ResourceError) before allocating when `grids` such grids exceed
-    `stochastic._MAX_BYTES`, an object entry counting its pointer and its largest value.
+    Refused before allocating when `grids` such grids exceed the byte budget.
     """
     max_total = sum(c * t for c, t in present)
     w = _weight_array(weights, max_total)
-    entry = 8 if w.dtype == np.int64 else 8 + sys.getsizeof(max_total * max(weights))
-    needed = grids * math.prod(c + 1 for c, _ in present) * entry
-    if needed > stochastic._MAX_BYTES:
-        raise ResourceError(
-            f"brute force needs {needed} bytes of count-vector tables (budget {stochastic._MAX_BYTES})"
-        )
+    grid = math.prod(c + 1 for c, _ in present)
+    _refuse_bytes(grids * grid, (max_total + 1) * max(weights), "brute force's count-vector programme")
     load = np.zeros([c + 1 for c, _ in present], dtype=w.dtype)
     for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
         load = load + along_axis
@@ -257,7 +263,7 @@ def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
     times = np.asarray(times)
     weights = _weight_array(scaled_inverse_speeds(machines)[0], int(times.max(initial=0)) * times.shape[1])
     loads = np.zeros((len(times), machines.m), dtype=weights.dtype)
-    for column in times.T:
+    for column in times.astype(loads.dtype, copy=False).T:  # an object row of small times, too
         _eft_step(loads, column, weights)
     return loads
 
@@ -342,15 +348,23 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
     the second check comes before the extensions are allocated.
     """
     t_min = min(times)
+    times = sorted(t for t in set(times) if t <= limit - (n - 1) * t_min)  # the others fit no kept sequence
+    if not times:
+        return None
+    m = len(weights)
+    largest = max((limit + 1) * max(weights), (limit + 1) ** m)  # a finish time, or a `_distinct_rows` key
     weights = _weight_array(weights, limit)
-    loads = np.zeros((1, len(weights)), dtype=weights.dtype)
+    loads = np.zeros((1, m), dtype=weights.dtype)
     swept = 0
     for step in range(1, n + 1):
         room = limit - (n - step) * t_min
         totals = loads.sum(axis=1)
-        extend = [(t, totals + t <= room) for t in sorted(set(times))]
-        if sum(int(mask.sum()) for _, mask in extend) > budget:
+        extend = [(t, totals + t <= room) for t in times]
+        extensions = sum(int(mask.sum()) for _, mask in extend)
+        if extensions > budget:
             raise ResourceError(f"EFT order sweep would extend more than {budget} load vectors at job {step} of {n}")
+        # the vectors, the extended ones, their concatenation, its key copy and the distinct rows, with their keys
+        _refuse_bytes((len(loads) + 4 * extensions) * (m + 1), largest, f"EFT order sweep at job {step} of {n}")
         parts = []
         for t, mask in extend:
             part = loads[mask]
@@ -400,10 +414,14 @@ def cost_exact(
         scaled = _eft_worst_scaled(times, n, limit, weights, budget)
         best = None if scaled is None else Fraction(scaled, scale)
     else:
+        # the enumeration holds at most 3k + 4 entries per count vector
+        _refuse_bytes((3 * k + 4) * n_multisets, n * max(times), "the enumeration of kept count vectors")
         kept, totals = _kept_count_vectors(times, n, limit)
         if isinstance(scheduler, BruteForce):
             kept = _maximal(kept, totals, times, limit)
         if len(kept):
+            # one row of n job times per kept vector, and LPT's copy of them sorted longest first
+            _refuse_bytes((1 + isinstance(scheduler, LPT)) * len(kept) * n, max(times), "the layout of kept rows")
             tiled = np.tile(np.array(times, dtype=_int_dtype(max(times))), len(kept))
             rows = np.repeat(tiled, kept.ravel()).reshape(len(kept), n)
             scaled, _ = makespans_scaled(scheduler, rows, problem.machines)

@@ -447,7 +447,7 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
     """Exact dynamic-programming law of the n-job total processing time.
 
     Cost: O(k^2 * n^2 * span) for a k-state Markov chain, O(log n)
-    convolutions for IID.  A mixture adds its leaves' laws with their weights;
+    convolutions for IID, and O(1) when every job time is equal.  A mixture adds its leaves' laws with their weights;
     they share one symbol set, hence one lattice.  Raises ResourceError,
     before allocating, when the largest leaf kernel's working arrays plus the
     weighted sum of a mixture would exceed _MAX_BYTES.
@@ -456,6 +456,8 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
     leaves = flatten_mixture(process)
     times = _symbol_times(process, alphabet)
     t_min, t_max = min(times), max(times)
+    if t_min == t_max:  # every sequence totals n*t_min; no kernel needs to run
+        return SumDistribution(n, n * t_min, np.ones(1))
     rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves) + (len(leaves) > 1)
     needed = 8 * (n * (t_max - t_min) + 1) * rows
     if needed > _MAX_BYTES:

@@ -145,6 +145,41 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("not json at all {")
 
+    def test_every_mixture_component_reported(self):
+        bad_weight = {"weight": "heavy", "process": PROBLEM_IID["process"]}
+        bad_prob_and_key = {"weight": "1/2", "process": {"kind": "iid", "probs": {"a": "x", "b": "1/2"}, "extra": 1}}
+        process = {"kind": "mixture", "components": [bad_weight, bad_prob_and_key]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text({**PROBLEM_IID, "process": process}, kind="validate"))
+        paths = sorted(p.split(": ")[0] for p in exc.value.problems)
+        assert paths == [
+            "problem.process.components[0].weight",
+            "problem.process.components[1].process.extra",
+            "problem.process.components[1].process.probs.a",
+        ]
+
+    def test_iid_bad_probability_and_unknown_key_both_reported(self):
+        process = {"kind": "iid", "probs": {"a": "x", "b": "1/2"}, "extra": 1}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text({**PROBLEM_IID, "process": process}, kind="validate"))
+        assert sorted(p.split(": ")[0] for p in exc.value.problems) == ["problem.process.extra", "problem.process.probs.a"]
+
+    def test_missing_machines_named(self):
+        problem = {key: value for key, value in PROBLEM_IID.items() if key != "machines"}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text(problem, kind="validate"))
+        assert exc.value.problems == ["problem.machines: required parameter is missing"]
+
+    def test_missing_experiment_block_takes_the_subcommand(self):
+        text = json.dumps({"problem": PROBLEM_IID})
+        assert parse_config(text, expected_kind="validate").kind == "validate"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, expected_kind="scan")
+        assert exc.value.problems == [
+            "experiment.alpha_grid: required parameter is missing",
+            "experiment.n_grid: required parameter is missing",
+        ]
+
     def test_scan_workers_bounded_by_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         scan = dict(kind="scan", alpha_grid=["9/10"], n_grid=[10])
@@ -352,6 +387,23 @@ class TestMain:
             experiment = {**experiment, "alpha": str(t + 2)}  # keeps every sequence
         code = main([experiment["kind"], "--config", self.write(tmp_path, config_text(problem, **experiment))])
         assert code == 0, capsys.readouterr().err
+
+    def test_readme_worked_example(self, tmp_path, capsys):
+        # the README's config, run through main, prints the README's table apart from the wall time
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Worked example", 1)[1]
+        config = example.split("```json\n", 1)[1].split("```", 1)[0]
+        shown = example.split("```text\n", 1)[1].split("```", 1)[0].splitlines()
+        assert shown[0] == "$ stochsched achievability --config demo.json"
+        assert main(["achievability", "--config", self.write(tmp_path, config)]) == 0
+        printed = _without_wall_time(capsys.readouterr().out)
+        assert printed == _without_wall_time("\n".join(shown[1:]))
+        assert "# config_sha256=c1e588604dc906d53367bd703571455fd07c1a3445a5ab70b03bf336662ad03a" in printed
+        assert printed[-3:] == [
+            "10,0.171875000000,8,4/5,8,true",
+            "50,0.0164195687821,39,39/50,39,true",
+            "200,6.92872578618e-06,154,77/100,154,true",
+        ]
 
     def test_oversized_sample_exit_code(self, tmp_path, capsys):
         # more bytes than numpy can address: refused before any array is made

@@ -278,6 +278,32 @@ class TestCountVectorByteBudget:
             assert peak <= needed + slack
 
 
+class TestCostByteBudget:
+    """cost_exact refuses, before allocating, arrays beyond stochastic._MAX_BYTES, whatever work budget it is given."""
+
+    @pytest.mark.parametrize(
+        "scheduler,times,speeds,n,refused",
+        [
+            (LPT(), [2, 5], [1, 2], 2000, "kept rows"),  # 2001 rows of 2000 jobs and their sorted copy: 64 MB
+            (LPT(), [1, 2, 3, 4, 5, 6], [1, 2], 20, "kept count vectors"),  # 53130 count vectors of 6 types
+            (EarliestFinishTime(), [2, 5, 11], [1, Fraction(3, 2), 2], 14, "EFT order sweep"),  # ~0.7 MB at its peak
+        ],
+        ids=["lpt-rows", "lpt-count-vectors", "eft-sweep"],
+    )
+    def test_refused_before_allocating(self, monkeypatch, scheduler, times, speeds, n, refused):
+        _, problem = make_problem(times, [Fraction(v) for v in speeds])
+        discard = ThresholdDiscardSet(n=n, alpha=Fraction(10**6))  # keeps every sequence
+        monkeypatch.setattr(stochastic, "_MAX_BYTES", 256 << 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=f"{refused}.* needs \\d+ bytes"):
+                cost_exact(scheduler, discard, problem, budget=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestListSchedulerAnomalies:
     """Lengthening a job can shorten a list schedule, so EFT and LPT COST must not be taken on the antichain."""
 
@@ -498,6 +524,15 @@ class TestExactAtEveryMagnitude:
         for alpha in (Fraction(22, 9), 10**18):
             assert cost_exact(EarliestFinishTime(), ThresholdDiscardSet(n=14, alpha=alpha), problem) == Fraction(110, 3)
         assert dtypes and object not in dtypes
+
+    def test_job_times_past_int64_that_no_kept_sequence_holds(self):
+        # a threshold of 4 keeps only the four unit jobs; the time 2^70 never enters the int64 EFT sweep
+        _, problem = make_problem([1, 2**70], [Fraction(1), Fraction(2)])
+        kept = ThresholdDiscardSet(n=4, alpha=Fraction(1, 3))
+        for scheduler in (EarliestFinishTime(), LPT(), BruteForce()):
+            assert cost_exact(scheduler, kept, problem) == Fraction(3, 2)
+        with pytest.raises(DomainError, match="keeps no sequences"):
+            cost_exact(EarliestFinishTime(), ThresholdDiscardSet(n=4, alpha=Fraction(1, 4)), problem)
 
     @pytest.mark.parametrize("scheduler", [EarliestFinishTime(), LPT(), BruteForce()])
     def test_row_total_past_int64(self, scheduler):

@@ -203,6 +203,21 @@ class TestSumDistribution:
         with pytest.raises(DomainError):
             sum_distribution(iid_problem.process, iid_problem.alphabet, 0)
 
+    @pytest.mark.parametrize("kind", ["iid", "markov", "mixture"])
+    def test_equal_job_times_give_one_point_at_any_n(self, kind):
+        # T_n = 4n surely; no kernel runs, so n = 10^9 costs what n = 1 does
+        equal = JobAlphabet({"a": 4, "b": 4})
+        third = Fraction(1, 3)
+        iid = IIDModel({"a": third, "b": 1 - third})
+        chain = MarkovModel(("a", "b"), ((third, 1 - third), (Fraction(1, 2), Fraction(1, 2))), (1, 0))
+        process = {"iid": iid, "markov": chain, "mixture": MixtureModel(((third, iid), (1 - third, chain)))}[kind]
+        n = 10**9
+        dist = sum_distribution(process, equal, n)
+        assert dist.offset == 4 * n
+        assert dist.masses.tolist() == [1.0]
+        assert dist.prob_above(4 * n - 1) == 1.0
+        assert dist.prob_above(4 * n) == 0.0
+
 
 def _periodic_chain():
     """Period 2: a is followed by b or c, and b and c by a."""

@@ -344,8 +344,9 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
     A forward sweep over the distinct EFT load vectors of kept prefixes: each
     step extends every vector by every job time that still leaves room for
     the remaining jobs at t_min under the limit.  Refused once the distinct
-    vectors, summed over steps, or the extensions of one step exceed budget;
-    the second check comes before the extensions are allocated.
+    vectors, summed over steps, or the extensions of one step exceed budget,
+    or once one step's arrays would exceed the byte budget; the last two
+    checks come before the extensions are allocated.
     """
     t_min = min(times)
     times = sorted(t for t in set(times) if t <= limit - (n - 1) * t_min)  # the others fit no kept sequence
@@ -397,6 +398,8 @@ def cost_exact(
     over every order of every kept sequence, found by sweeping the distinct
     EFT load vectors of kept prefixes; it is also refused once the vectors
     kept, summed over steps, or the extensions of one step exceed budget.
+    Whatever the budget, every route refuses, before allocating, arrays
+    beyond `stochastic._MAX_BYTES`.
     """
     n = discard.n
     symbols = problem.alphabet.symbols
@@ -421,7 +424,8 @@ def cost_exact(
             kept = _maximal(kept, totals, times, limit)
         if len(kept):
             # one row of n job times per kept vector, and LPT's copy of them sorted longest first
-            _refuse_bytes((1 + isinstance(scheduler, LPT)) * len(kept) * n, max(times), "the layout of kept rows")
+            copies = 2 if isinstance(scheduler, LPT) else 1
+            _refuse_bytes(copies * len(kept) * n, max(times), "the layout of kept rows")
             tiled = np.tile(np.array(times, dtype=_int_dtype(max(times))), len(kept))
             rows = np.repeat(tiled, kept.ravel()).reshape(len(kept), n)
             scaled, _ = makespans_scaled(scheduler, rows, problem.machines)

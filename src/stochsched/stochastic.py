@@ -447,8 +447,9 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
     """Exact dynamic-programming law of the n-job total processing time.
 
     Cost: O(k^2 * n^2 * span) for a k-state Markov chain, O(log n)
-    convolutions for IID, and O(1) when every job time is equal.  A mixture adds its leaves' laws with their weights;
-    they share one symbol set, hence one lattice.  Raises ResourceError,
+    convolutions for IID, and O(1) when every job time is equal.  A mixture
+    adds its leaves' laws with their weights; they share one symbol set,
+    hence one lattice.  Raises ResourceError,
     before allocating, when the largest leaf kernel's working arrays plus the
     weighted sum of a mixture would exceed _MAX_BYTES.
     """

@@ -162,7 +162,8 @@ class TestParsing:
         process = {"kind": "iid", "probs": {"a": "x", "b": "1/2"}, "extra": 1}
         with pytest.raises(ConfigError) as exc:
             parse_config(config_text({**PROBLEM_IID, "process": process}, kind="validate"))
-        assert sorted(p.split(": ")[0] for p in exc.value.problems) == ["problem.process.extra", "problem.process.probs.a"]
+        paths = sorted(p.split(": ")[0] for p in exc.value.problems)
+        assert paths == ["problem.process.extra", "problem.process.probs.a"]
 
     def test_missing_machines_named(self):
         problem = {key: value for key, value in PROBLEM_IID.items() if key != "machines"}

@@ -60,6 +60,7 @@ from . import __version__
 from .core import JobAlphabet, MachineSet, SchedulingProblem, as_fraction
 from .errors import ConfigError, DomainError, NumericError, ResourceError
 from .schedulers import (
+    _WORK_BUDGET,
     BruteForce,
     EarliestFinishTime,
     LPT,
@@ -453,7 +454,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             "gamma": (_parse_fraction, _REQUIRED),
             "n_grid": (_int_list, _REQUIRED),
             "scheduler": (_scheduler, "eft"),
-            "budget": (_parse_int, 2_000_000),
+            "budget": (_parse_int, _WORK_BUDGET),
         },
         _columns(RateExperimentRow),
         _run_achievability,
@@ -482,7 +483,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             "n": (_parse_int, _REQUIRED),
             "alpha": (_parse_fraction, _REQUIRED),
             "scheduler": (_scheduler, "brute-force"),
-            "budget": (_parse_int, 2_000_000),
+            "budget": (_parse_int, _WORK_BUDGET),
         },
         ("n", "alpha", "discard_prob", "cost", "cost_per_job"),
         _run_cost,

@@ -195,9 +195,16 @@ def makespan(assignment: Assignment, seq: JobSequence, problem: SchedulingProble
     return max(Fraction(u) / v for u, v in zip(loads, problem.machines.speeds))
 
 
+def _span_bracket(total, problem: SchedulingProblem) -> tuple[Fraction, Fraction]:
+    """(total/v_sum, total/v_sum + t_max/v_min): span_lower_bound and span_upper_bound of a total time."""
+    machines = problem.machines
+    lower = Fraction(total) / machines.v_sum
+    return lower, lower + Fraction(problem.alphabet.t_max) / machines.v_min
+
+
 def span_lower_bound(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
     """Total work over total speed; no schedule of the sequence can finish sooner."""
-    return Fraction(total_processing_time(seq, problem.alphabet)) / problem.machines.v_sum
+    return _span_bracket(total_processing_time(seq, problem.alphabet), problem)[0]
 
 
 def span_upper_bound(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
@@ -206,6 +213,5 @@ def span_upper_bound(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
     Earliest-finish-time list scheduling provably stays under this value, so
     it certifies an achievable makespan for the sequence.
     """
-    machines = problem.machines
-    return span_lower_bound(seq, problem) + Fraction(problem.alphabet.t_max) / machines.v_min
+    return _span_bracket(total_processing_time(seq, problem.alphabet), problem)[1]
 

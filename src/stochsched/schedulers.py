@@ -35,14 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from . import stochastic
 from .core import (
     Assignment,
     JobSequence,
@@ -52,7 +50,9 @@ from .core import (
     scaled_inverse_speeds,
 )
 from .errors import DomainError, ResourceError
-from .stochastic import sum_distribution
+from .stochastic import _refuse_bytes, sum_distribution
+
+_WORK_BUDGET = 2_000_000  # cost_exact's default budget of multisets * n work units
 
 
 @dataclass(frozen=True)
@@ -167,17 +167,6 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
 _PREFIX_GRIDS = 5
 
 
-def _refuse_bytes(entries: int, largest: int, what: str) -> None:
-    """Refuse (ResourceError) arrays of `entries` integers up to `largest` beyond `stochastic._MAX_BYTES`.
-
-    Called before the arrays are allocated.  An entry counts 8 bytes in
-    int64 and, in an object array, its pointer plus the size of `largest`.
-    """
-    needed = entries * (8 if _int_dtype(largest) is np.int64 else 8 + sys.getsizeof(largest))
-    if needed > stochastic._MAX_BYTES:
-        raise ResourceError(f"{what} needs {needed} bytes (budget {stochastic._MAX_BYTES})")
-
-
 def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...], grids: int) -> tuple[np.ndarray, np.ndarray]:
     """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype.
 
@@ -186,7 +175,7 @@ def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...], grids: 
     max_total = sum(c * t for c, t in present)
     w = _weight_array(weights, max_total)
     grid = math.prod(c + 1 for c, _ in present)
-    _refuse_bytes(grids * grid, (max_total + 1) * max(weights), "brute force's count-vector programme")
+    _refuse_bytes(grids * grid, "brute force's count-vector programme", (max_total + 1) * max(weights))
     load = np.zeros([c + 1 for c, _ in present], dtype=w.dtype)
     for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
         load = load + along_axis
@@ -338,8 +327,8 @@ def _distinct_rows(loads: np.ndarray, limit: int) -> np.ndarray:
     return loads[np.unique(keys, return_index=True)[1]]
 
 
-def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, ...], budget: int) -> int | None:
-    """Largest scaled EFT makespan over every order of every kept sequence; None when none is kept.
+def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, ...], budget: int) -> int:
+    """Largest scaled EFT makespan over every order of every kept sequence, for a `_kept_limit` limit.
 
     A forward sweep over the distinct EFT load vectors of kept prefixes: each
     step extends every vector by every job time that still leaves room for
@@ -350,8 +339,6 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
     """
     t_min = min(times)
     times = sorted(t for t in set(times) if t <= limit - (n - 1) * t_min)  # the others fit no kept sequence
-    if not times:
-        return None
     m = len(weights)
     largest = max((limit + 1) * max(weights), (limit + 1) ** m)  # a finish time, or a `_distinct_rows` key
     weights = _weight_array(weights, limit)
@@ -365,7 +352,7 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
         if extensions > budget:
             raise ResourceError(f"EFT order sweep would extend more than {budget} load vectors at job {step} of {n}")
         # the vectors, the extended ones, their concatenation, its key copy and the distinct rows, with their keys
-        _refuse_bytes((len(loads) + 4 * extensions) * (m + 1), largest, f"EFT order sweep at job {step} of {n}")
+        _refuse_bytes((len(loads) + 4 * extensions) * (m + 1), f"EFT order sweep at job {step} of {n}", largest)
         parts = []
         for t, mask in extend:
             part = loads[mask]
@@ -375,31 +362,40 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
         swept += len(loads)
         if swept > budget:
             raise ResourceError(f"EFT order sweep kept more than {budget} load vectors by job {step} of {n}")
-        if not len(loads):
-            return None
     return int((loads * weights).max())
+
+
+def _kept_limit(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int:
+    """Largest total time of a kept sequence that any sequence reaches: min(floor(n*v_sum*alpha), n*t_max).
+
+    Raises DomainError when the limit is below n*t_min: the all-shortest
+    sequence is kept whenever any sequence is, so then none is.
+    """
+    n, alphabet = discard.n, problem.alphabet
+    limit = min(math.floor(discard.keep_threshold(problem)), n * alphabet.t_max)
+    if limit < n * alphabet.t_min:
+        raise DomainError(
+            f"discard set keeps no sequences (alpha={discard.alpha} drops every length-{n} stream)"
+        )
+    return limit
 
 
 def cost_exact(
     scheduler: Scheduler,
     discard: ThresholdDiscardSet,
     problem: SchedulingProblem,
-    budget: int = 2_000_000,
+    budget: int = _WORK_BUDGET,
 ) -> Fraction:
     """Largest makespan the scheduler produces over the kept sequences.
 
-    Every scheduler is refused (ResourceError) when multisets * n exceeds
-    budget.  BruteForce and LPT do not depend on job order, so they walk the
-    kept job count vectors, laid out as rows for one `makespans_scaled`
-    call.  The optimum cannot fall when a job is lengthened, so BruteForce
-    takes only the maximal kept vectors (and is refused on two or more
-    machines when m^n exceeds BruteForce.budget); LPT can fall, so it takes
-    every kept vector.  EFT does depend on order, so its cost is the worst
-    over every order of every kept sequence, found by sweeping the distinct
-    EFT load vectors of kept prefixes; it is also refused once the vectors
-    kept, summed over steps, or the extensions of one step exceed budget.
-    Whatever the budget, every route refuses, before allocating, arrays
-    beyond `stochastic._MAX_BYTES`.
+    Refused (ResourceError) when multisets * n exceeds budget, then
+    (DomainError) when nothing is kept.  BruteForce takes the maximal kept
+    count vectors, as the optimum cannot fall when a job is lengthened, and
+    LPT every kept vector, as rows of one `makespans_scaled` call.  EFT
+    depends on job order, so it sweeps the distinct EFT load vectors of kept
+    prefixes, refused once their sum over steps or one step's extensions
+    exceed budget.  Every route refuses arrays beyond the byte budget before
+    allocating them.
     """
     n = discard.n
     symbols = problem.alphabet.symbols
@@ -409,32 +405,23 @@ def cost_exact(
         raise ResourceError(
             f"cost enumeration needs ~{n_multisets * n} work units (budget {budget})"
         )
+    limit = _kept_limit(discard, problem)
     times = [problem.alphabet.time_of(sym) for sym in symbols]
-    limit = min(math.floor(discard.keep_threshold(problem)), n * max(times))  # no load passes n * t_max
     weights, scale = scaled_inverse_speeds(problem.machines)
-    best: Fraction | None = None
     if isinstance(scheduler, EarliestFinishTime):
-        scaled = _eft_worst_scaled(times, n, limit, weights, budget)
-        best = None if scaled is None else Fraction(scaled, scale)
-    else:
-        # the enumeration holds at most 3k + 4 entries per count vector
-        _refuse_bytes((3 * k + 4) * n_multisets, n * max(times), "the enumeration of kept count vectors")
-        kept, totals = _kept_count_vectors(times, n, limit)
-        if isinstance(scheduler, BruteForce):
-            kept = _maximal(kept, totals, times, limit)
-        if len(kept):
-            # one row of n job times per kept vector, and LPT's copy of them sorted longest first
-            copies = 2 if isinstance(scheduler, LPT) else 1
-            _refuse_bytes(copies * len(kept) * n, max(times), "the layout of kept rows")
-            tiled = np.tile(np.array(times, dtype=_int_dtype(max(times))), len(kept))
-            rows = np.repeat(tiled, kept.ravel()).reshape(len(kept), n)
-            scaled, _ = makespans_scaled(scheduler, rows, problem.machines)
-            best = Fraction(int(np.max(scaled)), scale)
-    if best is None:
-        raise DomainError(
-            f"discard set keeps no sequences (alpha={discard.alpha} drops every length-{n} stream)"
-        )
-    return best
+        return Fraction(_eft_worst_scaled(times, n, limit, weights, budget), scale)
+    # the enumeration holds at most 3k + 4 entries per count vector
+    _refuse_bytes((3 * k + 4) * n_multisets, "the enumeration of kept count vectors", n * max(times))
+    kept, totals = _kept_count_vectors(times, n, limit)
+    if isinstance(scheduler, BruteForce):
+        kept = _maximal(kept, totals, times, limit)
+    # one row of n job times per kept vector, and LPT's copy of them sorted longest first
+    copies = 2 if isinstance(scheduler, LPT) else 1
+    _refuse_bytes(copies * len(kept) * n, "the layout of kept rows", max(times))
+    tiled = np.tile(np.array(times, dtype=_int_dtype(max(times))), len(kept))
+    rows = np.repeat(tiled, kept.ravel()).reshape(len(kept), n)
+    scaled, _ = makespans_scaled(scheduler, rows, problem.machines)
+    return Fraction(int(np.max(scaled)), scale)
 
 
 def max_kept_total_time(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int:
@@ -442,10 +429,11 @@ def max_kept_total_time(discard: ThresholdDiscardSet, problem: SchedulingProblem
 
     Bit s of reach is set when some sequence of the jobs so far has total
     s + (jobs so far) * t_min; each job ORs in reach shifted by t - t_min for
-    every time t, and the bits above the limit are masked off at the end.
+    every time t, and the bits above `_kept_limit` are masked off at the end.
+    An empty kept set is refused before the sweep.
     """
     n = discard.n
-    threshold = math.floor(discard.keep_threshold(problem))
+    limit = _kept_limit(discard, problem)
     tvals = sorted(set(problem.alphabet.proc_time.values()))
     t_min = tvals[0]
     reach = 1
@@ -454,12 +442,7 @@ def max_kept_total_time(discard: ThresholdDiscardSet, problem: SchedulingProblem
         for t in tvals[1:]:
             step |= reach << (t - t_min)
         reach = step
-    room = min(threshold - n * t_min, n * (tvals[-1] - t_min))
-    reach &= (1 << (room + 1)) - 1 if room >= 0 else 0
-    if not reach:
-        raise DomainError(
-            f"discard set keeps no sequences (alpha={discard.alpha} drops every length-{n} stream)"
-        )
+    reach &= (1 << (limit - n * t_min + 1)) - 1
     return n * t_min + reach.bit_length() - 1
 
 

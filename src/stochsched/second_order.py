@@ -20,9 +20,9 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Sequence
 
-from .core import SchedulingProblem
+from .core import SchedulingProblem, _span_bracket
 from .errors import DomainError
-from .stochastic import IIDModel, _iid_central_moments, sum_distribution
+from .stochastic import IIDModel, _check_grid, _iid_central_moments, sum_distribution
 
 _NORMAL = NormalDist()
 
@@ -89,26 +89,24 @@ class SecondOrderRow:
 def second_order_table(n_grid: Sequence[int], epsilon: float, problem: SchedulingProblem) -> list[SecondOrderRow]:
     """Exact-vs-Gaussian comparison of the optimal discard cost along n_grid.
 
-    Per n: the exact rate r_n_plus, the cost bracket
-    [n*r_n_plus, n*r_n_plus + t_max/v_min], the Gaussian prediction, and the
-    residual midpoint(bracket) - prediction.  gaussian_tail is the normal
-    approximation of the exceedance probability at the chosen quantile, to be
-    compared against epsilon within be_bound plus the lattice atom there.
+    Per n: the cost bracket [cost_lo, cost_hi], `_span_bracket` of the exact
+    quantile total, the exact rate r_n_plus = cost_lo/n, the Gaussian
+    prediction, and the residual midpoint(bracket) - prediction.
+    gaussian_tail is the normal approximation of the exceedance probability
+    at the chosen quantile, to be compared against epsilon within be_bound
+    plus the lattice atom there.
     """
     mu, var, _ = _require_iid_nondegenerate(problem)
     if not 0.0 < float(epsilon) < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     epsilon = float(epsilon)
-    v_sum = problem.machines.v_sum
-    slack = Fraction(problem.alphabet.t_max) / problem.machines.v_min
+    _check_grid(n_grid, "n_grid")
     rows = []
     for n in n_grid:
         n = int(n)
         dist = sum_distribution(problem.process, problem.alphabet, n)
         s = dist.upper_quantile_total(epsilon)
-        r = Fraction(s) / (n * v_sum)
-        lo = n * r
-        hi = lo + slack
+        lo, hi = _span_bracket(s, problem)
         pred = berry_esseen_prediction(n, epsilon, problem)
         resid = float(lo + hi) / 2.0 - pred
         z = float(s - n * mu) / math.sqrt(n * float(var))
@@ -116,7 +114,7 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
             SecondOrderRow(
                 n=n,
                 epsilon=epsilon,
-                r_n_plus=r,
+                r_n_plus=lo / n,
                 cost_lo=lo,
                 cost_hi=hi,
                 prediction=pred,

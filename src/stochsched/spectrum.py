@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SchedulingProblem, as_fraction
+from .core import SchedulingProblem, _span_bracket, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
+    _WORK_BUDGET,
     Scheduler,
     ThresholdDiscardSet,
     cost_exact,
@@ -30,6 +31,7 @@ from .schedulers import (
     max_kept_total_time,
 )
 from .stochastic import (
+    _check_grid,
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
@@ -106,10 +108,10 @@ def spectral_scan(
         raise DomainError("alpha_grid and n_grid must be non-empty")
     if any(a < 0 for a in alphas):
         raise DomainError("threshold rates must be non-negative")
-    if list(alphas) != sorted(alphas) or len(set(alphas)) != len(alphas):
-        raise DomainError("alpha_grid must be strictly increasing")
-    if list(ns) != sorted(ns) or len(set(ns)) != len(ns) or ns[0] < 1:
-        raise DomainError("n_grid must be strictly increasing positive integers")
+    _check_grid(alphas, "alpha_grid")
+    _check_grid(ns, "n_grid")
+    if ns[0] < 1:
+        raise DomainError("n_grid must hold positive integers")
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
     if workers < 1:
@@ -143,9 +145,9 @@ class RateExperimentRow:
     """One achievability row: exact discard probability and certified cost.
 
     When `exact` is True, cost is the scheduler's exact COST over the kept
-    set and cost_lower equals it.  Otherwise [cost_lower, cost] brackets the
-    optimal COST: cost_lower = max kept total / v_sum (no scheduler can beat
-    it) and cost = cost_lower + t_max/v_min (EFT provably stays under it).
+    set and cost_lower equals it.  Otherwise [cost_lower, cost] is the
+    `_span_bracket` of the largest kept total: no scheduler beats
+    cost_lower, and EFT provably stays under cost.
     """
 
     n: int
@@ -165,7 +167,7 @@ def achievability_experiment(
     gamma,
     scheduler: Scheduler,
     n_grid: Sequence[int],
-    budget: int = 2_000_000,
+    budget: int = _WORK_BUDGET,
 ) -> list[RateExperimentRow]:
     """Certify that rate ebar + gamma is achievable with vanishing discard probability.
 
@@ -177,9 +179,8 @@ def achievability_experiment(
     gamma = as_fraction(gamma)
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
+    _check_grid(n_grid, "n_grid")
     alpha = ebar_theoretical(problem) + gamma
-    v_sum = problem.machines.v_sum
-    t_max_over_v_min = Fraction(problem.alphabet.t_max) / problem.machines.v_min
     rows = []
     for n in n_grid:
         discard = ThresholdDiscardSet(n=int(n), alpha=alpha)
@@ -188,8 +189,7 @@ def achievability_experiment(
             cost = cost_lower = cost_exact(scheduler, discard, problem, budget=budget)
             exact = True
         except ResourceError:
-            cost_lower = Fraction(max_kept_total_time(discard, problem)) / v_sum
-            cost = cost_lower + t_max_over_v_min
+            cost_lower, cost = _span_bracket(max_kept_total_time(discard, problem), problem)
             exact = False
         rows.append(
             RateExperimentRow(
@@ -218,6 +218,7 @@ def converse_experiment(
     ebar = ebar_theoretical(problem)
     if not 0 < gap < ebar:
         raise DomainError(f"gap out of range: need 0 < gap < ebar = {ebar}, got {gap}")
+    _check_grid(n_grid, "n_grid")
     alpha = ebar - gap
     return [(int(n), _tails_for_n(problem, int(n), [alpha])[0]) for n in n_grid]
 
@@ -257,10 +258,8 @@ def average_case_bracket(
     per_job = np.asarray(scaled / scale, dtype=np.float64) / n  # Python ints divide exactly
     mc_mean = float(per_job.mean())
     std_error = float(per_job.std(ddof=1) / math.sqrt(trials))
-    v_sum = problem.machines.v_sum
-    lo = mean_total_time_exact(problem.process, problem.alphabet, n) / (n * v_sum)
-    hi = lo + Fraction(problem.alphabet.t_max) / (n * problem.machines.v_min)
-    lo_f, hi_f = float(lo), float(hi)
+    lo, hi = _span_bracket(mean_total_time_exact(problem.process, problem.alphabet, n), problem)
+    lo_f, hi_f = float(lo / n), float(hi / n)
     if not (lo_f - 3 * std_error <= mc_mean <= hi_f + 3 * std_error):
         raise NumericError(
             f"Monte-Carlo mean {mc_mean} escaped bracket [{lo_f}, {hi_f}] by more than 3 SE ({std_error})"

@@ -19,6 +19,7 @@ exact integer totals, so tails and quantiles hold at any job time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,18 @@ from .core import JobAlphabet, _int_dtype, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
-_MAX_BYTES = 1 << 30  # refuse sum laws and samples whose working arrays would exceed 1 GiB
+_MAX_BYTES = 1 << 30  # refuse any route whose working arrays would exceed 1 GiB
+
+
+def _refuse_bytes(entries: int, what: str, largest: int = 0) -> None:
+    """Refuse (ResourceError), before they are allocated, arrays of `entries` numbers beyond `_MAX_BYTES`.
+
+    An entry counts 8 bytes, or, in an object array of integers up to
+    `largest` (see `core._int_dtype`), its pointer plus the size of `largest`.
+    """
+    needed = entries * (8 if _int_dtype(largest) is np.int64 else 8 + sys.getsizeof(largest))
+    if needed > _MAX_BYTES:
+        raise ResourceError(f"{what} needs {needed} bytes (budget {_MAX_BYTES})")
 
 
 def _normalised(values: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
@@ -443,6 +455,12 @@ def _check_length(n) -> None:
         raise DomainError(f"sequence length must be a positive integer, got {n!r}")
 
 
+def _check_grid(grid: Sequence, what: str) -> None:
+    """Refuse (DomainError) a grid that is not sorted and duplicate-free."""
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise DomainError(f"{what} must be strictly increasing")
+
+
 def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumDistribution:
     """Exact dynamic-programming law of the n-job total processing time.
 
@@ -460,9 +478,7 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
     if t_min == t_max:  # every sequence totals n*t_min; no kernel needs to run
         return SumDistribution(n, n * t_min, np.ones(1))
     rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves) + (len(leaves) > 1)
-    needed = 8 * (n * (t_max - t_min) + 1) * rows
-    if needed > _MAX_BYTES:
-        raise ResourceError(f"sum law for n={n} needs {needed} bytes of working arrays (budget {_MAX_BYTES})")
+    _refuse_bytes((n * (t_max - t_min) + 1) * rows, f"sum law for n={n}")
     masses = None
     for w, leaf in leaves:
         part = _LEAVES[type(leaf)].sum_law(leaf, alphabet, n)
@@ -495,9 +511,7 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
-    needed = 3 * 8 * trials * (n + 1)
-    if needed > _MAX_BYTES:
-        raise ResourceError(f"sampling {trials} trials of n={n} needs {needed} bytes of arrays (budget {_MAX_BYTES})")
+    _refuse_bytes(3 * trials * (n + 1), f"sampling {trials} trials of n={n}")
     leaves = flatten_mixture(process)
     symbols = process.symbols
     lead = len(leaves) > 1

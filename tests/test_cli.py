@@ -362,6 +362,22 @@ class TestMain:
         assert main(["converse", "--config", self.write(tmp_path, text)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
 
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            {"kind": "scan", "alpha_grid": ["1/2"], "n_grid": [20, 10, 10]},
+            {"kind": "achievability", "gamma": "1/10", "n_grid": [20, 10, 10]},
+            {"kind": "converse", "gap": "1/10", "n_grid": [20, 10, 10]},
+            {"kind": "second-order", "epsilon": 0.1, "n_grid": [20, 10, 10]},
+        ],
+        ids=lambda e: e["kind"],
+    )
+    def test_unsorted_grid_is_a_domain_error(self, tmp_path, capsys, experiment):
+        # every grid must be sorted and duplicate-free, not only scan's
+        code = main([experiment["kind"], "--config", self.write(tmp_path, config_text(PROBLEM_IID, **experiment))])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "domain"
+
     def test_resource_error_exit_code(self, tmp_path, capsys):
         text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=10)
         assert main(["cost", "--config", self.write(tmp_path, text)]) == 3

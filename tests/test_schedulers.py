@@ -28,12 +28,14 @@ from stochsched import (
     makespan,
     makespans_scaled,
     max_kept_total_time,
+    sample_index_matrix,
     scaled_inverse_speeds,
     schedule,
     schedulers,
     span_lower_bound,
     span_upper_bound,
     stochastic,
+    sum_distribution,
 )
 from stochsched.schedulers import _kept_count_vectors, _optimal_scaled, _weight_array
 
@@ -304,6 +306,32 @@ class TestCostByteBudget:
         assert peak < 1 << 20
 
 
+class TestOneByteRefusal:
+    """Every byte refusal, from the sum law to EFT's order sweep, is one check with one message."""
+
+    @pytest.mark.parametrize(
+        "times,max_bytes,what,refused",
+        [
+            ([2, 5, 11], 0, "sum law", lambda p: sum_distribution(p.process, p.alphabet, 10)),
+            ([2, 5, 11], 0, "sampling", lambda p: sample_index_matrix(p.process, 10, 2, 0)),
+            ([2, 5, 11], 0, "count-vector programme", lambda p: brute_force_optimal(JobSequence(("a", "b")), p)),
+            ([1, 2, 3, 4, 5, 6], 256 << 10, "kept count vectors", lambda p: _cost_keeping_all(LPT(), 20, p)),
+            ([2, 5], 256 << 10, "kept rows", lambda p: _cost_keeping_all(LPT(), 2000, p)),
+            ([2, 5, 11], 256 << 10, "EFT order sweep", lambda p: _cost_keeping_all(EarliestFinishTime(), 14, p)),
+        ],
+        ids=["sum-law", "sampler", "dp-grid", "enumeration", "kept-rows", "eft-step"],
+    )
+    def test_every_refusal_reads_alike(self, monkeypatch, times, max_bytes, what, refused):
+        _, problem = make_problem(times, [Fraction(1), Fraction(3, 2), Fraction(2)])
+        monkeypatch.setattr(stochastic, "_MAX_BYTES", max_bytes)
+        with pytest.raises(ResourceError, match=rf"{what}.* needs \d+ bytes \(budget {max_bytes}\)$"):
+            refused(problem)
+
+
+def _cost_keeping_all(scheduler, n: int, problem):
+    return cost_exact(scheduler, ThresholdDiscardSet(n=n, alpha=Fraction(10**6)), problem, budget=10**12)
+
+
 class TestListSchedulerAnomalies:
     """Lengthening a job can shorten a list schedule, so EFT and LPT COST must not be taken on the antichain."""
 
@@ -567,6 +595,22 @@ class TestDiscardSets:
             cost_exact(BruteForce(), nothing, iid_problem)
         with pytest.raises(DomainError):
             max_kept_total_time(nothing, iid_problem)
+
+    def test_empty_kept_set_refused_before_the_sweep(self, iid_problem):
+        # a 10^9-step bitset sweep would never end; n * t_min above the threshold decides at once
+        nothing = ThresholdDiscardSet(n=10**9, alpha=Fraction(1, 4))
+        with pytest.raises(DomainError, match="keeps no sequences"):
+            max_kept_total_time(nothing, iid_problem)
+
+    @pytest.mark.parametrize("scheduler", [LPT(), BruteForce()], ids=["lpt", "brute-force"])
+    def test_empty_kept_set_refused_before_the_byte_budget(self, scheduler):
+        # 12.5 million count vectors of 3 types fit a 10^12 work budget, not the 1 GiB byte budget
+        _, problem = make_problem([2, 5, 11], [Fraction(1), Fraction(2)])
+        nothing = ThresholdDiscardSet(n=5000, alpha=Fraction(1, 2))
+        with pytest.raises(DomainError, match="keeps no sequences"):
+            cost_exact(scheduler, nothing, problem, budget=10**12)
+        with pytest.raises(ResourceError, match="work units"):  # the work budget is still checked first
+            cost_exact(scheduler, nothing, problem)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2), Fraction(23, 30), Fraction(1), Fraction(7, 6)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -70,6 +70,7 @@ from .stochastic import (
     sample_time_matrix,
     stationary_distribution,
     sum_distribution,
+    sum_distributions,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .core import SchedulingProblem, _span_bracket
 from .errors import DomainError
-from .stochastic import IIDModel, _check_grid, _iid_central_moments, sum_distribution
+from .stochastic import IIDModel, _iid_central_moments, sum_distribution, sum_distributions
 
 _NORMAL = NormalDist()
 
@@ -94,17 +94,16 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
     prediction, and the residual midpoint(bracket) - prediction.
     gaussian_tail is the normal approximation of the exceedance probability
     at the chosen quantile, to be compared against epsilon within be_bound
-    plus the lattice atom there.
+    plus the lattice atom there.  The laws come from one `sum_distributions`
+    call over n_grid, which takes one binary exponentiation per n.
     """
     mu, var, _ = _require_iid_nondegenerate(problem)
     if not 0.0 < float(epsilon) < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     epsilon = float(epsilon)
-    _check_grid(n_grid, "n_grid")
     rows = []
-    for n in n_grid:
-        n = int(n)
-        dist = sum_distribution(problem.process, problem.alphabet, n)
+    for dist in sum_distributions(problem.process, problem.alphabet, [int(n) for n in n_grid]):
+        n = dist.n
         s = dist.upper_quantile_total(epsilon)
         lo, hi = _span_bracket(s, problem)
         pred = berry_esseen_prediction(n, epsilon, problem)

@@ -26,17 +26,18 @@ from .schedulers import (
     Scheduler,
     ThresholdDiscardSet,
     cost_exact,
-    discard_probability,
     makespans_scaled,
     max_kept_total_time,
 )
 from .stochastic import (
+    SumDistribution,
     _check_grid,
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
     sample_time_matrix,
     sum_distribution,
+    sum_distributions,
 )
 
 
@@ -80,10 +81,15 @@ class SpectralReport:
     ebar_estimate: Fraction | None
 
 
-def _tails_for_n(problem: SchedulingProblem, n: int, alphas: Sequence[Fraction]) -> list[float]:
-    dist = sum_distribution(problem.process, problem.alphabet, n)
+def _tails(dist: SumDistribution, problem: SchedulingProblem, alphas: Sequence[Fraction]) -> list[float]:
+    """P(T_n/(n*v_sum) > alpha) for each alpha, read from the law of T_n."""
     v_sum = problem.machines.v_sum
-    return [dist.prob_above(n * v_sum * alpha) for alpha in alphas]
+    return [dist.prob_above(dist.n * v_sum * alpha) for alpha in alphas]
+
+
+def _tails_for_n(problem: SchedulingProblem, n: int, alphas: Sequence[Fraction]) -> list[float]:
+    """One row of the scan, with its own law: the unit of work of a pool worker."""
+    return _tails(sum_distribution(problem.process, problem.alphabet, n), problem, alphas)
 
 
 def spectral_scan(
@@ -98,9 +104,11 @@ def spectral_scan(
     An alpha counts as converged when its tail at the largest n is below
     delta and the tail is non-increasing over the last three grid lengths.
     ebar_estimate is the smallest converged alpha (None when there is none).
-    Grid cells are independent, so workers > 1 may evaluate rows in parallel,
-    up to os.cpu_count() processes; assembly order is fixed by the grid, not
-    by completion order.
+    With workers=1 the table runs one `sum_distributions` sweep over n_grid:
+    a Markov grid costs what its largest n costs, and IID takes one binary
+    exponentiation per n.  workers > 1 computes each row's law on its own in
+    a pool of up to os.cpu_count() processes; assembly order is fixed by
+    the grid, not by completion order.
     """
     alphas = tuple(as_fraction(a) for a in alpha_grid)
     ns = tuple(int(n) for n in n_grid)
@@ -124,7 +132,7 @@ def spectral_scan(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_tails_for_n, [problem] * len(ns), ns, [alphas] * len(ns)))
     else:
-        rows = [_tails_for_n(problem, n, alphas) for n in ns]
+        rows = [_tails(dist, problem, alphas) for dist in sum_distributions(problem.process, problem.alphabet, ns)]
 
     tail = tuple(tuple(r) for r in rows)
     window = min(3, len(ns))
@@ -172,19 +180,21 @@ def achievability_experiment(
     """Certify that rate ebar + gamma is achievable with vanishing discard probability.
 
     For each n, builds the threshold discard set at alpha = ebar + gamma,
-    computes the exact discard probability, and either the exact scheduler
-    COST over the kept set or (when enumeration exceeds the budget) the
-    analytic bracket from the largest kept total time.
+    reads the exact discard probability from the law of T_n, and computes
+    either the exact scheduler COST over the kept set or (when enumeration
+    exceeds the budget) the analytic bracket from the largest kept total
+    time.  The laws come from one `sum_distributions` sweep over n_grid: a
+    Markov grid costs what its largest n costs, and IID takes one binary
+    exponentiation per n.
     """
     gamma = as_fraction(gamma)
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    _check_grid(n_grid, "n_grid")
     alpha = ebar_theoretical(problem) + gamma
     rows = []
-    for n in n_grid:
-        discard = ThresholdDiscardSet(n=int(n), alpha=alpha)
-        p = discard_probability(discard, problem)
+    for dist in sum_distributions(problem.process, problem.alphabet, [int(n) for n in n_grid]):
+        discard = ThresholdDiscardSet(n=dist.n, alpha=alpha)
+        p = dist.prob_above(discard.keep_threshold(problem))
         try:
             cost = cost_lower = cost_exact(scheduler, discard, problem, budget=budget)
             exact = True
@@ -212,15 +222,17 @@ def converse_experiment(
     Any schedule fitting the kept sequences under per-job cost alpha must
     keep only sequences with T_n <= n*v_sum*alpha (the total-work floor),
     so the discard probability is at least P(T_n/(n*v_sum) > alpha).
-    Returns that exact tail for each n.
+    Returns that exact tail for each n, from one `sum_distributions` sweep
+    over n_grid (a Markov grid costs what its largest n costs; IID takes one
+    binary exponentiation per n).
     """
     gap = as_fraction(epsilon_gap)
     ebar = ebar_theoretical(problem)
     if not 0 < gap < ebar:
         raise DomainError(f"gap out of range: need 0 < gap < ebar = {ebar}, got {gap}")
-    _check_grid(n_grid, "n_grid")
     alpha = ebar - gap
-    return [(int(n), _tails_for_n(problem, int(n), [alpha])[0]) for n in n_grid]
+    dists = sum_distributions(problem.process, problem.alphabet, [int(n) for n in n_grid])
+    return [(dist.n, _tails(dist, problem, [alpha])[0]) for dist in dists]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ and a finite mixture (one component drawn per sequence, then held fixed).
 any process, nested mixtures included, into weighted i.i.d./Markov leaves.
 Each leaf type has one entry in `_LEAVES` (its sum-law kernel, the working
 arrays that kernel holds, its sampler block and its exact E[T_n]), and
-`sum_distribution`, `mean_total_time_exact` and `sample_index_matrix` are
-each one loop over the weighted leaves.
+`sum_distributions`, `mean_total_time_exact` and `sample_index_matrix` are
+each one loop over the weighted leaves.  A sum-law kernel serves a whole
+grid of lengths in one call: the Markov DP runs once, to the largest n.
 
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
@@ -257,17 +258,18 @@ def _pow_convolve(base: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-# Each kernel returns the masses over [n*t_min, n*t_max] of its symbol times.
-def _iid_sum(model: IIDModel, alphabet: JobAlphabet, n: int) -> np.ndarray:
+# Each kernel takes a strictly increasing grid ns and returns, per n, the
+# masses over [n*t_min, n*t_max] of its symbol times.
+def _iid_sums(model: IIDModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list[np.ndarray]:
     times = _symbol_times(model, alphabet)
     t_min = min(times)
     base = np.zeros(max(times) - t_min + 1)
     for sym, t in zip(model.symbols, times):
         base[t - t_min] += float(model.probs[sym])
-    return _pow_convolve(base, n)
+    return [_pow_convolve(base, n) for n in ns]
 
 
-def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> np.ndarray:
+def _markov_sums(model: MarkovModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list[np.ndarray]:
     times = _symbol_times(model, alphabet)
     shifts = [t - min(times) for t in times]
     span = max(shifts)
@@ -277,19 +279,24 @@ def _markov_sum(model: MarkovModel, alphabet: JobAlphabet, n: int) -> np.ndarray
     # are live.  Each job is one k x k product of the live window into a
     # reused buffer (BLAS reads the strided window in place), whose row j is
     # then copied to [shift_j, shift_j + width) of the next state.  That
-    # range grows every step, so row j's other columns stay zero.
-    cur = np.zeros((len(times), n * span + 1))
+    # range grows every step, so row j's other columns stay zero.  One DP
+    # runs to the largest n and keeps the law at each smaller grid length.
+    cur = np.zeros((len(times), ns[-1] * span + 1))
     nxt = np.zeros_like(cur)
     product = np.empty_like(cur)
     for j, shift in enumerate(shifts):
         cur[j, shift] = float(model.initial[j])
-    for step in range(1, n):
+    laws = []
+    for step in range(1, ns[-1]):
         width = step * span + 1
+        if step == ns[len(laws)]:
+            laws.append(cur[:, :width].sum(axis=0))
         moved = np.matmul(trans_t, cur[:, :width], out=product[:, :width])
         for j, shift in enumerate(shifts):
             nxt[j, shift : shift + width] = moved[j]
         cur, nxt = nxt, cur
-    return cur.sum(axis=0)
+    laws.append(cur.sum(axis=0))
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +435,21 @@ def _sample_markov(model: MarkovModel, u: np.ndarray) -> np.ndarray:
 
 
 class _Leaf(NamedTuple):
-    sum_law: Callable  # (leaf, alphabet, n) -> masses over [n*t_min, n*t_max]
-    rows: Callable  # leaf -> lattice-wide float64 arrays sum_law holds at once
+    sum_law: Callable  # (leaf, alphabet, ns) -> per n, masses over [n*t_min, n*t_max]
+    rows: Callable  # leaf -> float64 arrays as wide as the largest n's lattice that sum_law holds at once
     sample: Callable  # (leaf, u) -> (trials, n) indices into leaf.symbols
     mean_total: Callable  # (leaf, alphabet, n) -> exact E[T_n]
 
 
 _LEAVES = {
     IIDModel: _Leaf(
-        sum_law=_iid_sum,
+        sum_law=_iid_sums,
         rows=lambda model: 3,  # the largest convolution: both factors and the product
         sample=_sample_iid,
         mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
     ),
     MarkovModel: _Leaf(
-        sum_law=_markov_sum,
+        sum_law=_markov_sums,
         rows=lambda model: 3 * len(model.symbols) + 1,  # two state buffers, the product buffer and the sum
         sample=_sample_markov,
         mean_total=_markov_mean_total,
@@ -461,32 +468,47 @@ def _check_grid(grid: Sequence, what: str) -> None:
         raise DomainError(f"{what} must be strictly increasing")
 
 
-def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumDistribution:
-    """Exact dynamic-programming law of the n-job total processing time.
+def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequence[int]) -> list[SumDistribution]:
+    """Exact dynamic-programming laws of the n-job total processing time, one per n of a strictly increasing grid.
 
-    Cost: O(k^2 * n^2 * span) for a k-state Markov chain, O(log n)
-    convolutions for IID, and O(1) when every job time is equal.  A mixture
-    adds its leaves' laws with their weights; they share one symbol set,
-    hence one lattice.  Raises ResourceError,
-    before allocating, when the largest leaf kernel's working arrays plus the
-    weighted sum of a mixture would exceed _MAX_BYTES.
+    Cost: one O(k^2 * N^2 * span) sweep for a k-state Markov chain, where N
+    is the largest n, keeping the law at each smaller n on its way; O(log n)
+    convolutions per n for IID; and O(1) per n when every job time is
+    equal.  A mixture adds its leaves' laws with their weights; they share
+    one symbol set, hence one lattice.  An empty grid gives [].  Raises
+    DomainError for an unsorted or repeated grid or an n < 1, and
+    ResourceError, before allocating, when the largest leaf kernel's working
+    arrays, the laws it holds for the smaller lengths and a mixture's
+    weighted sum at every length would exceed _MAX_BYTES.
     """
-    _check_length(n)
+    ns = list(n_grid)
+    for n in ns:
+        _check_length(n)
+    _check_grid(ns, "n_grid")
+    if not ns:
+        return []
     leaves = flatten_mixture(process)
     times = _symbol_times(process, alphabet)
     t_min, t_max = min(times), max(times)
     if t_min == t_max:  # every sequence totals n*t_min; no kernel needs to run
-        return SumDistribution(n, n * t_min, np.ones(1))
-    rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves) + (len(leaves) > 1)
-    _refuse_bytes((n * (t_max - t_min) + 1) * rows, f"sum law for n={n}")
+        return [SumDistribution(n, n * t_min, np.ones(1)) for n in ns]
+    points = [n * (t_max - t_min) + 1 for n in ns]
+    rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves)
+    held = sum(points[:-1]) + (len(leaves) > 1) * sum(points)  # smaller lengths' laws; a mixture's sums
+    _refuse_bytes(rows * points[-1] + held, f"sum law for n={ns[-1]}")
     masses = None
     for w, leaf in leaves:
-        part = _LEAVES[type(leaf)].sum_law(leaf, alphabet, n)
-        if w != 1:  # a single leaf's law is returned as it is
-            part *= float(w)
-        masses = part if masses is None else np.add(masses, part, out=masses)
-        del part  # not alive while the next leaf's kernel runs
-    return SumDistribution(n, n * t_min, masses)
+        parts = _LEAVES[type(leaf)].sum_law(leaf, alphabet, ns)
+        if w != 1:  # a single leaf's laws are returned as they are
+            parts = [np.multiply(part, float(w), out=part) for part in parts]
+        masses = parts if masses is None else [np.add(m, part, out=m) for m, part in zip(masses, parts)]
+        del parts  # not alive while the next leaf's kernel runs
+    return [SumDistribution(n, n * t_min, m) for n, m in zip(ns, masses)]
+
+
+def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumDistribution:
+    """Exact law of the n-job total processing time: `sum_distributions` on the grid [n]."""
+    return sum_distributions(process, alphabet, [n])[0]
 
 
 def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) -> Fraction:

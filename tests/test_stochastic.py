@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stochsched import (
     DomainError,
+    EarliestFinishTime,
     IIDModel,
     JobAlphabet,
     MachineSet,
@@ -19,6 +20,7 @@ from stochsched import (
     SchedulingProblem,
     SumDistribution,
     ThresholdDiscardSet,
+    achievability_experiment,
     converse_experiment,
     discard_probability,
     ebar_theoretical,
@@ -32,9 +34,10 @@ from stochsched import (
     spectral_scan,
     stationary_distribution,
     sum_distribution,
+    sum_distributions,
 )
 
-from stochsched import stochastic
+from stochsched import schedulers, second_order, spectrum, stochastic
 
 from .oracles import (
     TailsFromMass,
@@ -320,21 +323,22 @@ class TestDenseKernelAgainstDirectDP:
 
     @pytest.mark.parametrize("case", ["iid", "markov-zero-start", "mixture", "mixture-nested"])
     def test_peak_memory_within_the_budget(self, monkeypatch, case):
-        # the bytes sum_distribution budgets must cover what its kernels hold
+        # the bytes sum_distributions budgets must cover what its kernels
+        # hold, the laws kept for a grid's smaller lengths included
         process = _DENSE_CASES[case]
-        n = 3000
-        with monkeypatch.context() as patch:
-            patch.setattr(stochastic, "_MAX_BYTES", 0)
-            with pytest.raises(ResourceError) as refused:
-                sum_distribution(process, _WIDE, n)
-        needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
-        tracemalloc.start()
-        try:
-            sum_distribution(process, _WIDE, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= needed + (64 << 10)
+        for grid in ([3000], [1000, 2000, 3000]):
+            with monkeypatch.context() as patch:
+                patch.setattr(stochastic, "_MAX_BYTES", 0)
+                with pytest.raises(ResourceError) as refused:
+                    sum_distributions(process, _WIDE, grid)
+            needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+            tracemalloc.start()
+            try:
+                sum_distributions(process, _WIDE, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= needed + (64 << 10)
 
     def test_byte_budget_refuses_before_allocating(self):
         n, span, k = 10, 10_000_000, 3
@@ -343,14 +347,15 @@ class TestDenseKernelAgainstDirectDP:
         points = n * span + 1
         assert points < 200_000_000  # admitted by the former lattice-point limit
         assert 8 * 2 * k * points > stochastic._MAX_BYTES
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError, match="bytes"):
-                sum_distribution(chain, wide, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for grid in ([n], [1000, 2000, 3000]):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceError, match="bytes"):
+                    sum_distributions(chain, wide, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
     def test_nested_mixture_budget_counts_the_largest_leaf_once(self):
@@ -372,6 +377,70 @@ class TestDenseKernelAgainstDirectDP:
 
 
 _MACHINES = MachineSet((Fraction(1), Fraction(3, 2), Fraction(2)))
+
+
+class TestSumLawsOverAGrid:
+    """One sweep over a grid gives, bit for bit, the law each length gives on its own."""
+
+    GRIDS = [[1], [1, 2, 7], [3, 4, 5], [7, 150, 400]]
+    CASES = {**{name: (process, _WIDE) for name, process in _DENSE_CASES.items()}, **_EDGE_SHAPES}
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda grid: ",".join(map(str, grid)))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_law_equals_its_own_length(self, case, grid):
+        process, alphabet = self.CASES[case]
+        laws = sum_distributions(process, alphabet, grid)
+        assert [law.n for law in laws] == grid
+        for law, n in zip(laws, grid, strict=True):
+            alone = sum_distribution(process, alphabet, n)
+            assert law.offset == alone.offset
+            assert np.array_equal(law.masses, alone.masses)
+
+    def test_empty_grid(self):
+        assert sum_distributions(_IID3, _WIDE, []) == []
+
+    @pytest.mark.parametrize("grid", [[2, 1], [3, 3], [0, 1], [-1], [1, 2.0]])
+    def test_bad_grid_is_a_domain_error(self, grid):
+        with pytest.raises(DomainError):
+            sum_distributions(_chain_with_zero_start(), _WIDE, grid)
+
+    @pytest.mark.parametrize("case", ["markov-zero-start", "mixture-nested"])
+    def test_budget_counts_the_held_laws(self, case):
+        # a k=3 Markov leaf holds 3k+1 rows as wide as the largest n's
+        # lattice and keeps the law at each smaller n; a mixture adds one
+        # weighted sum per n
+        grid, span, k = [1000, 2000, 3000], 10_000_000, 3
+        wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
+        points = [n * span + 1 for n in grid]
+        held = points[0] + points[1] + (case == "mixture-nested") * sum(points)
+        needed = 8 * ((3 * k + 1) * points[2] + held)
+        with pytest.raises(ResourceError, match=f"needs {needed} bytes"):
+            sum_distributions(_DENSE_CASES[case], wide, grid)
+
+    def test_each_table_runs_one_sweep(self, monkeypatch):
+        # scan, converse, achievability and second-order ask once for every law of their grid
+        calls = []
+
+        def counted(process, alphabet, n_grid):
+            calls.append(list(n_grid))
+            return sum_distributions(process, alphabet, n_grid)
+
+        def refused(*args):
+            raise AssertionError("a law was computed for one length alone")
+
+        for module in (spectrum, second_order):
+            monkeypatch.setattr(module, "sum_distributions", counted)
+            monkeypatch.setattr(module, "sum_distribution", refused)
+        monkeypatch.setattr(schedulers, "sum_distribution", refused)
+        grid = [3, 5, 9]
+        problem = SchedulingProblem(_WIDE, _MACHINES, _IID3)
+        spectral_scan(problem, [Fraction(3)], grid)
+        converse_experiment(problem, Fraction(1, 10), grid)
+        achievability_experiment(problem, Fraction(1, 10), EarliestFinishTime(), grid)
+        second_order_table(grid, 0.1, problem)
+        assert calls == [grid] * 4
+
+
 
 
 class TestTranslationInvariance:

@@ -95,7 +95,7 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
     gaussian_tail is the normal approximation of the exceedance probability
     at the chosen quantile, to be compared against epsilon within be_bound
     plus the lattice atom there.  The laws come from one `sum_distributions`
-    call over n_grid, which takes one binary exponentiation per n.
+    call over n_grid, which squares the law of n >> 1 for each n.
     """
     mu, var, _ = _require_iid_nondegenerate(problem)
     if not 0.0 < float(epsilon) < 1.0:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SchedulingProblem, _span_bracket, as_fraction
+from .core import SchedulingProblem, _int_dtype, _span_bracket, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
     _WORK_BUDGET,
@@ -105,8 +105,8 @@ def spectral_scan(
     delta and the tail is non-increasing over the last three grid lengths.
     ebar_estimate is the smallest converged alpha (None when there is none).
     With workers=1 the table runs one `sum_distributions` sweep over n_grid:
-    a Markov grid costs what its largest n costs, and IID takes one binary
-    exponentiation per n.  workers > 1 computes each row's law on its own in
+    a Markov grid costs what its largest n costs, and IID squares the law
+    of n >> 1 for each n.  workers > 1 computes each row's law on its own in
     a pool of up to os.cpu_count() processes; assembly order is fixed by
     the grid, not by completion order.
     """
@@ -184,8 +184,8 @@ def achievability_experiment(
     either the exact scheduler COST over the kept set or (when enumeration
     exceeds the budget) the analytic bracket from the largest kept total
     time.  The laws come from one `sum_distributions` sweep over n_grid: a
-    Markov grid costs what its largest n costs, and IID takes one binary
-    exponentiation per n.
+    Markov grid costs what its largest n costs, and IID squares the law of
+    n >> 1 for each n.
     """
     gamma = as_fraction(gamma)
     if gamma <= 0:
@@ -223,8 +223,8 @@ def converse_experiment(
     keep only sequences with T_n <= n*v_sum*alpha (the total-work floor),
     so the discard probability is at least P(T_n/(n*v_sum) > alpha).
     Returns that exact tail for each n, from one `sum_distributions` sweep
-    over n_grid (a Markov grid costs what its largest n costs; IID takes one
-    binary exponentiation per n).
+    over n_grid (a Markov grid costs what its largest n costs; IID squares
+    the law of n >> 1 for each n).
     """
     gap = as_fraction(epsilon_gap)
     ebar = ebar_theoretical(problem)
@@ -237,7 +237,13 @@ def converse_experiment(
 
 @dataclass(frozen=True)
 class AverageCaseResult:
-    """Monte-Carlo mean per-job makespan and the exact bracket it must fall in."""
+    """Monte-Carlo mean per-job makespan, the exact bracket of its expectation, and the sampler's z-score.
+
+    total_z is (sampled mean of T_n - exact E[T_n]) / its standard error:
+    about standard normal for a faithful sampler.  It is 0.0 when every
+    sampled total is E[T_n], and infinite when the totals do not vary but
+    miss E[T_n].
+    """
 
     n: int
     trials: int
@@ -245,6 +251,16 @@ class AverageCaseResult:
     bracket_lo: float
     bracket_hi: float
     std_error: float
+    total_z: float
+
+
+def _z_score(totals: np.ndarray, exact_mean: Fraction) -> float:
+    """(mean of the sampled totals - exact_mean) / the mean's standard error; the difference is taken exactly."""
+    gap = float(Fraction(int(totals.sum()), len(totals)) - exact_mean)
+    std_error = float(np.asarray(totals, dtype=np.float64).std(ddof=1)) / math.sqrt(len(totals))
+    if std_error == 0.0:
+        return 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+    return gap / std_error
 
 
 def average_case_bracket(
@@ -259,28 +275,41 @@ def average_case_bracket(
     The sampled rows' makespans come from one `makespans_scaled` call, which
     raises DomainError for an unknown scheduler.
 
-    Every sampled makespan lies in its per-sequence bracket, so the mean must
-    fall inside the bracket up to Monte-Carlo noise; a violation beyond three
-    standard errors raises NumericError.
+    Every sampled makespan must lie in the `_span_bracket` of its own row's
+    total, [T/v_sum, T/v_sum + t_max/v_min]; the check is exact, in
+    integers, and a makespan outside raises NumericError.  The mean of these
+    brackets is the bracket above, so the mean makespan falls in it up to
+    Monte-Carlo noise, which `total_z` measures on T_n without raising.
     """
     if not isinstance(trials, int) or trials < 2:
         raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
     times = sample_time_matrix(problem.process, problem.alphabet, n, trials, seed)
     scaled, scale = makespans_scaled(scheduler, times, problem.machines)
-    per_job = np.asarray(scaled / scale, dtype=np.float64) / n  # Python ints divide exactly
-    mc_mean = float(per_job.mean())
-    std_error = float(per_job.std(ddof=1) / math.sqrt(trials))
-    lo, hi = _span_bracket(mean_total_time_exact(problem.process, problem.alphabet, n), problem)
-    lo_f, hi_f = float(lo / n), float(hi / n)
-    if not (lo_f - 3 * std_error <= mc_mean <= hi_f + 3 * std_error):
+    totals = times.astype(_int_dtype(n * problem.alphabet.t_max), copy=False).sum(axis=1)
+    # a row's bracket is linear in its total T, (a*T + [0, b]) / d in integers,
+    # and its makespan scaled/scale is compared to it cross-multiplied
+    per_unit, slack = _span_bracket(1, problem)[0], _span_bracket(0, problem)[1]
+    d = math.lcm(per_unit.denominator, slack.denominator)
+    a, b = int(per_unit * d), int(slack * d)
+    dtype = _int_dtype(max(int(scaled.max()) * d, (n * problem.alphabet.t_max * a + b) * scale))
+    span = scaled.astype(dtype) * d
+    low = totals.astype(dtype) * (a * scale)
+    outside = np.flatnonzero((span < low) | (span > low + b * scale))
+    if outside.size:
+        row = int(outside[0])
+        lo, hi = _span_bracket(int(totals[row]), problem)
         raise NumericError(
-            f"Monte-Carlo mean {mc_mean} escaped bracket [{lo_f}, {hi_f}] by more than 3 SE ({std_error})"
+            f"sampled row {row}: makespan {Fraction(int(scaled[row]), scale)} outside its bracket [{lo}, {hi}]"
         )
+    per_job = np.asarray(scaled / scale, dtype=np.float64) / n  # Python ints divide exactly
+    exact_mean = mean_total_time_exact(problem.process, problem.alphabet, n)
+    lo, hi = _span_bracket(exact_mean, problem)
     return AverageCaseResult(
         n=n,
         trials=trials,
-        mc_mean_span_per_job=mc_mean,
-        bracket_lo=lo_f,
-        bracket_hi=hi_f,
-        std_error=std_error,
+        mc_mean_span_per_job=float(per_job.mean()),
+        bracket_lo=float(lo / n),
+        bracket_hi=float(hi / n),
+        std_error=float(per_job.std(ddof=1) / math.sqrt(trials)),
+        total_z=_z_score(totals, exact_mean),
     )

@@ -8,7 +8,8 @@ Each leaf type has one entry in `_LEAVES` (its sum-law kernel, the working
 arrays that kernel holds, its sampler block and its exact E[T_n]), and
 `sum_distributions`, `mean_total_time_exact` and `sample_index_matrix` are
 each one loop over the weighted leaves.  A sum-law kernel serves a whole
-grid of lengths in one call: the Markov DP runs once, to the largest n.
+grid of lengths in one call: the Markov DP runs once, to the largest n,
+and the IID powers share their halved laws.
 
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
@@ -246,16 +247,48 @@ def _symbol_times(process: JobProcess, alphabet: JobAlphabet) -> list[int]:
     return [alphabet.time_of(sym) for sym in process.symbols]
 
 
-def _pow_convolve(base: np.ndarray, n: int) -> np.ndarray:
-    """n-fold self-convolution by binary exponentiation."""
-    result = np.array([1.0])
-    while n:
+_SQUARE_CUTOFF = 1024  # at or below this length one np.convolve beats splitting
+
+
+def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x convolved with itself, each mirrored product counted once, written into `out` (made if None).
+
+    With x = [a | b] split at h = len(x) // 2, x*x is a*a at 0, plus 2*(a*b)
+    shifted by h, plus b*b shifted by 2h; the two squares recurse.  That is
+    about len(x)^2 / 2 multiply-adds in place of len(x)^2.  Every term is a
+    product of masses and the doubling is exact, so each mass keeps the
+    relative error of a direct sum.
+    """
+    if out is None:
+        out = np.empty(2 * len(x) - 1)
+    if len(x) <= _SQUARE_CUTOFF:
+        out[:] = np.convolve(x, x)
+        return out
+    h = len(x) // 2
+    a, b = x[:h], x[h:]
+    _square(a, out[: 2 * h - 1])
+    out[2 * h - 1] = 0.0
+    _square(b, out[2 * h :])
+    cross = np.convolve(a, b)
+    cross *= 2.0
+    out[h : h + len(cross)] += cross
+    return out
+
+
+def _iid_law(base: np.ndarray, n: int, laws: dict[int, np.ndarray]) -> np.ndarray:
+    """Law of n jobs from `base`, the one-job law: the square of the law of n >> 1, times base once more for odd n.
+
+    `laws` holds the laws made so far, the one-job law at 1 included.  The
+    steps depend on n alone, so a law is the same bit for bit whatever else
+    `laws` holds.
+    """
+    law = laws.get(n)
+    if law is None:
+        law = _square(_iid_law(base, n >> 1, laws))
         if n & 1:
-            result = np.convolve(result, base)
-        n >>= 1
-        if n:
-            base = np.convolve(base, base)
-    return result
+            law = np.convolve(law, base)
+        laws[n] = law
+    return law
 
 
 # Each kernel takes a strictly increasing grid ns and returns, per n, the
@@ -266,7 +299,17 @@ def _iid_sums(model: IIDModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list
     base = np.zeros(max(times) - t_min + 1)
     for sym, t in zip(model.symbols, times):
         base[t - t_min] += float(model.probs[sym])
-    return [_pow_convolve(base, n) for n in ns]
+    last_use = {}  # each halved law is dropped after the last grid length whose steps read it
+    for i, n in enumerate(ns):
+        while n > 1:
+            n >>= 1
+            last_use[n] = i
+    laws = {1: base}
+    out = []
+    for i, n in enumerate(ns):
+        out.append(_iid_law(base, n, laws))
+        laws = {m: law for m, law in laws.items() if last_use.get(m, i) > i}
+    return out
 
 
 def _markov_sums(model: MarkovModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list[np.ndarray]:
@@ -444,7 +487,7 @@ class _Leaf(NamedTuple):
 _LEAVES = {
     IIDModel: _Leaf(
         sum_law=_iid_sums,
-        rows=lambda model: 3,  # the largest convolution: both factors and the product
+        rows=lambda model: 3,  # the halved laws (under one row together), the square and its odd-n product
         sample=_sample_iid,
         mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
     ),
@@ -472,14 +515,15 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
     """Exact dynamic-programming laws of the n-job total processing time, one per n of a strictly increasing grid.
 
     Cost: one O(k^2 * N^2 * span) sweep for a k-state Markov chain, where N
-    is the largest n, keeping the law at each smaller n on its way; O(log n)
-    convolutions per n for IID; and O(1) per n when every job time is
-    equal.  A mixture adds its leaves' laws with their weights; they share
-    one symbol set, hence one lattice.  An empty grid gives [].  Raises
-    DomainError for an unsorted or repeated grid or an n < 1, and
-    ResourceError, before allocating, when the largest leaf kernel's working
-    arrays, the laws it holds for the smaller lengths and a mixture's
-    weighted sum at every length would exceed _MAX_BYTES.
+    is the largest n, keeping the law at each smaller n on its way; for IID,
+    per n, one square of the law of n >> 1, about L^2/2 multiply-adds for a
+    law of L lattice points, the halved laws shared across the grid; and
+    O(1) per n when every job time is equal.  A mixture adds its leaves'
+    laws with their weights; they share one symbol set, hence one lattice.
+    An empty grid gives [].  Raises DomainError for an unsorted or repeated
+    grid or an n < 1, and ResourceError, before allocating, when the largest
+    leaf kernel's working arrays, the laws it holds for the smaller lengths
+    and a mixture's weighted sum at every length would exceed _MAX_BYTES.
     """
     ns = list(n_grid)
     for n in ns:

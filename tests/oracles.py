@@ -5,8 +5,9 @@ arithmetic, and quadrature-based normal quantiles.  No pruning and no closed
 forms shared with the library code.  Some routines are earlier versions of
 the package's own code, kept as references for the kernels that replaced
 them at sizes enumeration cannot reach: the per-step sum-law DP, the
-one-job-at-a-time EFT and LPT loops, the per-step exact Markov mean, and the
-sampler with one block per process kind.
+right-to-left binary powering of the IID law, the one-job-at-a-time EFT
+and LPT loops, the per-step exact Markov mean, and the sampler with one
+block per process kind.
 """
 
 from __future__ import annotations
@@ -133,6 +134,18 @@ def sum_law_by_direct_dp(process, alphabet, n: int) -> dict[int, float]:
         cur = new
     arr = cur.sum(axis=0)
     return {n * t_min + int(i): float(arr[i]) for i in np.nonzero(arr > 0.0)[0]}
+
+
+def pow_convolve(base: np.ndarray, n: int) -> np.ndarray:
+    """n-fold self-convolution of `base` by right-to-left binary powering: the package's former IID kernel."""
+    result = np.array([1.0])
+    while n:
+        if n & 1:
+            result = np.convolve(result, base)
+        n >>= 1
+        if n:
+            base = np.convolve(base, base)
+    return result
 
 
 class TailsFromMass:

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 from fractions import Fraction
 
@@ -10,9 +12,12 @@ from stochsched import (
     EarliestFinishTime,
     IIDModel,
     LPT,
+    MachineSet,
     MixtureModel,
+    NumericError,
     RateExperimentRow,
     ResourceError,
+    SchedulingProblem,
     JobSequence,
     ThresholdDiscardSet,
     achievability_experiment,
@@ -23,10 +28,15 @@ from stochsched import (
     ebar_theoretical,
     ebar_underline_theoretical,
     makespan,
+    makespans_scaled,
     sample_time_matrix,
     spectral_scan,
     strong_converse_holds,
 )
+
+from stochsched import spectrum
+from stochsched.cli import parse_config
+from stochsched.core import _span_bracket
 
 from .oracles import lpt_by_loop
 
@@ -266,9 +276,61 @@ class TestAverageCase:
         res = average_case_bracket(problem, 5, 16, seed=0, scheduler=EarliestFinishTime())
         # every trial is the same all-a sequence: EFT packs loads (2, 3), span 2
         assert res.std_error == 0.0
+        assert res.total_z == 0.0
         assert res.mc_mean_span_per_job == pytest.approx(0.4)
         assert res.bracket_lo <= res.mc_mean_span_per_job <= res.bracket_hi
 
     def test_trials_validation(self, iid_problem):
         with pytest.raises(DomainError):
             average_case_bracket(iid_problem, 10, 1, seed=0, scheduler=EarliestFinishTime())
+
+    def test_chance_low_mean_is_reported_not_raised(self):
+        # a k=3 stationary chain under LPT on two equal machines: each makespan
+        # sits a hair above T/v_sum, so the mean rides the bracket's lower end,
+        # and at this seed the sampled T_n falls 3.17 standard errors low
+        config = parse_config(json.dumps({
+            "problem": {
+                "alphabet": {"a": 3, "b": 1, "c": 7},
+                "machines": ["1", "1"],
+                "process": {
+                    "kind": "markov",
+                    "symbols": ["a", "b", "c"],
+                    "transition": [["7/20", "7/20", "3/10"], ["1/20", "3/4", "1/5"], ["1/20", "9/10", "1/20"]],
+                    "initial": "stationary",
+                },
+            },
+            "experiment": {"kind": "average-case", "n": 252, "trials": 9830, "scheduler": "lpt", "master_seed": 1764256832},
+        }))
+        res = average_case_bracket(config.problem, 252, 9830, config.master_seed, LPT())
+        assert res.mc_mean_span_per_job < res.bracket_lo - 3 * res.std_error
+        assert res.total_z == pytest.approx(-3.17, abs=0.01)
+
+    def test_many_seeds_never_raise(self, iid_problem, markov_problem):
+        # every sampled makespan lies in its own row's bracket whatever the
+        # draw; the z-scores of the sampled totals look standard normal
+        equal = SchedulingProblem(iid_problem.alphabet, MachineSet((Fraction(1), Fraction(1))), iid_problem.process)
+        scores = []
+        for seed in range(100):
+            for problem, scheduler in ((equal, LPT()), (markov_problem, EarliestFinishTime())):
+                scores.append(average_case_bracket(problem, 24, 200, seed, scheduler).total_z)
+        assert max(abs(z) for z in scores) < 4.5
+        assert 0.7 < sum(z * z for z in scores) / len(scores) < 1.3
+
+    @pytest.mark.parametrize("edge", ["below", "at-low", "at-high", "above"])
+    def test_each_makespan_is_checked_in_its_own_bracket(self, monkeypatch, iid_problem, edge):
+        # row 7's makespan set to an end of its row's bracket, or one scaled unit past it
+        def moved(scheduler, times, machines):
+            scaled, scale = makespans_scaled(scheduler, times, machines)
+            lo, hi = _span_bracket(int(times[7].sum()), iid_problem)
+            ends = {"at-low": math.ceil(lo * scale), "at-high": math.floor(hi * scale)}
+            ends.update(below=ends["at-low"] - 1, above=ends["at-high"] + 1)
+            scaled = scaled.copy()
+            scaled[7] = ends[edge]
+            return scaled, scale
+
+        monkeypatch.setattr(spectrum, "makespans_scaled", moved)
+        if edge.startswith("at"):
+            average_case_bracket(iid_problem, 30, 20, seed=1, scheduler=EarliestFinishTime())
+        else:
+            with pytest.raises(NumericError, match="sampled row 7"):
+                average_case_bracket(iid_problem, 30, 20, seed=1, scheduler=EarliestFinishTime())

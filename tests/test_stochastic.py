@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -42,6 +43,7 @@ from stochsched import schedulers, second_order, spectrum, stochastic
 from .oracles import (
     TailsFromMass,
     mean_total_time_by_steps,
+    pow_convolve,
     sample_index_matrix_by_kind,
     sum_law_by_direct_dp,
     sum_law_by_enumeration,
@@ -340,6 +342,23 @@ class TestDenseKernelAgainstDirectDP:
                 tracemalloc.stop()
             assert peak <= needed + (64 << 10)
 
+    @pytest.mark.parametrize("grid", [[3001], [4097], [1000, 2001, 4097]], ids=lambda grid: ",".join(map(str, grid)))
+    def test_iid_peak_memory_at_odd_lengths(self, monkeypatch, grid):
+        # an odd length holds the halved laws, their square and its product
+        # with the one-job law at once: the IID kernel's largest moment
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_MAX_BYTES", 0)
+            with pytest.raises(ResourceError) as refused:
+                sum_distributions(_IID3, _WIDE, grid)
+        needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+        tracemalloc.start()
+        try:
+            sum_distributions(_IID3, _WIDE, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needed + (64 << 10)
+
     def test_byte_budget_refuses_before_allocating(self):
         n, span, k = 10, 10_000_000, 3
         wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
@@ -441,6 +460,61 @@ class TestSumLawsOverAGrid:
         assert calls == [grid] * 4
 
 
+
+
+class TestIIDSquaring:
+    """The IID kernel: squares that count each mirrored product once, and left-to-right powering."""
+
+    @pytest.mark.parametrize("length", [1, 2, 1023, 1024, 1025, 4097])
+    def test_square_is_exact_on_integer_inputs(self, length):
+        # small integers, a third of them exact zeros: every float sum is exact
+        x = np.random.default_rng(length).integers(0, 3, size=length).astype(float)
+        x[: length // 7] = 0.0
+        assert np.array_equal(stochastic._square(x), np.convolve(x, x))
+
+    @pytest.mark.parametrize("length", [1500, 3000, 4097])
+    def test_square_on_positive_inputs(self, length):
+        x = np.random.default_rng(length).random(length) + 1e-3
+        direct = np.convolve(x, x)
+        assert np.all(np.abs(stochastic._square(x) - direct) <= 1e-15 * length * direct)
+
+    @pytest.mark.parametrize(
+        "process, alphabet",
+        [(_IID3, JobAlphabet({"a": 4, "b": 6, "c": 14})), (_IID_EDGE_ZERO, _WIDE)],
+        ids=["gcd-2", "iid-zero-at-edge"],
+    )
+    def test_law_matches_the_former_kernel(self, process, alphabet):
+        # below 1e-290 the two kernels may round a subnormal total differently,
+        # so only masses >= 1e-290 are compared; lattice points no sequence
+        # reaches stay exactly 0.0
+        grid = [1023, 1024, 1025, 2047, 4097]
+        times = [alphabet.time_of(sym) for sym in process.symbols]
+        base = np.zeros(max(times) - min(times) + 1)
+        for sym, t in zip(process.symbols, times):
+            base[t - min(times)] += float(process.probs[sym])
+        step = math.gcd(*(t - min(times) for t in times))
+        for law, n in zip(sum_distributions(process, alphabet, grid), grid, strict=True):
+            former = pow_convolve(base, n)
+            assert law.masses.shape == former.shape
+            normal = former >= 1e-290
+            assert np.array_equal(law.masses >= 1e-290, normal)
+            assert np.all(np.abs(law.masses[normal] - former[normal]) <= 1e-13 * former[normal])
+            assert not law.masses[np.arange(len(former)) % step != 0].any()
+
+
+def test_sum_laws_leave_no_reference_cycles():
+    # a law that sits in a cycle lives until the cyclic collector runs, which
+    # keeps a table's arrays alive long after the table is done
+    grid = [300, 601, 1200]
+    nested = _DENSE_CASES["mixture-nested"]
+    gc.collect()
+    gc.disable()
+    try:
+        for process in (_IID3, _chain_with_zero_start(), nested):
+            sum_distributions(process, _WIDE, grid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestTranslationInvariance:

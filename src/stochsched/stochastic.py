@@ -9,7 +9,7 @@ arrays that kernel holds, its sampler block and its exact E[T_n]), and
 `sum_distributions`, `mean_total_time_exact` and `sample_index_matrix` are
 each one loop over the weighted leaves.  A sum-law kernel serves a whole
 grid of lengths in one call: the Markov DP runs once, to the largest n,
-and the IID powers share their halved laws.
+and the IID kernel powers each n on its own.
 
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
@@ -275,19 +275,19 @@ def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _iid_law(base: np.ndarray, n: int, laws: dict[int, np.ndarray]) -> np.ndarray:
-    """Law of n jobs from `base`, the one-job law: the square of the law of n >> 1, times base once more for odd n.
+def _iid_law(base: np.ndarray, n: int) -> np.ndarray:
+    """Law of n jobs from `base`, the one-job law, powering from the left.
 
-    `laws` holds the laws made so far, the one-job law at 1 included.  The
-    steps depend on n alone, so a law is the same bit for bit whatever else
-    `laws` holds.
+    Each bit of n after the leading one squares the law so far, and a set
+    bit convolves it once more with `base`: the law of n is the square of the
+    law of n >> 1, times `base` for odd n.  The steps depend on n alone, so
+    a law is the same bit for bit on any grid.
     """
-    law = laws.get(n)
-    if law is None:
-        law = _square(_iid_law(base, n >> 1, laws))
-        if n & 1:
+    law = base
+    for bit in bin(n)[3:]:
+        law = _square(law)
+        if bit == "1":
             law = np.convolve(law, base)
-        laws[n] = law
     return law
 
 
@@ -299,17 +299,7 @@ def _iid_sums(model: IIDModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list
     base = np.zeros(max(times) - t_min + 1)
     for sym, t in zip(model.symbols, times):
         base[t - t_min] += float(model.probs[sym])
-    last_use = {}  # each halved law is dropped after the last grid length whose steps read it
-    for i, n in enumerate(ns):
-        while n > 1:
-            n >>= 1
-            last_use[n] = i
-    laws = {1: base}
-    out = []
-    for i, n in enumerate(ns):
-        out.append(_iid_law(base, n, laws))
-        laws = {m: law for m, law in laws.items() if last_use.get(m, i) > i}
-    return out
+    return [_iid_law(base, n) for n in ns]
 
 
 def _markov_sums(model: MarkovModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list[np.ndarray]:
@@ -487,7 +477,7 @@ class _Leaf(NamedTuple):
 _LEAVES = {
     IIDModel: _Leaf(
         sum_law=_iid_sums,
-        rows=lambda model: 3,  # the halved laws (under one row together), the square and its odd-n product
+        rows=lambda model: 3,  # a square, its input and cross term (2.25 rows together), or a square and its odd-n product
         sample=_sample_iid,
         mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
     ),
@@ -516,8 +506,8 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
 
     Cost: one O(k^2 * N^2 * span) sweep for a k-state Markov chain, where N
     is the largest n, keeping the law at each smaller n on its way; for IID,
-    per n, one square of the law of n >> 1, about L^2/2 multiply-adds for a
-    law of L lattice points, the halved laws shared across the grid; and
+    per n, one square of the law of n >> 1 after that law's own squares,
+    about L^2/6 multiply-adds in all for a law of L lattice points; and
     O(1) per n when every job time is equal.  A mixture adds its leaves'
     laws with their weights; they share one symbol set, hence one lattice.
     An empty grid gives [].  Raises DomainError for an unsorted or repeated

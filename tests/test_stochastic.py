@@ -326,9 +326,13 @@ class TestDenseKernelAgainstDirectDP:
     @pytest.mark.parametrize("case", ["iid", "markov-zero-start", "mixture", "mixture-nested"])
     def test_peak_memory_within_the_budget(self, monkeypatch, case):
         # the bytes sum_distributions budgets must cover what its kernels
-        # hold, the laws kept for a grid's smaller lengths included
+        # hold, the laws kept for a grid's smaller lengths included; an odd
+        # IID length holds a square and its product with the one-job law
         process = _DENSE_CASES[case]
-        for grid in ([3000], [1000, 2000, 3000]):
+        grids = [[3000], [1000, 2000, 3000]]
+        if case == "iid":
+            grids += [[3001], [4097], [1000, 2001, 4097]]
+        for grid in grids:
             with monkeypatch.context() as patch:
                 patch.setattr(stochastic, "_MAX_BYTES", 0)
                 with pytest.raises(ResourceError) as refused:
@@ -341,23 +345,6 @@ class TestDenseKernelAgainstDirectDP:
             finally:
                 tracemalloc.stop()
             assert peak <= needed + (64 << 10)
-
-    @pytest.mark.parametrize("grid", [[3001], [4097], [1000, 2001, 4097]], ids=lambda grid: ",".join(map(str, grid)))
-    def test_iid_peak_memory_at_odd_lengths(self, monkeypatch, grid):
-        # an odd length holds the halved laws, their square and its product
-        # with the one-job law at once: the IID kernel's largest moment
-        with monkeypatch.context() as patch:
-            patch.setattr(stochastic, "_MAX_BYTES", 0)
-            with pytest.raises(ResourceError) as refused:
-                sum_distributions(_IID3, _WIDE, grid)
-        needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
-        tracemalloc.start()
-        try:
-            sum_distributions(_IID3, _WIDE, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= needed + (64 << 10)
 
     def test_byte_budget_refuses_before_allocating(self):
         n, span, k = 10, 10_000_000, 3

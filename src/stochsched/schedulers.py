@@ -10,10 +10,14 @@ Three scheduling strategies share one dispatch surface:
 
 EFT and LPT run on one kernel, `_eft_step`: one job per row of a (rows, m)
 load matrix goes to the machine where it finishes first, comparing exact
-scaled-integer finish times.  `schedule` runs it on one row, and EFT's COST
-on every reachable EFT load vector.  `makespans_scaled` is the one route
-from many job rows to makespans under every scheduler, for the average case
-and for the COST of LPT and the optimum.
+scaled-integer finish times.  Every caller holds its loads machine-major,
+an (m, rows) array seen through its transpose, so a step is a running
+minimum over m contiguous finish-time vectors and one scatter-add: a few
+vector operations of length rows per machine.  `schedule` runs it on one
+row, and EFT's COST on every reachable EFT load vector.  `makespans_scaled`
+is the one route from many job rows to makespans under every scheduler, for
+the average case and for the COST of LPT and the optimum; job-major rows,
+as the sampler returns them, give each step one contiguous job column.
 
 Every array of job times, loads, finish times or keys takes its dtype from
 `core._int_dtype` and a bound on its entries: int64 below 2**62, Python ints
@@ -152,12 +156,22 @@ def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
 def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
     """Place one job per row (t: one time per row, or one for all) where it finishes first.
 
-    Finish times are compared as scaled integers, ties going to the lowest
-    machine index.  Updates the loads (rows, m), in the weights' dtype, in
-    place and returns the chosen machine of each row.
+    `loads` is (rows, m), held machine-major by every caller: the transpose
+    view of an (m, rows) array, so each machine's loads are one contiguous
+    vector.  Finish times are compared as scaled integers in a running
+    minimum over the m machines, which moves a row only on a strictly
+    smaller finish time, so ties go to the lowest machine index.  One
+    scatter-add then updates the loads, in the weights' dtype (int64 or
+    object), in place; returns the chosen machine of each row.
     """
-    t = np.broadcast_to(t, loads.shape[:1])
-    choice = ((loads + t[:, None]) * weights).argmin(axis=1)
+    finish = loads.T + t
+    finish *= weights[:, None]
+    best = finish[0]
+    choice = np.zeros(len(loads), dtype=np.intp)
+    for i in range(1, len(weights)):
+        better = finish[i] < best
+        choice[better] = i
+        np.minimum(best, finish[i], out=best)
     loads[np.arange(len(loads)), choice] += t
     return choice
 
@@ -237,7 +251,7 @@ def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem)
         rank = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
         order = sorted(order, key=lambda i: (-times[i], rank[seq.items[i]]))
     weights = _weight_array(scaled_inverse_speeds(problem.machines)[0], sum(times))
-    loads = np.zeros((1, problem.machines.m), dtype=weights.dtype)
+    loads = np.zeros((problem.machines.m, 1), dtype=weights.dtype).T
     machine_of = [0] * seq.n
     for i in order:
         machine_of[i] = int(_eft_step(loads, times[i], weights)[0])
@@ -245,13 +259,17 @@ def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem)
 
 
 def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
-    """EFT over many integer job rows at once, one kernel step per column; loads (rows, m) in the weights' dtype.
+    """EFT over many integer job rows (rows, n) at once, one kernel step per job; loads (rows, m) in the weights' dtype.
 
-    Every row total is bounded by n * t_max, so no row sum is taken.
+    The loads are the transpose view of an (m, rows) array, and each step
+    reads one job column of `times`: contiguous when `times` is job-major,
+    as the sampler's (n, trials) arrays viewed as (trials, n) are.  A step
+    costs a few vector operations of length rows per machine.  Every row
+    total is bounded by n * t_max, so no row sum is taken.
     """
     times = np.asarray(times)
     weights = _weight_array(scaled_inverse_speeds(machines)[0], int(times.max(initial=0)) * times.shape[1])
-    loads = np.zeros((len(times), machines.m), dtype=weights.dtype)
+    loads = np.zeros((machines.m, len(times)), dtype=weights.dtype).T
     for column in times.astype(loads.dtype, copy=False).T:  # an object row of small times, too
         _eft_step(loads, column, weights)
     return loads
@@ -319,12 +337,12 @@ def _maximal(counts: np.ndarray, totals: np.ndarray, times: list[int], limit: in
     return counts[maximal]
 
 
-def _distinct_rows(loads: np.ndarray, limit: int) -> np.ndarray:
-    """The distinct rows of a load matrix with entries in [0, limit], keyed base limit+1."""
-    powers = [(limit + 1) ** i for i in range(loads.shape[1])]
+def _distinct_loads(loads: np.ndarray, limit: int) -> np.ndarray:
+    """The distinct load vectors, columns of an (m, N) array with entries in [0, limit], keyed base limit+1."""
+    powers = [(limit + 1) ** i for i in range(len(loads))]
     dtype = _int_dtype((limit + 1) * powers[-1])
-    keys = loads.astype(dtype) @ np.array(powers, dtype=dtype)
-    return loads[np.unique(keys, return_index=True)[1]]
+    keys = np.array(powers, dtype=dtype) @ loads.astype(dtype)
+    return loads[:, np.unique(keys, return_index=True)[1]]
 
 
 def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, ...], budget: int) -> int:
@@ -340,29 +358,29 @@ def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, 
     t_min = min(times)
     times = sorted(t for t in set(times) if t <= limit - (n - 1) * t_min)  # the others fit no kept sequence
     m = len(weights)
-    largest = max((limit + 1) * max(weights), (limit + 1) ** m)  # a finish time, or a `_distinct_rows` key
+    largest = max((limit + 1) * max(weights), (limit + 1) ** m)  # a finish time, or a `_distinct_loads` key
     weights = _weight_array(weights, limit)
-    loads = np.zeros((1, m), dtype=weights.dtype)
+    loads = np.zeros((m, 1), dtype=weights.dtype)  # one column per load vector
     swept = 0
     for step in range(1, n + 1):
         room = limit - (n - step) * t_min
-        totals = loads.sum(axis=1)
+        totals = loads.sum(axis=0)
         extend = [(t, totals + t <= room) for t in times]
         extensions = sum(int(mask.sum()) for _, mask in extend)
         if extensions > budget:
             raise ResourceError(f"EFT order sweep would extend more than {budget} load vectors at job {step} of {n}")
-        # the vectors, the extended ones, their concatenation, its key copy and the distinct rows, with their keys
-        _refuse_bytes((len(loads) + 4 * extensions) * (m + 1), f"EFT order sweep at job {step} of {n}", largest)
+        # the vectors, the extended ones, their concatenation, its key copy and the distinct vectors, with their keys
+        _refuse_bytes((loads.shape[1] + 4 * extensions) * (m + 1), f"EFT order sweep at job {step} of {n}", largest)
         parts = []
         for t, mask in extend:
-            part = loads[mask]
-            _eft_step(part, t, weights)
+            part = loads[:, mask]
+            _eft_step(part.T, t, weights)
             parts.append(part)
-        loads = _distinct_rows(np.concatenate(parts), limit)
-        swept += len(loads)
+        loads = _distinct_loads(np.concatenate(parts, axis=1), limit)
+        swept += loads.shape[1]
         if swept > budget:
             raise ResourceError(f"EFT order sweep kept more than {budget} load vectors by job {step} of {n}")
-    return int((loads * weights).max())
+    return int((loads * weights[:, None]).max())
 
 
 def _kept_limit(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int:

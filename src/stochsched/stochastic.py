@@ -440,26 +440,35 @@ def _cumulative(probs: Iterable[Fraction]) -> np.ndarray:
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1, out=idx)
+    """Bin of each uniform: how many of the first len(cum) - 1 cumulative probabilities it reaches.
+
+    That is searchsorted(cum, u, side="right") clipped to the last bin, as
+    cum never falls, in one compare-and-add per bin edge.
+    """
+    idx = np.zeros(u.shape, dtype=np.int64)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
 
 
-# Each sampler block maps uniforms u of shape (trials, n) to indices into its own symbols.
+# Each sampler block maps job-major uniforms u of shape (n, trials) to job-major
+# indices into its own symbols.
 def _sample_iid(model: IIDModel, u: np.ndarray) -> np.ndarray:
     return _pick(_cumulative(model.probs.values()), u)
 
 
 def _sample_markov(model: MarkovModel, u: np.ndarray) -> np.ndarray:
-    cum_rows = np.array([_cumulative(row) for row in model.transition])
-    last = len(model.symbols) - 1
+    # edges[j][s] is the j-th cumulative probability of state s's row; a
+    # trial's next state counts the edges of its current state that its
+    # uniform reaches, one gather and compare per edge and job
+    edges = np.array([_cumulative(row) for row in model.transition]).T[:-1]
     out = np.empty(u.shape, dtype=np.int64)
-    states = _pick(_cumulative(model.initial), u[:, 0])
-    out[:, 0] = states
-    for i in range(1, u.shape[1]):
-        # entries of each current state's cumulative row that are <= u: the
-        # count searchsorted(row, u, side="right") returns
-        states = np.minimum((cum_rows[states] <= u[:, i, None]).sum(axis=1), last)
-        out[:, i] = states
+    out[0] = _pick(_cumulative(model.initial), u[0])
+    for i in range(1, len(u)):
+        states, state = out[i - 1], out[i]
+        state[:] = 0
+        for edge in edges:
+            state += edge[states] <= u[i]
     return out
 
 
@@ -470,7 +479,7 @@ def _sample_markov(model: MarkovModel, u: np.ndarray) -> np.ndarray:
 class _Leaf(NamedTuple):
     sum_law: Callable  # (leaf, alphabet, ns) -> per n, masses over [n*t_min, n*t_max]
     rows: Callable  # leaf -> float64 arrays as wide as the largest n's lattice that sum_law holds at once
-    sample: Callable  # (leaf, u) -> (trials, n) indices into leaf.symbols
+    sample: Callable  # (leaf, u) -> (n, trials) indices into leaf.symbols, for (n, trials) uniforms u
     mean_total: Callable  # (leaf, alphabet, n) -> exact E[T_n]
 
 
@@ -561,34 +570,47 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     the stream (master_seed, t), so any subset of trials reproduces
     identically regardless of how work is scheduled.  A mixture spends the
     first uniform of each stream on choosing the trial's leaf; a single
-    stream spends none.  Raises ResourceError, before allocating, when the
-    uniforms, the indices and the time matrix built from them would exceed
-    _MAX_BYTES.
+    stream spends none.
+
+    The work is job-major: trial t's uniforms fill column t of an
+    (n, trials) array, and the leaf blocks pick every trial's symbol for one
+    job in a few vector operations per bin edge.  The matrix is returned as
+    (trials, n), the transpose view of the (n, trials) indices.  Raises
+    ResourceError, before allocating, when the arrays held at once would
+    exceed _MAX_BYTES: the uniforms and the indices, and for a mixture a
+    leaf's copy of its trials' uniforms and its own indices, each as large
+    at most.  An IID pick adds one boolean comparison, an eighth of those
+    arrays, and numpy's cast buffer of 8192 entries for adding it.
     """
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be positive")
-    _refuse_bytes(3 * trials * (n + 1), f"sampling {trials} trials of n={n}")
     leaves = flatten_mixture(process)
     symbols = process.symbols
     lead = len(leaves) > 1
-    u = np.empty((trials, n + lead), dtype=np.float64)
+    entries = trials * (n + lead)
+    _refuse_bytes((4 if lead else 2) * entries + entries // 8 + 8192, f"sampling {trials} trials of n={n}")
+    u = np.empty((n + lead, trials), dtype=np.float64)
     for t in range(trials):
-        u[t] = rng_stream(master_seed, t).random(n + lead)
+        u[:, t] = rng_stream(master_seed, t).random(n + lead)
     if not lead:
-        return _LEAVES[type(process)].sample(process, u), symbols
-    chosen = _pick(_cumulative(w for w, _ in leaves), u[:, 0])
-    body = u[:, 1:]
-    out = np.empty((trials, n), dtype=np.int64)
+        return _LEAVES[type(process)].sample(process, u).T, symbols
+    chosen = _pick(_cumulative(w for w, _ in leaves), u[0])
+    body = u[1:]
+    out = np.empty((n, trials), dtype=np.int64)
     for c, (_, leaf) in enumerate(leaves):
         mask = chosen == c
         if mask.any():
             remap = np.array([symbols.index(s) for s in leaf.symbols])
-            out[mask] = remap[_LEAVES[type(leaf)].sample(leaf, body[mask])]
-    return out, symbols
+            out[:, mask] = remap[_LEAVES[type(leaf)].sample(leaf, body[:, mask])]
+    return out.T, symbols
 
 
 def sample_time_matrix(process: JobProcess, alphabet: JobAlphabet, n: int, trials: int, master_seed: int) -> np.ndarray:
-    """Processing-time matrix (trials, n) sampled per-trial as in sample_index_matrix."""
+    """Processing-time matrix (trials, n) sampled per-trial as in sample_index_matrix.
+
+    Like the indices it is the transpose view of a job-major (n, trials)
+    array, one table lookup per draw, so each job's times are contiguous.
+    """
     idx, symbols = sample_index_matrix(process, n, trials, master_seed)
     times = [alphabet.time_of(s) for s in symbols]
-    return np.array(times, dtype=_int_dtype(max(times)))[idx]
+    return np.array(times, dtype=_int_dtype(max(times)))[idx.T].T

@@ -485,6 +485,44 @@ class TestBatchEft:
         # first job d = -1, 0, +1 below/at/above the tie: fast, slow (tie), slow
         assert second == [1] * 4 + [0] * 4 + [0] * 4
 
+    @pytest.mark.parametrize(
+        "times,speeds",
+        [
+            ([1, 2, 2, 3], [1] * 4),  # equal speeds: every empty machine ties
+            ([1, 2, 2, 3], [1] * 5),
+            ([1, 2, 3, 6], [1, 2, 3]),  # scaled finish times tie across unequal speeds
+            ([1, 2, 3, 6], [Fraction(3, 2), 3, 1, 3]),
+            ([2**58, 2**59, 3 * 2**58], [1, 2, 3]),  # the same ties in an object array
+        ],
+        ids=["equal-m4", "equal-m5", "scaled-m3", "scaled-m4", "object-m3"],
+    )
+    def test_ties_go_to_the_lowest_machine_on_every_route(self, times, speeds):
+        alphabet, problem = make_problem(times, [Fraction(v) for v in speeds])
+        rng = random.Random(len(times) * 100 + len(speeds))
+        seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=11))) for _ in range(60)]
+        rows = np.array([[alphabet.time_of(s) for s in seq.items] for seq in seqs])
+        weights, _ = scaled_inverse_speeds(problem.machines)
+        ties = 0
+        for seq in seqs:
+            loads = [0] * len(speeds)
+            for sym in seq.items:
+                finish = [(load + alphabet.time_of(sym)) * w for load, w in zip(loads, weights)]
+                ties += finish.count(min(finish)) > 1
+                loads[finish.index(min(finish))] += alphabet.time_of(sym)
+        assert ties > len(seqs)  # the rows exercise the tie rule
+        for layout in (rows, np.asfortranarray(rows)):  # row-major, and job-major as the sampler returns
+            loads = batch_eft_loads(layout, problem.machines)
+            scaled, scale = makespans_scaled(EarliestFinishTime(), layout, problem.machines)
+            assert (loads.dtype == object) == (max(times) > 2**40)
+            for i, seq in enumerate(seqs):
+                a = eft_by_loop(seq, problem)
+                assert schedule(EarliestFinishTime(), seq, problem) == a
+                assert loads[i].tolist() == machine_loads(a, seq, alphabet, problem.machines.m)
+                assert Fraction(int(scaled[i]), scale) == makespan(a, seq, problem)
+        for n in (3, 5):
+            discard = ThresholdDiscardSet(n=n, alpha=Fraction(2 * max(times)) / problem.machines.v_sum)
+            assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+
 
 class TestMakespansScaled:
     def test_lpt_matches_the_loop(self):

@@ -690,6 +690,11 @@ def _three_cycle():
 
 _SAMPLER_CASES = {**_DENSE_CASES, "markov-3-cycle": _three_cycle()}
 
+_SAMPLER_PEAK_CASES = {
+    **_DENSE_CASES,
+    "mixture-heavy-iid-leaf": MixtureModel(((Fraction(99, 100), _IID3), (Fraction(1, 100), _chain_with_zero_start()))),
+}
+
 
 def _bin_edges(process) -> set[float]:
     """Every cumulative probability a sampler compares its uniforms with."""
@@ -735,6 +740,46 @@ class TestSamplerAgainstPerKindReference:
         idx, _ = sample_index_matrix(process, 37, 200, master_seed=5)
         ref, _ = sample_index_matrix_by_kind(process, 37, 200, master_seed=5)
         assert np.array_equal(idx, ref)
+
+
+class TestPick:
+    """`_pick` counts the edges a uniform reaches: searchsorted(side="right") clipped to the last bin."""
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (Fraction(1),),
+            (Fraction(1, 3),) * 3,
+            (Fraction(1, 4), Fraction(0), Fraction(0), Fraction(3, 4)),  # repeated edges
+            (Fraction(0), Fraction(1, 2), Fraction(1, 2)),  # an edge at 0
+            (Fraction(1, 2), Fraction(1, 2), Fraction(0)),  # repeated edges at 1
+            (Fraction(1, 10),) * 10,  # rounding leaves the last edge below 1
+        ],
+        ids=["one-bin", "thirds", "zero-inside", "zero-first", "zero-last", "tenths"],
+    )
+    def test_matches_clipped_searchsorted(self, probs):
+        cum = stochastic._cumulative(probs)
+        below_one = np.nextafter(1.0, 0.0)
+        edges = cum[cum < 1.0]
+        u = np.concatenate(
+            [
+                edges,  # exactly on each edge
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+                [0.0, below_one],
+                np.linspace(min(cum[-1], below_one), below_one, 5),  # [cum[-1], 1) when cum[-1] < 1
+                np.random.default_rng(3).random(200),
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        if probs == (Fraction(1, 10),) * 10:
+            assert cum[-1] < 1.0 and (u >= cum[-1]).sum() >= 5
+        expect = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        for shape in ((len(u),), (len(u) // 2, 2)):  # one job, and a job-major block
+            idx = stochastic._pick(cum, u[: math.prod(shape)].reshape(shape))
+            assert idx.dtype == np.int64
+            assert np.array_equal(idx.ravel(), expect[: math.prod(shape)])
+
 
 class TestSampling:
     def test_rng_stream_is_counter_addressed(self):
@@ -808,6 +853,31 @@ class TestSampling:
             sample_index_matrix(iid_problem.process, 0, 1, master_seed=0)
         with pytest.raises(DomainError):
             sample_index_matrix(iid_problem.process, 1, 0, master_seed=0)
+
+    @pytest.mark.parametrize("case", ["iid", "markov-zero-start", "mixture", "mixture-heavy-iid-leaf"])
+    def test_sampling_peak_memory_within_the_prediction(self, monkeypatch, case):
+        # the bytes sample_index_matrix budgets must cover what it and
+        # sample_time_matrix hold; a mixture whose IID leaf draws nearly
+        # every trial holds that leaf's copy of the uniforms and its indices
+        process = _SAMPLER_PEAK_CASES[case]
+        n, trials = 500, 2000
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_MAX_BYTES", 0)
+            with pytest.raises(ResourceError) as refused:
+                sample_index_matrix(process, n, trials, master_seed=8)
+        needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+        sample_time_matrix(process, _WIDE, 2, 2, master_seed=8)  # one-time allocations of the stream setup
+        for sample in (
+            lambda: sample_index_matrix(process, n, trials, master_seed=8),
+            lambda: sample_time_matrix(process, _WIDE, n, trials, master_seed=8),
+        ):
+            tracemalloc.start()
+            try:
+                sample()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= needed + (64 << 10)
 
     def test_sampling_refuses_before_allocating(self, iid_problem, mixture_problem):
         # 10^10 trials of 10^9 jobs: more bytes than numpy can address, so a

@@ -65,7 +65,6 @@ from .stochastic import (
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
-    rng_stream,
     sample_index_matrix,
     sample_time_matrix,
     stationary_distribution,

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -428,11 +428,83 @@ def _markov_mean_total(model: MarkovModel, alphabet: JobAlphabet, n: int) -> Fra
 # sampling
 
 
-def rng_stream(master_seed: int, trial: int) -> np.random.Generator:
-    """Counter-style stream: (master_seed, trial) fully determines the draws."""
-    # the middle entry is fixed: a key of another shape would change every sampled table
-    key = (int(master_seed) & (2**64 - 1), 0, int(trial))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose
+# constants every key shares: hashmix starts at INIT_A and multiplies by
+# MULT_A per use, generate_state at INIT_B and MULT_B, and mix takes the pool
+# words with MIX_MULT_L and MIX_MULT_R
+_HASHMIX = (0x43B0D7E5, 0x931E8875)
+_GENERATE = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix over uint32 lanes; its constant starts at `init` and is multiplied by `mult` at each use."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value *= np.uint32(const)
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def _seed_words(master_seed: int, trial: np.ndarray) -> np.ndarray:
+    """Row i: the 4 uint64 words SeedSequence((master_seed mod 2^64, 0, trial[i])) generates for PCG64.
+
+    `trial` holds uint32 indices.  The key's uint32 words are the seed's,
+    least significant first, then 0, then the trial, and the pool of four
+    pads them with 0.  Only the trial varies, so each of the hash's steps is
+    one vector operation over all trials.
+    """
+    seed = int(master_seed) & (2**64 - 1)
+    head = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    pool = np.zeros((4, len(trial)), dtype=np.uint32)
+    pool[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    pool[len(head) + 1] = trial
+    hashmix = _hasher(*_HASHMIX)
+    for word in pool:
+        word[:] = hashmix(word)
+    for src in range(4):  # every word mixed into every other
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L
+                mixed -= hashmix(pool[src]) * _MIX_R
+                mixed ^= mixed >> 16
+                pool[dst] = mixed
+    generate = _hasher(*_GENERATE)
+    state = np.empty((len(trial), 8), dtype=np.uint32)
+    for i in range(8):
+        state[:, i] = generate(pool[i % 4])
+    # as numpy does: each pair of uint32 words, read little-endian, is one uint64
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _seed_words_type() -> type:
+    """The class that hands PCG64 one trial's row of `_seed_words` in place of that trial's SeedSequence.
+
+    It is made on first use: numpy.random costs about 6 MiB of resident
+    memory, which a table that samples nothing should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for 4 uint64 words, exactly these
+
+    return SeedWords
+
+
+def _trial_stream(words: np.ndarray) -> np.random.Generator:
+    """The stream of one trial, from its row of `_seed_words`."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def _cumulative(probs: Iterable[Fraction]) -> np.ndarray:
@@ -499,9 +571,9 @@ _LEAVES = {
 }
 
 
-def _check_length(n) -> None:
+def _check_length(n, what: str = "sequence length") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sequence length must be a positive integer, got {n!r}")
+        raise DomainError(f"{what} must be a positive integer, got {n!r}")
 
 
 def _check_grid(grid: Sequence, what: str) -> None:
@@ -567,31 +639,42 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     """Sample `trials` independent length-n symbol sequences, one stream per trial.
 
     Returns (matrix of symbol indices, canonical symbol order).  Trial t uses
-    the stream (master_seed, t), so any subset of trials reproduces
-    identically regardless of how work is scheduled.  A mixture spends the
-    first uniform of each stream on choosing the trial's leaf; a single
-    stream spends none.
+    the PCG64 stream of SeedSequence((master_seed mod 2^64, 0, t)), so any
+    subset of trials reproduces identically regardless of how work is
+    scheduled.  A mixture spends the first uniform of each stream on
+    choosing the trial's leaf; a single stream spends none.
 
-    The work is job-major: trial t's uniforms fill column t of an
-    (n, trials) array, and the leaf blocks pick every trial's symbol for one
-    job in a few vector operations per bin edge.  The matrix is returned as
-    (trials, n), the transpose view of the (n, trials) indices.  Raises
+    Cost: one pass of about 170 operations over (trials,) uint32 arrays
+    hashes every trial's seed words (under 0.1 us a trial); then each trial
+    builds its PCG64 from its words and draws its uniforms, a few
+    microseconds a trial.  The work is job-major: trial t's uniforms fill
+    column t of an (n, trials) array, and the leaf blocks pick every
+    trial's symbol for one job in a few vector operations per bin edge.  The
+    matrix is returned as (trials, n), the transpose view of the
+    (n, trials) indices.
+
+    Raises DomainError unless n and trials are positive integers, and
     ResourceError, before allocating, when the arrays held at once would
-    exceed _MAX_BYTES: the uniforms and the indices, and for a mixture a
-    leaf's copy of its trials' uniforms and its own indices, each as large
-    at most.  An IID pick adds one boolean comparison, an eighth of those
-    arrays, and numpy's cast buffer of 8192 entries for adding it.
+    exceed _MAX_BYTES: the seed words, 4 entries a trial, and as many again
+    for the hash's uint32 pool and temporaries; the uniforms and the
+    indices, and for a mixture a leaf's copy of its trials' uniforms and its
+    own indices, each as large at most.  An IID pick adds one boolean
+    comparison, an eighth of those arrays, and numpy's cast buffer of 8192
+    entries for adding it.
     """
-    if n < 1 or trials < 1:
-        raise DomainError("n and trials must be positive")
+    _check_length(n)
+    _check_length(trials, "trials")
     leaves = flatten_mixture(process)
     symbols = process.symbols
     lead = len(leaves) > 1
     entries = trials * (n + lead)
-    _refuse_bytes((4 if lead else 2) * entries + entries // 8 + 8192, f"sampling {trials} trials of n={n}")
+    seeding = 8 * trials  # the words, and the hash's pool and temporaries
+    # refused far below 2^32 trials, so each trial index is one uint32 word
+    _refuse_bytes((4 if lead else 2) * entries + entries // 8 + 8192 + seeding, f"sampling {trials} trials of n={n}")
     u = np.empty((n + lead, trials), dtype=np.float64)
-    for t in range(trials):
-        u[:, t] = rng_stream(master_seed, t).random(n + lead)
+    for t, words in enumerate(_seed_words(master_seed, np.arange(trials, dtype=np.uint32))):
+        u[:, t] = _trial_stream(words).random(n + lead)
+    del words  # the last trial's row, which would keep every trial's words through the picking
     if not lead:
         return _LEAVES[type(process)].sample(process, u).T, symbols
     chosen = _pick(_cumulative(w for w, _ in leaves), u[0])

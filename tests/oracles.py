@@ -6,8 +6,8 @@ forms shared with the library code.  Some routines are earlier versions of
 the package's own code, kept as references for the kernels that replaced
 them at sizes enumeration cannot reach: the per-step sum-law DP, the
 right-to-left binary powering of the IID law, the one-job-at-a-time EFT
-and LPT loops, the per-step exact Markov mean, and the sampler with one
-block per process kind.
+and LPT loops, the per-step exact Markov mean, the sampler with one block
+per process kind, and one `SeedSequence` per trial stream.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from stochsched import (
     flatten_mixture,
     makespan,
     scaled_inverse_speeds,
-    stochastic,
 )
 
 
@@ -327,11 +326,21 @@ def _sample_markov_block(model: MarkovModel, u: np.ndarray, canon_index: dict[st
     return remap[out]
 
 
+def rng_stream(master_seed: int, trial: int) -> np.random.Generator:
+    """Counter-style stream: (master_seed, trial) fully determines the draws.
+
+    The stream is PCG64 seeded by numpy's own SeedSequence((master_seed mod
+    2^64, 0, trial)), built anew for each trial.
+    """
+    key = (int(master_seed) & (2**64 - 1), 0, int(trial))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 def sample_index_matrix_by_kind(process, n: int, trials: int, master_seed: int):
     """The sampler with one block per process kind: a searchsorted per IID
     block, a per-state mask loop per Markov step, and a mixture that spends
     the first uniform of each trial's stream on its flattened component.
-    Draws come from `stochastic.rng_stream`, looked up at call time.
+    Draws come from `rng_stream`, looked up at call time.
     """
     symbols = process.symbols
     canon_index = {s: i for i, s in enumerate(symbols)}
@@ -339,7 +348,7 @@ def sample_index_matrix_by_kind(process, n: int, trials: int, master_seed: int):
     cols = n + 1 if is_mixture else n
     u = np.empty((trials, cols), dtype=np.float64)
     for t in range(trials):
-        u[t] = stochastic.rng_stream(master_seed, t).random(cols)
+        u[t] = rng_stream(master_seed, t).random(cols)
     if not is_mixture:
         block = _sample_iid_block if isinstance(process, IIDModel) else _sample_markov_block
         return block(process, u, canon_index), symbols

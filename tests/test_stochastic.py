@@ -28,7 +28,6 @@ from stochsched import (
     flatten_mixture,
     mean_time_exact,
     mean_total_time_exact,
-    rng_stream,
     sample_index_matrix,
     sample_time_matrix,
     second_order_table,
@@ -40,10 +39,12 @@ from stochsched import (
 
 from stochsched import schedulers, second_order, spectrum, stochastic
 
+from . import oracles
 from .oracles import (
     TailsFromMass,
     mean_total_time_by_steps,
     pow_convolve,
+    rng_stream,
     sample_index_matrix_by_kind,
     sum_law_by_direct_dp,
     sum_law_by_enumeration,
@@ -712,13 +713,19 @@ _EDGE_GRID = np.array(
 
 
 class _EdgeStream:
-    """Stands in for rng_stream: each (master_seed, trial) draws from _EDGE_GRID."""
+    """Stands in for a trial's stream: draws from _EDGE_GRID, keyed by the trial's seed words."""
 
-    def __init__(self, master_seed, trial):
-        self._rng = np.random.default_rng((master_seed, 0, trial))
+    def __init__(self, words):
+        self._rng = np.random.default_rng(words)
 
     def random(self, size):
         return self._rng.choice(_EDGE_GRID, size)
+
+
+def _edge_rng_stream(master_seed, trial):
+    """Stands in for the reference rng_stream: the edge stream keyed by SeedSequence's own words."""
+    key = np.random.SeedSequence((master_seed & (2**64 - 1), 0, trial))
+    return _EdgeStream(key.generate_state(4, np.uint64))
 
 
 class TestSamplerAgainstPerKindReference:
@@ -736,7 +743,8 @@ class TestSamplerAgainstPerKindReference:
     def test_draws_on_bin_edges(self, monkeypatch, case):
         # a uniform equal to a cumulative probability falls in the bin above it
         process = _SAMPLER_CASES[case]
-        monkeypatch.setattr(stochastic, "rng_stream", _EdgeStream)
+        monkeypatch.setattr(stochastic, "_trial_stream", _EdgeStream)
+        monkeypatch.setattr(oracles, "rng_stream", _edge_rng_stream)
         idx, _ = sample_index_matrix(process, 37, 200, master_seed=5)
         ref, _ = sample_index_matrix_by_kind(process, 37, 200, master_seed=5)
         assert np.array_equal(idx, ref)
@@ -781,6 +789,45 @@ class TestPick:
             assert np.array_equal(idx.ravel(), expect[: math.prod(shape)])
 
 
+def _assert_seed_words_match(master_seed, trials):
+    """Each trial's words are SeedSequence's, and its stream draws as the reference rng_stream's."""
+    words = stochastic._seed_words(master_seed, np.array(trials, dtype=np.uint32))
+    assert words.dtype == np.uint64 and words.shape == (len(trials), 4)
+    for row, t in zip(words, trials):
+        key = np.random.SeedSequence((master_seed & (2**64 - 1), 0, t))
+        assert np.array_equal(row, key.generate_state(4, np.uint64))
+        assert np.array_equal(stochastic._trial_stream(row).random(6), rng_stream(master_seed, t).random(6))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as numpy warns of a scalar overflow
+class TestSeedWords:
+    """`_seed_words` is numpy's SeedSequence hash over all trials at once."""
+
+    @pytest.mark.parametrize(
+        "master_seed",
+        [0, 1, 5, 2**31 - 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, -3, -(2**70), 2**64, 2**64 + 2**32 + 5, 2**70],
+    )
+    def test_edge_seeds(self, master_seed):
+        # seeds below 2^32 fill one key word, larger ones two; the rest are masked to 64 bits
+        _assert_seed_words_match(master_seed, [0, 1, 2, 7, 2**16, 10**6, 2**32 - 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master_seed=st.integers(-(2**70), 2**70),
+        trials=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+    )
+    def test_matches_seed_sequence(self, master_seed, trials):
+        _assert_seed_words_match(master_seed, trials)
+
+    @pytest.mark.parametrize("master_seed", [2**40 + 7, -3])
+    def test_sampler_draws_the_reference_streams(self, master_seed):
+        # a two-word and a masked seed; the by-kind sampler builds each trial's SeedSequence
+        process = _SAMPLER_CASES["mixture-nested"]
+        idx, _ = sample_index_matrix(process, 20, 50, master_seed=master_seed)
+        ref, _ = sample_index_matrix_by_kind(process, 20, 50, master_seed=master_seed)
+        assert np.array_equal(idx, ref)
+
+
 class TestSampling:
     def test_rng_stream_is_counter_addressed(self):
         a = rng_stream(123, 7).random(5)
@@ -793,6 +840,11 @@ class TestSampling:
         # the stream key is (master_seed, 0, trial), so every sampled table keeps its draws
         key = np.random.SeedSequence((123, 0, 7))
         assert np.array_equal(a, np.random.Generator(np.random.PCG64(key)).random(5))
+
+    @pytest.mark.parametrize("n, trials", [(2.5, 4), (4, 2.0), (True, 4), (4, True), (0, 4), (4, 0), (4, -1)])
+    def test_sizes_must_be_positive_integers(self, iid_problem, n, trials):
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            sample_index_matrix(iid_problem.process, n, trials, master_seed=0)
 
     def test_trial_streams_independent_of_batching(self, iid_problem):
         wide, _ = sample_index_matrix(iid_problem.process, 10, 8, master_seed=99)

@@ -1,27 +1,15 @@
 """Probabilistic analysis of uniform-machines scheduling.
 
-Exact makespan bounds and brute-force optima, threshold discard sets with
-exact COST accounting, spectral rates of the normalized total time with
-achievability/converse experiments, and second-order Gaussian analysis of
-the optimal discard threshold.
+Exact laws of the total work of a random job stream, threshold discard sets
+with exact COST accounting under EFT, LPT and the optimum, spectral rates of
+the normalized total time with achievability/converse experiments, Monte-Carlo
+average-case brackets, and second-order Gaussian analysis of the optimal
+discard threshold.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    Assignment,
-    JobAlphabet,
-    JobSequence,
-    MachineSet,
-    SchedulingProblem,
-    as_fraction,
-    machine_loads,
-    makespan,
-    scaled_inverse_speeds,
-    span_lower_bound,
-    span_upper_bound,
-    total_processing_time,
-)
+from .core import JobAlphabet, MachineSet, SchedulingProblem, as_fraction, scaled_inverse_speeds
 from .errors import ConfigError, DomainError, NumericError, ResourceError
 from .schedulers import (
     BruteForce,
@@ -30,18 +18,15 @@ from .schedulers import (
     Scheduler,
     ThresholdDiscardSet,
     batch_eft_loads,
-    brute_force_optimal,
     cost_exact,
     discard_probability,
     makespans_scaled,
     max_kept_total_time,
-    schedule,
 )
 from .second_order import (
     SecondOrderRow,
     berry_esseen_error_bound,
     berry_esseen_prediction,
-    r_n_plus,
     second_order_table,
 )
 from .spectrum import (

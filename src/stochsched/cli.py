@@ -20,17 +20,19 @@ Config schema (JSON object with two keys)::
 Experiment parameters:
 
     validate       (none)
-    scan           alpha_grid, n_grid, [delta=1e-3], [workers=1, at most the CPU count]
-    achievability  gamma, n_grid, [scheduler="eft"], [budget=2000000]
+    scan           alpha_grid, n_grid, [delta=1e-3], [workers=1, and only 1]
+    achievability  gamma, n_grid, [scheduler="eft"], [budget=2000000, >= 0]
     converse       gap, n_grid
     second-order   epsilon, n_grid
     average-case   n, trials, [scheduler="eft"]
-    cost           n, alpha, [scheduler="brute-force"], [budget=2000000]
+    cost           n, alpha, [scheduler="brute-force"], [budget=2000000, >= 0]
 
-All kinds accept "master_seed" (default 0; --seed overrides).  Rational
-parameters accept "p/q", decimal strings, or numbers; speeds and
-probabilities given as strings are parsed exactly.  Exit codes: 0 success,
-2 configuration problem, 3 budget exceeded, 4 numeric failure.
+All kinds accept "master_seed" (default 0; --seed overrides).  scan's
+"workers" is read so that older configs still parse, and used nowhere:
+every table is computed in this one process.  Rational parameters accept
+"p/q", decimal strings, or numbers; speeds and probabilities given as
+strings are parsed exactly.  Exit codes: 0 success, 2 configuration
+problem, 3 budget exceeded, 4 numeric failure.
 
 Each kind is one entry of the `_EXPERIMENTS` registry: its parameters (a
 parser and a default each), its output columns and its runner.  The
@@ -48,7 +50,7 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -195,13 +197,17 @@ _parse_float = _typed((int, float), "a number", float)
 _parse_str = _typed(str, "a string")
 
 
-def _parse_workers(value, path: str, errors: _Errors) -> int | None:
-    workers = _parse_int(value, path, errors)
-    cpus = os.cpu_count() or 1
-    if workers is not None and not 1 <= workers <= cpus:
-        errors.add(path, f"expected 1 to {cpus} (the CPU count), got {workers}")
-        return None
-    return workers
+def _int_in(lo: int, hi: float = math.inf):
+    """Parser of an integer n with lo <= n <= hi."""
+
+    def parse_int_in(value, path: str, errors: _Errors) -> int | None:
+        n = _parse_int(value, path, errors)
+        if n is not None and not lo <= n <= hi:
+            errors.add(path, f"expected an integer n with {lo} <= n <= {hi}, got {n}")
+            return None
+        return n
+
+    return parse_int_in
 
 
 def _one_of(names):
@@ -386,7 +392,7 @@ def _run_validate(problem: SchedulingProblem, p: dict, seed: int):
 
 
 def _run_scan(problem: SchedulingProblem, p: dict, seed: int):
-    report = spectral_scan(problem, p["alpha_grid"], p["n_grid"], delta=p["delta"], workers=p["workers"])
+    report = spectral_scan(problem, p["alpha_grid"], p["n_grid"], delta=p["delta"])
     rows = [
         (n, alpha, report.tail[i][j], report.converged[j])
         for i, n in enumerate(report.n_grid)
@@ -444,7 +450,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             "alpha_grid": (_fraction_list, _REQUIRED),
             "n_grid": (_int_list, _REQUIRED),
             "delta": (_parse_float, 1e-3),
-            "workers": (_parse_workers, 1),
+            "workers": (_int_in(1, 1), 1),
         },
         ("n", "alpha", "tail_prob", "alpha_converged"),
         _run_scan,
@@ -454,7 +460,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             "gamma": (_parse_fraction, _REQUIRED),
             "n_grid": (_int_list, _REQUIRED),
             "scheduler": (_scheduler, "eft"),
-            "budget": (_parse_int, _WORK_BUDGET),
+            "budget": (_int_in(0), _WORK_BUDGET),
         },
         _columns(RateExperimentRow),
         _run_achievability,
@@ -483,7 +489,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             "n": (_parse_int, _REQUIRED),
             "alpha": (_parse_fraction, _REQUIRED),
             "scheduler": (_scheduler, "brute-force"),
-            "budget": (_parse_int, _WORK_BUDGET),
+            "budget": (_int_in(0), _WORK_BUDGET),
         },
         ("n", "alpha", "discard_prob", "cost", "cost_per_job"),
         _run_cost,

@@ -1,9 +1,9 @@
-"""Deterministic scheduling domain: job alphabets, uniform machines, makespans.
+"""Deterministic scheduling domain: job alphabets, uniform machines, the makespan bracket.
 
 Machines run at individual speeds; a job with processing requirement t
 occupies a machine of speed v for t/v time units.  All quantities here are
 exact: processing requirements are positive integers, speeds are positive
-rationals, and every derived time (finish time, makespan, bound) is a
+rationals, and every derived time (finish time, bound) is a
 `fractions.Fraction`.
 """
 
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -109,33 +109,6 @@ class MachineSet:
 
 
 @dataclass(frozen=True)
-class JobSequence:
-    """Ordered sequence of job symbols to be scheduled."""
-
-    items: tuple[str, ...]
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
-            raise DomainError("job sequence must be non-empty")
-        object.__setattr__(self, "items", items)
-
-    @property
-    def n(self) -> int:
-        return len(self.items)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Machine index chosen for each sequence position."""
-
-    machine_of: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "machine_of", tuple(self.machine_of))
-
-
-@dataclass(frozen=True)
 class SchedulingProblem:
     """A job alphabet, a machine set, and the stochastic law of the job stream."""
 
@@ -170,48 +143,14 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-def total_processing_time(seq: JobSequence, alphabet: JobAlphabet) -> int:
-    """Sum of the processing requirements of the sequence."""
-    return sum(alphabet.time_of(sym) for sym in seq.items)
-
-
-def machine_loads(assignment: Assignment, seq: JobSequence, alphabet: JobAlphabet, m: int) -> list[int]:
-    """Total processing units placed on each of the m machines."""
-    if len(assignment.machine_of) != seq.n:
-        raise DomainError(
-            f"assignment length {len(assignment.machine_of)} does not match sequence length {seq.n}"
-        )
-    loads = [0] * m
-    for sym, k in zip(seq.items, assignment.machine_of):
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < m:
-            raise DomainError(f"machine index {k!r} out of range for {m} machines")
-        loads[k] += alphabet.time_of(sym)
-    return loads
-
-
-def makespan(assignment: Assignment, seq: JobSequence, problem: SchedulingProblem) -> Fraction:
-    """Exact makespan: the largest machine finish time under the assignment."""
-    loads = machine_loads(assignment, seq, problem.alphabet, problem.machines.m)
-    return max(Fraction(u) / v for u, v in zip(loads, problem.machines.speeds))
-
-
 def _span_bracket(total, problem: SchedulingProblem) -> tuple[Fraction, Fraction]:
-    """(total/v_sum, total/v_sum + t_max/v_min): span_lower_bound and span_upper_bound of a total time."""
+    """(total/v_sum, total/v_sum + t_max/v_min): the makespan bracket of jobs of one total time.
+
+    No schedule of the jobs finishes before the total work over the total
+    speed, and earliest-finish-time list scheduling provably finishes no
+    later than that plus one longest job on the slowest machine.
+    """
     machines = problem.machines
     lower = Fraction(total) / machines.v_sum
     return lower, lower + Fraction(problem.alphabet.t_max) / machines.v_min
-
-
-def span_lower_bound(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
-    """Total work over total speed; no schedule of the sequence can finish sooner."""
-    return _span_bracket(total_processing_time(seq, problem.alphabet), problem)[0]
-
-
-def span_upper_bound(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
-    """span_lower_bound plus one worst job on the slowest machine.
-
-    Earliest-finish-time list scheduling provably stays under this value, so
-    it certifies an achievable makespan for the sequence.
-    """
-    return _span_bracket(total_processing_time(seq, problem.alphabet), problem)[1]
 

@@ -1,10 +1,9 @@
 """Schedulers and discard-set cost evaluation.
 
-Three scheduling strategies share one dispatch surface:
+Three scheduling strategies share one dispatch surface, `makespans_scaled`:
 
 * BruteForce      exact optimum: a dynamic programme over machines on a
-                  job multiset's count vector, backtracked through its
-                  tables when one sequence's assignment is asked for,
+                  job multiset's count vector,
 * EarliestFinishTime  list scheduling onto the machine that finishes first,
 * LPT             EFT over the jobs reordered longest-first.
 
@@ -13,11 +12,11 @@ load matrix goes to the machine where it finishes first, comparing exact
 scaled-integer finish times.  Every caller holds its loads machine-major,
 an (m, rows) array seen through its transpose, so a step is a running
 minimum over m contiguous finish-time vectors and one scatter-add: a few
-vector operations of length rows per machine.  `schedule` runs it on one
-row, and EFT's COST on every reachable EFT load vector.  `makespans_scaled`
-is the one route from many job rows to makespans under every scheduler, for
-the average case and for the COST of LPT and the optimum; job-major rows,
-as the sampler returns them, give each step one contiguous job column.
+vector operations of length rows per machine.  EFT's COST runs it on every
+reachable EFT load vector.  `makespans_scaled` is the one route from many
+job rows to makespans under every scheduler, for the average case and for
+the COST of LPT and the optimum; job-major rows, as the sampler returns
+them, give each step one contiguous job column.
 
 Every array of job times, loads, finish times or keys takes its dtype from
 `core._int_dtype` and a bound on its entries: int64 below 2**62, Python ints
@@ -45,14 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import (
-    Assignment,
-    JobSequence,
-    SchedulingProblem,
-    _int_dtype,
-    as_fraction,
-    scaled_inverse_speeds,
-)
+from .core import SchedulingProblem, _int_dtype, as_fraction, scaled_inverse_speeds
 from .errors import DomainError, ResourceError
 from .stochastic import _refuse_bytes, sum_distribution
 
@@ -106,54 +98,12 @@ def _refuse_assignments_over_budget(m: int, n: int, budget: int) -> None:
         )
 
 
-def brute_force_optimal(
-    seq: JobSequence, problem: SchedulingProblem, budget: int = BruteForce.budget
-) -> tuple[Assignment, Fraction]:
-    """Exact optimal assignment by the count-vector dynamic programme, with backtracking.
-
-    Solves the sequence's job count vector as `_optimal_scaled` does, keeping
-    the table of every machine but the last, then walks back from the last
-    machine: each machine takes the first sub-vector, in C order, that
-    attains the optimum of the machines up to it.  Each symbol's positions
-    are handed out in sequence order, machine 0 first.  Which of several
-    optimal assignments is returned follows from that walk alone.
-    """
-    m = problem.machines.m
-    weights, scale = scaled_inverse_speeds(problem.machines)
-    if m == 1:
-        total = sum(problem.alphabet.time_of(sym) for sym in seq.items)
-        return Assignment((0,) * seq.n), Fraction(total * weights[0], scale)
-    _refuse_assignments_over_budget(m, seq.n, budget)
-    positions: dict[str, list[int]] = {}
-    for i, sym in enumerate(seq.items):
-        positions.setdefault(sym, []).append(i)
-    present = [(len(p), problem.alphabet.time_of(sym)) for sym, p in positions.items()]
-    load, w = _load_grid(present, weights, _PREFIX_GRIDS + m - 1)
-    tables = list(_prefix_tables(load, w))
-    last = _with_last_machine(tables[-1], load, w[-1])
-    a = np.unravel_index(last.argmin(), last.shape)
-    best = int(last[a])
-    shares = [np.subtract(load.shape, 1) - a]
-    for f, wi in zip(tables[-2::-1], w[-2:0:-1]):
-        below = tuple(slice(x + 1) for x in a)
-        split = np.maximum(f[tuple(slice(x, None, -1) for x in a)], load[below] * wi)  # f[a - b] against b
-        b = np.unravel_index(split.argmin(), split.shape)
-        shares.append(b)
-        a = np.subtract(a, b)
-    shares.append(a)
-    shares = np.array(shares[::-1])
-    machine_of = np.empty(seq.n, dtype=np.int64)
-    for j, p in enumerate(positions.values()):
-        machine_of[p] = np.repeat(np.arange(m), shares[:, j])
-    return Assignment(tuple(machine_of.tolist())), Fraction(best, scale)
-
-
 def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
     """Scaled inverse speeds in the dtype of every finish time up to max_total; loads take the same dtype."""
     return np.array(weights, dtype=_int_dtype((max_total + 1) * max(weights)))
 
 
-def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
+def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> None:
     """Place one job per row (t: one time per row, or one for all) where it finishes first.
 
     `loads` is (rows, m), held machine-major by every caller: the transpose
@@ -162,7 +112,7 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
     minimum over the m machines, which moves a row only on a strictly
     smaller finish time, so ties go to the lowest machine index.  One
     scatter-add then updates the loads, in the weights' dtype (int64 or
-    object), in place; returns the chosen machine of each row.
+    object), in place.
     """
     finish = loads.T + t
     finish *= weights[:, None]
@@ -173,7 +123,6 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
         choice[better] = i
         np.minimum(best, finish[i], out=best)
     loads[np.arange(len(loads)), choice] += t
-    return choice
 
 
 # grids of the sub-multiset lattice that `_prefix_tables` holds at once: the
@@ -181,15 +130,16 @@ def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> np.ndarray:
 _PREFIX_GRIDS = 5
 
 
-def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...], grids: int) -> tuple[np.ndarray, np.ndarray]:
+def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype.
 
-    Refused before allocating when `grids` such grids exceed the byte budget.
+    Refused before allocating when the `_PREFIX_GRIDS` grids that the
+    programme holds at once exceed the byte budget.
     """
     max_total = sum(c * t for c, t in present)
     w = _weight_array(weights, max_total)
     grid = math.prod(c + 1 for c, _ in present)
-    _refuse_bytes(grids * grid, "brute force's count-vector programme", (max_total + 1) * max(weights))
+    _refuse_bytes(_PREFIX_GRIDS * grid, "brute force's count-vector programme", (max_total + 1) * max(weights))
     load = np.zeros([c + 1 for c, _ in present], dtype=w.dtype)
     for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
         load = load + along_axis
@@ -229,33 +179,10 @@ def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
     present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
     if len(weights) == 1:
         return sum(c * t for c, t in present) * weights[0]
-    load, w = _load_grid(present, weights, _PREFIX_GRIDS)
+    load, w = _load_grid(present, weights)
     for f in _prefix_tables(load, w):
         pass
     return int(_with_last_machine(f, load, w[-1]).min())
-
-
-def schedule(scheduler: Scheduler, seq: JobSequence, problem: SchedulingProblem) -> Assignment:
-    """Run one scheduling strategy on a sequence.
-
-    EFT places the jobs in sequence order; LPT places them longest first,
-    equal times in alphabet order and then by position.
-    """
-    if isinstance(scheduler, BruteForce):
-        return brute_force_optimal(seq, problem, budget=scheduler.budget)[0]
-    if not isinstance(scheduler, (EarliestFinishTime, LPT)):
-        raise DomainError(f"unknown scheduler {scheduler!r}")
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
-    order = range(seq.n)
-    if isinstance(scheduler, LPT):
-        rank = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
-        order = sorted(order, key=lambda i: (-times[i], rank[seq.items[i]]))
-    weights = _weight_array(scaled_inverse_speeds(problem.machines)[0], sum(times))
-    loads = np.zeros((problem.machines.m, 1), dtype=weights.dtype).T
-    machine_of = [0] * seq.n
-    for i in order:
-        machine_of[i] = int(_eft_step(loads, times[i], weights)[0])
-    return Assignment(tuple(machine_of))
 
 
 def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
@@ -281,7 +208,8 @@ def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
     EFT takes each row in order and LPT longest first, in one batch EFT pass
     whose makespans keep its loads' dtype.  BruteForce solves each distinct
     count vector of job times once, its Python ints in an object array; it
-    is refused as brute_force_optimal is.
+    is refused when m^n exceeds its budget, and its tables beyond the byte
+    budget before they are allocated.
     """
     weights, scale = scaled_inverse_speeds(machines)
     times = np.asarray(times)

@@ -1,8 +1,9 @@
 """Second-order (finite-n) analysis of the optimal discard threshold.
 
-r_n_plus(n, epsilon) is the smallest rate whose exceedance probability is at
-most epsilon; n times it brackets the optimal epsilon-discard COST within an
-additive t_max/v_min.  The Gaussian prediction
+A `second_order_table` row's r_n_plus is the smallest rate whose exceedance
+probability is at most epsilon, an exact rational s/(n*v_sum) at a lattice
+point s of the law of T_n; n times it brackets the optimal epsilon-discard
+COST within an additive t_max/v_min.  The Gaussian prediction
     n*E[T]/v_sum - sqrt(V*n)*Phi^{-1}(epsilon)/v_sum
 matches that cost up to a bounded residual; the Berry-Esseen bound
 rho/(sigma^3 sqrt(n)) quantifies how far the exact tail may sit from the
@@ -22,23 +23,9 @@ from typing import Sequence
 
 from .core import SchedulingProblem, _span_bracket
 from .errors import DomainError
-from .stochastic import IIDModel, _iid_central_moments, sum_distribution, sum_distributions
+from .stochastic import IIDModel, _iid_central_moments, sum_distributions
 
 _NORMAL = NormalDist()
-
-
-def r_n_plus(n: int, epsilon: float, problem: SchedulingProblem) -> Fraction:
-    """Smallest rate alpha with P(T_n/(n*v_sum) > alpha) <= epsilon, as an exact rational.
-
-    The tail is a right-continuous step function dropping only at attainable
-    totals, so the infimum is attained at a lattice point s/(n*v_sum).
-    epsilon -> 0 gives t_max/v_sum; epsilon >= the mass above the minimum
-    total gives t_min/v_sum.
-    """
-    if not 0.0 < float(epsilon) < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    s = sum_distribution(problem.process, problem.alphabet, n).upper_quantile_total(float(epsilon))
-    return Fraction(s) / (n * problem.machines.v_sum)
 
 
 def _require_iid_nondegenerate(problem: SchedulingProblem) -> tuple[Fraction, Fraction, Fraction]:

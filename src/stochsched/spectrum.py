@@ -11,8 +11,6 @@ exact tail probabilities and exact rational cost accounting.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,7 +34,6 @@ from .stochastic import (
     mean_time_exact,
     mean_total_time_exact,
     sample_time_matrix,
-    sum_distribution,
     sum_distributions,
 )
 
@@ -87,28 +84,20 @@ def _tails(dist: SumDistribution, problem: SchedulingProblem, alphas: Sequence[F
     return [dist.prob_above(dist.n * v_sum * alpha) for alpha in alphas]
 
 
-def _tails_for_n(problem: SchedulingProblem, n: int, alphas: Sequence[Fraction]) -> list[float]:
-    """One row of the scan, with its own law: the unit of work of a pool worker."""
-    return _tails(sum_distribution(problem.process, problem.alphabet, n), problem, alphas)
-
-
 def spectral_scan(
     problem: SchedulingProblem,
     alpha_grid: Sequence,
     n_grid: Sequence[int],
     delta: float = 1e-3,
-    workers: int = 1,
 ) -> SpectralReport:
     """Exact tail matrix over the grid; flags alphas whose tails have converged.
 
     An alpha counts as converged when its tail at the largest n is below
     delta and the tail is non-increasing over the last three grid lengths.
     ebar_estimate is the smallest converged alpha (None when there is none).
-    With workers=1 the table runs one `sum_distributions` sweep over n_grid:
-    a Markov grid costs what its largest n costs, and IID squares the law
-    of n >> 1 for each n.  workers > 1 computes each row's law on its own in
-    a pool of up to os.cpu_count() processes; assembly order is fixed by
-    the grid, not by completion order.
+    The table runs one `sum_distributions` sweep over n_grid: a Markov grid
+    costs what its largest n costs, and IID squares the law of n >> 1 for
+    each n.
     """
     alphas = tuple(as_fraction(a) for a in alpha_grid)
     ns = tuple(int(n) for n in n_grid)
@@ -122,19 +111,9 @@ def spectral_scan(
         raise DomainError("n_grid must hold positive integers")
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise ResourceError(f"workers={workers} exceeds the {cpus} CPUs of this host")
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_tails_for_n, [problem] * len(ns), ns, [alphas] * len(ns)))
-    else:
-        rows = [_tails(dist, problem, alphas) for dist in sum_distributions(problem.process, problem.alphabet, ns)]
-
-    tail = tuple(tuple(r) for r in rows)
+    dists = sum_distributions(problem.process, problem.alphabet, ns)
+    tail = tuple(tuple(_tails(dist, problem, alphas)) for dist in dists)
     window = min(3, len(ns))
     converged = []
     for j in range(len(alphas)):

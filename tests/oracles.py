@@ -20,47 +20,34 @@ import numpy as np
 from scipy.integrate import quad
 
 from stochsched import (
-    Assignment,
     DomainError,
     IIDModel,
-    JobSequence,
     MarkovModel,
     MixtureModel,
     SchedulingProblem,
     ThresholdDiscardSet,
     flatten_mixture,
-    makespan,
     scaled_inverse_speeds,
 )
 
 
-def best_makespan_by_enumeration(seq: JobSequence, problem: SchedulingProblem) -> Fraction:
+def loads_of(machine_of: tuple[int, ...], items: tuple[str, ...], problem: SchedulingProblem) -> list[int]:
+    """Total processing units that the assignment machine_of places on each machine."""
+    loads = [0] * problem.machines.m
+    for sym, k in zip(items, machine_of, strict=True):
+        loads[k] += problem.alphabet.time_of(sym)
+    return loads
+
+
+def makespan_of(machine_of: tuple[int, ...], items: tuple[str, ...], problem: SchedulingProblem) -> Fraction:
+    """Exact makespan of an assignment: the largest machine finish time."""
+    return max(Fraction(u) / v for u, v in zip(loads_of(machine_of, items, problem), problem.machines.speeds))
+
+
+def best_makespan_by_enumeration(items: tuple[str, ...], problem: SchedulingProblem) -> Fraction:
     """Exact optimal makespan over all m^n assignments, no pruning."""
-    m = problem.machines.m
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
-    best = None
-    for choice in itertools.product(range(m), repeat=seq.n):
-        loads = [0] * m
-        for t, k in zip(times, choice):
-            loads[k] += t
-        span = max(Fraction(u) / v for u, v in zip(loads, problem.machines.speeds))
-        if best is None or span < best:
-            best = span
-    return best
-
-
-def optimal_assignments_by_enumeration(seq: JobSequence, problem: SchedulingProblem):
-    """All optimal assignments, in lexicographic order."""
-    m = problem.machines.m
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
-    spans = {}
-    for choice in itertools.product(range(m), repeat=seq.n):
-        loads = [0] * m
-        for t, k in zip(times, choice):
-            loads[k] += t
-        spans[choice] = max(Fraction(u) / v for u, v in zip(loads, problem.machines.speeds))
-    best = min(spans.values())
-    return [choice for choice, span in sorted(spans.items()) if span == best]
+    choices = itertools.product(range(problem.machines.m), repeat=len(items))
+    return min(makespan_of(choice, items, problem) for choice in choices)
 
 
 def sequence_probability(process, items: tuple[str, ...]) -> Fraction:
@@ -191,7 +178,7 @@ def optimal_cost_by_enumeration(
     for items in itertools.product(problem.alphabet.symbols, repeat=discard.n):
         if sum(problem.alphabet.time_of(sym) for sym in items) > threshold:
             continue
-        span = best_makespan_by_enumeration(JobSequence(items), problem)
+        span = best_makespan_by_enumeration(items, problem)
         if best is None or span > best:
             best = span
     if best is None:
@@ -233,35 +220,35 @@ def max_kept_total_time_by_steps(discard: ThresholdDiscardSet, problem: Scheduli
     return int(kept.max())
 
 
-def eft_by_loop(seq: JobSequence, problem: SchedulingProblem) -> Assignment:
+def eft_by_loop(items: tuple[str, ...], problem: SchedulingProblem) -> tuple[int, ...]:
     """Each job, in order, onto the machine where it finishes first; ties to the lowest index."""
     weights, _ = scaled_inverse_speeds(problem.machines)
     m = problem.machines.m
     loads = [0] * m
     out = []
-    for sym in seq.items:
+    for sym in items:
         t = problem.alphabet.time_of(sym)
         k = min(range(m), key=lambda i: (loads[i] + t) * weights[i])
         out.append(k)
         loads[k] += t
-    return Assignment(tuple(out))
+    return tuple(out)
 
 
-def lpt_by_loop(seq: JobSequence, problem: SchedulingProblem) -> Assignment:
+def lpt_by_loop(items: tuple[str, ...], problem: SchedulingProblem) -> tuple[int, ...]:
     """EFT over the jobs reordered longest-first; time ties break by alphabet order, then position."""
     alpha_index = {sym: i for i, sym in enumerate(problem.alphabet.symbols)}
-    times = [problem.alphabet.time_of(sym) for sym in seq.items]
-    order = sorted(range(seq.n), key=lambda i: (-times[i], alpha_index[seq.items[i]]))
+    times = [problem.alphabet.time_of(sym) for sym in items]
+    order = sorted(range(len(items)), key=lambda i: (-times[i], alpha_index[items[i]]))
     weights, _ = scaled_inverse_speeds(problem.machines)
     m = problem.machines.m
     loads = [0] * m
-    out = [0] * seq.n
+    out = [0] * len(items)
     for pos in order:
         t = times[pos]
         k = min(range(m), key=lambda i: (loads[i] + t) * weights[i])
         out[pos] = k
         loads[k] += t
-    return Assignment(tuple(out))
+    return tuple(out)
 
 
 def eft_worst_cost_by_enumeration(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> Fraction:
@@ -271,8 +258,7 @@ def eft_worst_cost_by_enumeration(discard: ThresholdDiscardSet, problem: Schedul
     for items in itertools.product(problem.alphabet.symbols, repeat=discard.n):
         if sum(problem.alphabet.time_of(sym) for sym in items) > threshold:
             continue
-        seq = JobSequence(items)
-        span = makespan(eft_by_loop(seq, problem), seq, problem)
+        span = makespan_of(eft_by_loop(items, problem), items, problem)
         if best is None or span > best:
             best = span
     if best is None:

@@ -19,7 +19,6 @@ from stochsched import (
     EarliestFinishTime,
     IIDModel,
     JobAlphabet,
-    JobSequence,
     LPT,
     MachineSet,
     MarkovModel,
@@ -28,26 +27,23 @@ from stochsched import (
     ThresholdDiscardSet,
     achievability_experiment,
     average_case_bracket,
-    brute_force_optimal,
     converse_experiment,
     cost_exact,
     discard_probability,
     ebar_theoretical,
     ebar_underline_theoretical,
-    makespan,
     makespans_scaled,
-    schedule,
     second_order_table,
-    span_lower_bound,
-    span_upper_bound,
     strong_converse_holds,
     sum_distribution,
 )
+from stochsched.core import _span_bracket
 
 from .oracles import (
     discard_probability_by_enumeration,
     eft_by_loop,
     lpt_by_loop,
+    makespan_of,
     optimal_cost_by_enumeration,
 )
 
@@ -81,14 +77,13 @@ def test_01_exact_bound_sandwich():
             for speeds in itertools.combinations_with_replacement(speed_palette, m):
                 for k in (1, 2, 3):
                     for times in itertools.combinations((1, 2, 3), k):
-                        alphabet, problem = uniform_problem(times, speeds)
+                        _, problem = uniform_problem(times, speeds)
                         for n in range(1, 7):
-                            for items in itertools.product(alphabet.symbols, repeat=n):
-                                seq = JobSequence(items)
-                                _, opt = brute_force_optimal(seq, problem)
-                                lb = span_lower_bound(seq, problem)
-                                ub = span_upper_bound(seq, problem)
-                                assert lb <= opt <= ub  # exact rationals
+                            rows = np.array(list(itertools.product(times, repeat=n)))
+                            scaled, scale = makespans_scaled(BruteForce(), rows, problem.machines)
+                            for row, opt in zip(rows.tolist(), scaled):
+                                lb, ub = _span_bracket(sum(row), problem)
+                                assert lb <= Fraction(int(opt), scale) <= ub  # exact rationals
                                 checked += 1
         # 19 speed multisets x (3 singleton + 3 pair + 1 triple alphabets)
         # x all raw sequences of length 1..6: 19 * (3*6 + 3*126 + 1*1092)
@@ -126,23 +121,19 @@ def test_02_heuristics_within_certified_bound():
 
             alphabet, problem = uniform_problem(range(1, 11), speeds)
             if m**n <= 2048:  # brute force is feasible: heuristics can never beat it
+                optimal, opt_scale = makespans_scaled(BruteForce(), times, machines)
                 for i in range(200):
-                    seq = JobSequence(tuple(alphabet.symbols[t - 1] for t in times[i]))
-                    _, opt = brute_force_optimal(seq, problem)
-                    assert span_lower_bound(seq, problem) <= opt
+                    opt = Fraction(int(optimal[i]), opt_scale)
+                    assert _span_bracket(int(total[i]), problem)[0] <= opt
                     for name in ("eft", "lpt"):
                         scaled, scale = spans[name]
                         assert opt <= Fraction(int(scaled[i]), scale)
                     brute_checked += 1
-            if batch % 100 == 0:  # vectorized engine == schedule() == the one-job loops
+            if batch % 100 == 0:  # vectorized engine == the one-job loops
                 for i in range(3):
-                    seq = JobSequence(tuple(alphabet.symbols[t - 1] for t in times[i]))
-                    eft = schedule(EarliestFinishTime(), seq, problem)
-                    lpt = schedule(LPT(), seq, problem)
-                    assert eft == eft_by_loop(seq, problem)
-                    assert lpt == lpt_by_loop(seq, problem)
-                    eft_span = makespan(eft, seq, problem)
-                    lpt_span = makespan(lpt, seq, problem)
+                    seq = tuple(alphabet.symbols[t - 1] for t in times[i])
+                    eft_span = makespan_of(eft_by_loop(seq, problem), seq, problem)
+                    lpt_span = makespan_of(lpt_by_loop(seq, problem), seq, problem)
                     assert Fraction(int(spans["eft"][0][i]), spans["eft"][1]) == eft_span
                     assert Fraction(int(spans["lpt"][0][i]), spans["lpt"][1]) == lpt_span
                     spot_checked += 1

@@ -47,11 +47,16 @@ def test_sum_law_keys_name_process_classes(tracing):
         assert inspect.isclass(vars(stochastic).get(name)), name
 
 
+# Functions deleted from the package on purpose whose spans the benchmark still
+# renames; such a span reads 0, and the benchmark's next change drops the entry.
+_RETIRED = {"schedulers.brute_force_optimal"}
+
+
 def test_renamed_spans_name_public_functions(tracing):
     for key in tracing.RENAMES:
         layer, name = key.split(".")
         assert layer in tracing.LAYERS, key
-        assert _public_function(layer, name), key
+        assert _public_function(layer, name) != (key in _RETIRED), key
 
 
 _IID = {

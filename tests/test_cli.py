@@ -181,14 +181,14 @@ class TestParsing:
             "experiment.n_grid: required parameter is missing",
         ]
 
-    def test_scan_workers_bounded_by_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_scan_workers_must_be_one(self):
+        # the key is read so that older configs parse; every scan runs in this one process
         scan = dict(kind="scan", alpha_grid=["9/10"], n_grid=[10])
-        assert parse_config(config_text(PROBLEM_IID, **scan, workers=2)).params["workers"] == 2
-        for workers in (0, 3):
+        assert parse_config(config_text(PROBLEM_IID, **scan, workers=1)).params["workers"] == 1
+        for workers in (0, 2, 3, True, "1"):
             with pytest.raises(ConfigError) as exc:
                 parse_config(config_text(PROBLEM_IID, **scan, workers=workers))
-            assert any(p.startswith("experiment.workers") for p in exc.value.problems)
+            assert [p.split(": ")[0] for p in exc.value.problems] == ["experiment.workers"]
 
 
 class TestRun:
@@ -216,6 +216,14 @@ class TestRun:
         assert table.metadata["delta"] == repr(1e-3)
         assert table.columns == ("n", "alpha", "tail_prob", "alpha_converged")
         assert [r[3] for r in table.rows] == [True, True, True]
+
+    def test_scan_workers_key_changes_nothing(self):
+        scan = dict(kind="scan", alpha_grid=["3/5", "9/10"], n_grid=[10, 20, 40])
+        with_key = run(parse_config(config_text(PROBLEM_MARKOV, **scan, workers=1)))
+        without = run(parse_config(config_text(PROBLEM_MARKOV, **scan)))
+        for table in (with_key, without):
+            table.metadata.pop("wall_time_s"), table.metadata.pop("config_sha256")
+        assert with_key == without
 
     def test_second_order_columns(self):
         text = config_text(PROBLEM_IID, kind="second-order", epsilon=0.1, n_grid=[16, 32])
@@ -378,8 +386,45 @@ class TestMain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
 
-    def test_resource_error_exit_code(self, tmp_path, capsys):
-        text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=10)
+    @pytest.mark.parametrize(
+        "kind,experiment,problem",
+        [
+            (
+                "scan",
+                {"alpha_grid": ["9/10"], "n_grid": [10], "workers": 2},
+                "experiment.workers: expected an integer n with 1 <= n <= 1, got 2",
+            ),
+            (
+                "cost",
+                {"n": 2, "alpha": "23/30", "budget": -5},
+                "experiment.budget: expected an integer n with 0 <= n <= inf, got -5",
+            ),
+            (
+                "achievability",
+                {"gamma": "1/10", "n_grid": [2], "budget": -5},
+                "experiment.budget: expected an integer n with 0 <= n <= inf, got -5",
+            ),
+        ],
+        ids=["scan-workers", "cost-budget", "achievability-budget"],
+    )
+    def test_out_of_range_integer_exit_code(self, tmp_path, capsys, kind, experiment, problem):
+        # a config error that names its key; a negative budget is not a budget exceeded
+        code = main([kind, "--config", self.write(tmp_path, config_text(PROBLEM_IID, kind=kind, **experiment))])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert record["detail"] == [problem]
+
+    def test_import_starts_no_process_pool(self):
+        pools = {"concurrent.futures.process", "multiprocessing"}
+        code = f"import sys, stochsched.cli; print(sorted({pools!r} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert loaded.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("budget", [10, 0])
+    def test_resource_error_exit_code(self, tmp_path, capsys, budget):
+        text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=budget)
         assert main(["cost", "--config", self.write(tmp_path, text)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
 

@@ -1,27 +1,33 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsched import (
-    Assignment,
+    BruteForce,
     DomainError,
+    EarliestFinishTime,
     IIDModel,
     JobAlphabet,
-    JobSequence,
+    LPT,
     MachineSet,
     SchedulingProblem,
     as_fraction,
-    brute_force_optimal,
-    machine_loads,
-    makespan,
+    makespans_scaled,
     scaled_inverse_speeds,
-    span_lower_bound,
-    span_upper_bound,
-    total_processing_time,
 )
+from stochsched.core import _span_bracket
+
+from .oracles import loads_of, makespan_of
+
+
+def optimum(rows, machines) -> list[Fraction]:
+    """Optimal makespan of each row of job times, by `makespans_scaled(BruteForce())`."""
+    scaled, scale = makespans_scaled(BruteForce(), np.array(rows), machines)
+    return [Fraction(int(v), scale) for v in scaled]
 
 
 def make_problem(times, speeds):
@@ -76,10 +82,6 @@ class TestContainers:
         assert desk_machines.v_min == 1
         assert desk_machines.v_max == 2
 
-    def test_sequence_must_be_nonempty(self):
-        with pytest.raises(DomainError):
-            JobSequence(())
-
     def test_problem_checks_symbol_sets(self, desk_alphabet, desk_machines):
         stray = IIDModel({"a": Fraction(1, 2), "c": Fraction(1, 2)})
         with pytest.raises(DomainError):
@@ -88,18 +90,12 @@ class TestContainers:
 
 class TestMakespan:
     def test_known_instance(self, iid_problem):
-        seq = JobSequence(("a", "b", "b"))
-        assert total_processing_time(seq, iid_problem.alphabet) == 7
-        loads = machine_loads(Assignment((0, 1, 1)), seq, iid_problem.alphabet, 2)
-        assert loads == [1, 6]
-        assert makespan(Assignment((0, 1, 1)), seq, iid_problem) == 3
-
-    def test_assignment_length_and_range_checked(self, iid_problem):
-        seq = JobSequence(("a", "b"))
-        with pytest.raises(DomainError):
-            machine_loads(Assignment((0,)), seq, iid_problem.alphabet, 2)
-        with pytest.raises(DomainError):
-            machine_loads(Assignment((0, 2)), seq, iid_problem.alphabet, 2)
+        # jobs (1, 3, 3) on speeds (1, 2): every scheduler reaches makespan 3, as (0, 1, 1) does
+        assert loads_of((0, 1, 1), ("a", "b", "b"), iid_problem) == [1, 6]
+        assert makespan_of((0, 1, 1), ("a", "b", "b"), iid_problem) == 3
+        for scheduler in (EarliestFinishTime(), LPT(), BruteForce()):
+            scaled, scale = makespans_scaled(scheduler, np.array([[1, 3, 3]]), iid_problem.machines)
+            assert Fraction(int(scaled[0]), scale) == 3
 
     def test_scaled_weights_agree_with_rationals(self):
         speeds = (Fraction(3, 2), Fraction(1), Fraction(7, 3))
@@ -111,16 +107,11 @@ class TestMakespan:
 
 class TestSpanBounds:
     def test_desk_values(self, iid_problem):
-        seq = JobSequence(("a", "b", "b"))
-        assert span_lower_bound(seq, iid_problem) == Fraction(7, 3)
-        assert span_upper_bound(seq, iid_problem) == Fraction(16, 3)
+        assert _span_bracket(7, iid_problem) == (Fraction(7, 3), Fraction(16, 3))
 
     def test_single_machine_lower_bound_is_tight(self):
-        alphabet, problem = make_problem([2, 5], [Fraction(3, 2)])
-        seq = JobSequence(("a", "b", "b"))
-        assignment, opt = brute_force_optimal(seq, problem)
-        assert opt == span_lower_bound(seq, problem) == 8
-        assert assignment.machine_of == (0, 0, 0)
+        _, problem = make_problem([2, 5], [Fraction(3, 2)])
+        assert optimum([[2, 5, 5]], problem.machines) == [_span_bracket(12, problem)[0]] == [8]
 
     def test_sandwich_on_random_instances(self):
         rng = random.Random(20260814)
@@ -128,10 +119,11 @@ class TestSpanBounds:
         for _ in range(200):
             m = rng.randint(1, 3)
             times = sorted(rng.sample(range(1, 12), rng.randint(1, 3)))
-            alphabet, problem = make_problem(times, rng.choices(palette, k=m))
-            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 6))))
-            _, opt = brute_force_optimal(seq, problem)
-            assert span_lower_bound(seq, problem) <= opt <= span_upper_bound(seq, problem)
+            _, problem = make_problem(times, rng.choices(palette, k=m))
+            row = rng.choices(times, k=rng.randint(1, 6))
+            (opt,) = optimum([row], problem.machines)
+            lo, hi = _span_bracket(sum(row), problem)
+            assert lo <= opt <= hi
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -139,16 +131,12 @@ class TestSpanBounds:
         perm_seed=st.integers(0, 10**6),
     )
     def test_bounds_are_permutation_invariant(self, times, perm_seed):
-        alphabet, problem = make_problem(sorted(set(times)), [Fraction(1), Fraction(2)])
-        base = tuple(alphabet.symbols[i % len(alphabet.symbols)] for i in range(len(times)))
-        shuffled = list(base)
+        _, problem = make_problem(sorted(set(times)), [Fraction(1), Fraction(2)])
+        shuffled = list(times)
         random.Random(perm_seed).shuffle(shuffled)
-        a, b = JobSequence(base), JobSequence(tuple(shuffled))
-        assert span_lower_bound(a, problem) == span_lower_bound(b, problem)
-        assert span_upper_bound(a, problem) == span_upper_bound(b, problem)
-        _, opt_a = brute_force_optimal(a, problem)
-        _, opt_b = brute_force_optimal(b, problem)
+        opt_a, opt_b = optimum([times, shuffled], problem.machines)
         assert opt_a == opt_b
+        assert _span_bracket(sum(times), problem) == _span_bracket(sum(shuffled), problem)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -159,11 +147,7 @@ class TestSpanBounds:
         rng = random.Random(seed)
         times = sorted(rng.sample(range(1, 9), 2))
         speeds = [Fraction(rng.randint(1, 4)) for _ in range(2)]
-        alphabet, problem = make_problem(times, speeds)
+        _, problem = make_problem(times, speeds)
         _, fast = make_problem(times, [v * scale for v in speeds])
-        seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=4)))
-        a1, opt = brute_force_optimal(seq, problem)
-        a2, opt_scaled = brute_force_optimal(seq, fast)
-        assert opt_scaled == opt / scale
-        assert a1.machine_of == a2.machine_of
-
+        row = rng.choices(times, k=4)
+        assert optimum([row], fast.machines) == [opt / scale for opt in optimum([row], problem.machines)]

@@ -13,7 +13,6 @@ from stochsched import (
     EarliestFinishTime,
     IIDModel,
     JobAlphabet,
-    JobSequence,
     LPT,
     MachineSet,
     ResourceError,
@@ -21,22 +20,17 @@ from stochsched import (
     ThresholdDiscardSet,
     average_case_bracket,
     batch_eft_loads,
-    brute_force_optimal,
     cost_exact,
     discard_probability,
-    machine_loads,
-    makespan,
     makespans_scaled,
     max_kept_total_time,
     sample_index_matrix,
     scaled_inverse_speeds,
-    schedule,
     schedulers,
-    span_lower_bound,
-    span_upper_bound,
     stochastic,
     sum_distribution,
 )
+from stochsched.core import _int_dtype, _span_bracket
 from stochsched.schedulers import _kept_count_vectors, _optimal_scaled, _weight_array
 
 from .oracles import (
@@ -45,21 +39,32 @@ from .oracles import (
     discard_probability_by_enumeration,
     eft_by_loop,
     eft_worst_cost_by_enumeration,
+    loads_of,
     lpt_by_loop,
+    makespan_of,
     max_kept_total_time_by_steps,
-    optimal_assignments_by_enumeration,
     optimal_cost_by_enumeration,
 )
 from .test_core import make_problem
 
 
+def _rows(seqs, problem) -> np.ndarray:
+    """The job times of symbol sequences, one row each, in the dtype `cost_exact` lays them out in."""
+    times = [[problem.alphabet.time_of(sym) for sym in items] for items in seqs]
+    return np.array(times, dtype=_int_dtype(problem.alphabet.t_max))
+
+
+def _spans(scheduler, seqs, problem) -> list[Fraction]:
+    """Makespans of symbol sequences under one scheduler, by `makespans_scaled`."""
+    scaled, scale = makespans_scaled(scheduler, _rows(seqs, problem), problem.machines)
+    return [Fraction(int(v), scale) for v in scaled]
+
+
 class TestBruteForce:
     def test_desk_instance(self, iid_problem):
-        seq = JobSequence(("a", "b", "b"))
-        assignment, opt = brute_force_optimal(seq, iid_problem)
-        assert opt == 3
-        assert assignment.machine_of in optimal_assignments_by_enumeration(seq, iid_problem)
-        assert makespan(assignment, seq, iid_problem) == opt
+        seq = ("a", "b", "b")
+        assert _spans(BruteForce(), [seq], iid_problem) == [3]
+        assert best_makespan_by_enumeration(seq, iid_problem) == 3
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(7)
@@ -68,46 +73,24 @@ class TestBruteForce:
             times = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
             speeds = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(m)]
             alphabet, problem = make_problem(times, speeds)
-            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 5))))
-            assignment, opt = brute_force_optimal(seq, problem)
-            assert opt == best_makespan_by_enumeration(seq, problem)
-            assert makespan(assignment, seq, problem) == opt
-
-    def test_returns_an_optimal_assignment(self):
-        rng = random.Random(40)
-        for _ in range(40):
-            m = rng.randint(2, 3)
-            times = sorted(set(rng.choices(range(1, 6), k=2)))
-            alphabet, problem = make_problem(times, [Fraction(rng.randint(1, 2)) for _ in range(m)])
-            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=4)))
-            assignment, opt = brute_force_optimal(seq, problem)
-            assert assignment.machine_of in optimal_assignments_by_enumeration(seq, problem)
-            assert makespan(assignment, seq, problem) == opt
+            seq = tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 5)))
+            assert _spans(BruteForce(), [seq], problem) == [best_makespan_by_enumeration(seq, problem)]
 
     def test_budget_guard(self, iid_problem):
-        seq = JobSequence(("a",) * 30)
-        with pytest.raises(ResourceError):
-            brute_force_optimal(seq, iid_problem, budget=10**6)
+        with pytest.raises(ResourceError, match=r"2\^30 assignments"):
+            makespans_scaled(BruteForce(budget=10**6), np.ones((1, 30), dtype=np.int64), iid_problem.machines)
 
     def test_single_machine_needs_no_search(self):
-        alphabet, problem = make_problem([2, 5], [Fraction(3, 2)])
-        seq = JobSequence(tuple(alphabet.symbols[i % 2] for i in range(3000)))
-        assignment, opt = brute_force_optimal(seq, problem)
-        assert assignment.machine_of == (0,) * 3000
-        assert opt == Fraction(2 * 1500 + 5 * 1500) / Fraction(3, 2)
-        assert makespan(assignment, seq, problem) == opt
+        _, problem = make_problem([2, 5], [Fraction(3, 2)])
+        assert _spans(BruteForce(), [("a", "b") * 1500], problem) == [Fraction(2 * 1500 + 5 * 1500) / Fraction(3, 2)]
 
     def test_long_sequence_solved_without_a_depth_limit(self, iid_problem):
         # 3000 unit jobs on speeds (1, 2): 1000 and 2000 of them finish together at 1000
-        seq = JobSequence(("a",) * 3000)
-        assignment, opt = brute_force_optimal(seq, iid_problem, budget=2**3000)
-        assert opt == 1000
-        assert makespan(assignment, seq, iid_problem) == 1000
-        assert makespan(schedule(BruteForce(budget=2**3000), seq, iid_problem), seq, iid_problem) == 1000
+        assert _spans(BruteForce(budget=2**3000), [("a",) * 3000], iid_problem) == [1000]
 
 
-def _sequence(alphabet, counts) -> JobSequence:
-    return JobSequence(tuple(sym for sym, c in zip(alphabet.symbols, counts) for _ in range(c)))
+def _sequence(alphabet, counts) -> tuple[str, ...]:
+    return tuple(sym for sym, c in zip(alphabet.symbols, counts) for _ in range(c))
 
 
 def _maximal_by_upgrades(kept, times, threshold):
@@ -162,11 +145,7 @@ class TestCountVectorOptimum:
             total = sum(c * t for c, t in zip(counts, times))
             assert _weight_array(weights, total).dtype == object
             got = Fraction(_optimal_scaled(counts, times, weights), scale)
-            seq = _sequence(alphabet, counts)
-            assert got == best_makespan_by_enumeration(seq, problem)
-            assignment, opt = brute_force_optimal(seq, problem)
-            assert opt == got
-            assert makespan(assignment, seq, problem) == got
+            assert got == best_makespan_by_enumeration(_sequence(alphabet, counts), problem)
             rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]] * 2)
             scaled, batch_scale = makespans_scaled(BruteForce(), rows, problem.machines)
             assert [Fraction(v, batch_scale) for v in scaled] == [got, got]
@@ -174,10 +153,8 @@ class TestCountVectorOptimum:
     def test_batch_solves_each_row(self):
         rng = random.Random(9)
         alphabet, problem = make_problem([2, 3, 7], [Fraction(1), Fraction(3, 2), Fraction(5, 2)])
-        seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=6))) for _ in range(30)]
-        rows = np.array([[alphabet.time_of(sym) for sym in seq.items] for seq in seqs])
-        scaled, scale = makespans_scaled(BruteForce(), rows, problem.machines)
-        assert [Fraction(v, scale) for v in scaled] == [best_makespan_by_enumeration(seq, problem) for seq in seqs]
+        seqs = [tuple(rng.choices(alphabet.symbols, k=6)) for _ in range(30)]
+        assert _spans(BruteForce(), seqs, problem) == [best_makespan_by_enumeration(seq, problem) for seq in seqs]
 
     def test_kept_count_vectors_match_the_recursive_generator(self):
         rng = random.Random(23)
@@ -226,19 +203,14 @@ class TestCountVectorByteBudget:
         alphabet = JobAlphabet({f"j{t}": t for t in times})
         uniform = IIDModel({sym: Fraction(1, 40) for sym in alphabet.symbols})
         problem = SchedulingProblem(alphabet, MachineSet((Fraction(1), Fraction(2))), uniform)
-        seq = JobSequence(alphabet.symbols)
-        for solve in (
-            lambda: brute_force_optimal(seq, problem, budget=2**3000),
-            lambda: makespans_scaled(BruteForce(budget=2**3000), np.array([times]), problem.machines),
-        ):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ResourceError, match="bytes"):
-                    solve()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="bytes"):
+                makespans_scaled(BruteForce(budget=2**3000), np.array([times]), problem.machines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "m,times,counts",
@@ -252,32 +224,31 @@ class TestCountVectorByteBudget:
     def test_peak_memory_within_the_budget(self, monkeypatch, m, times, counts):
         # the bytes the DP budgets must cover the grids it holds; numpy's
         # ufunc buffers for strided operands, a fixed size, come on top
-        alphabet, problem = make_problem(times, [Fraction(i + 2, 2) for i in range(m)])
-        seq = _sequence(alphabet, counts)
+        _, problem = make_problem(times, [Fraction(i + 2, 2) for i in range(m)])
         rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]])
         slack = (64 << 10) + 2 * 8 * np.getbufsize()
-        for solve in (
-            lambda: brute_force_optimal(seq, problem, budget=2**3000),
-            lambda: makespans_scaled(BruteForce(budget=2**3000), rows, problem.machines),
-        ):
-            with monkeypatch.context() as patch:
-                patch.setattr(stochastic, "_MAX_BYTES", 0)
-                with pytest.raises(ResourceError) as refused:
-                    solve()
-            needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
-            with monkeypatch.context() as patch:
-                patch.setattr(stochastic, "_MAX_BYTES", needed)
-                solve()  # admitted at exactly its budget
-                patch.setattr(stochastic, "_MAX_BYTES", needed - 1)
-                with pytest.raises(ResourceError):
-                    solve()
-            tracemalloc.start()
-            try:
+
+        def solve():
+            return makespans_scaled(BruteForce(budget=2**3000), rows, problem.machines)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_MAX_BYTES", 0)
+            with pytest.raises(ResourceError) as refused:
                 solve()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= needed + slack
+        needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic, "_MAX_BYTES", needed)
+            solve()  # admitted at exactly its budget
+            patch.setattr(stochastic, "_MAX_BYTES", needed - 1)
+            with pytest.raises(ResourceError):
+                solve()
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needed + slack
 
 
 class TestCostByteBudget:
@@ -314,7 +285,7 @@ class TestOneByteRefusal:
         [
             ([2, 5, 11], 0, "sum law", lambda p: sum_distribution(p.process, p.alphabet, 10)),
             ([2, 5, 11], 0, "sampling", lambda p: sample_index_matrix(p.process, 10, 2, 0)),
-            ([2, 5, 11], 0, "count-vector programme", lambda p: brute_force_optimal(JobSequence(("a", "b")), p)),
+            ([2, 5, 11], 0, "count-vector programme", lambda p: _spans(BruteForce(), [("a", "b")], p)),
             ([1, 2, 3, 4, 5, 6], 256 << 10, "kept count vectors", lambda p: _cost_keeping_all(LPT(), 20, p)),
             ([2, 5], 256 << 10, "kept rows", lambda p: _cost_keeping_all(LPT(), 2000, p)),
             ([2, 5, 11], 256 << 10, "EFT order sweep", lambda p: _cost_keeping_all(EarliestFinishTime(), 14, p)),
@@ -337,19 +308,13 @@ class TestListSchedulerAnomalies:
 
     def test_eft_shortens_when_a_job_grows(self):
         _, problem = make_problem([2, 5, 9], [Fraction(3, 2), Fraction(1, 2)])
-        spans = []
-        for items in ("aabbca", "aacbca"):  # the third job lengthened from b to c
-            seq = JobSequence(tuple(items))
-            spans.append(makespan(schedule(EarliestFinishTime(), seq, problem), seq, problem))
-        assert spans == [Fraction(46, 3), Fraction(44, 3)]
+        seqs = [tuple("aabbca"), tuple("aacbca")]  # the third job lengthened from b to c
+        assert _spans(EarliestFinishTime(), seqs, problem) == [Fraction(46, 3), Fraction(44, 3)]
 
     def test_lpt_shortens_when_a_job_grows(self):
         _, problem = make_problem([7, 8, 9], [Fraction(2), Fraction(1, 2), Fraction(1)])
-        spans = []
-        for items in ("aaaabc", "aaaacc"):  # b lengthened to c
-            seq = JobSequence(tuple(items))
-            spans.append(makespan(schedule(LPT(), seq, problem), seq, problem))
-        assert spans == [15, 14]
+        seqs = [tuple("aaaabc"), tuple("aaaacc")]  # b lengthened to c
+        assert _spans(LPT(), seqs, problem) == [15, 14]
 
     def test_lpt_cost_needs_every_kept_vector(self):
         times = [5, 8, 9]
@@ -360,7 +325,7 @@ class TestListSchedulerAnomalies:
 
         def worst(vectors):
             seqs = [_sequence(alphabet, c) for c in vectors]
-            return max(makespan(lpt_by_loop(seq, problem), seq, problem) for seq in seqs)
+            return max(makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs)
 
         assert worst(_maximal_by_upgrades(kept, times, threshold)) == Fraction(19, 2)
         assert cost_exact(LPT(), discard, problem) == worst(kept) == 10
@@ -368,11 +333,11 @@ class TestListSchedulerAnomalies:
 
 class TestListSchedulers:
     def test_eft_trace(self, iid_problem):
-        seq = JobSequence(("b", "b", "a"))
-        assignment = schedule(EarliestFinishTime(), seq, iid_problem)
-        assert assignment.machine_of == (1, 0, 1)
-        assert assignment == eft_by_loop(seq, iid_problem)
-        assert makespan(assignment, seq, iid_problem) == 3
+        seq = ("b", "b", "a")
+        assert eft_by_loop(seq, iid_problem) == (1, 0, 1)
+        assert batch_eft_loads(_rows([seq], iid_problem), iid_problem.machines).tolist() == [[3, 4]]
+        assert loads_of((1, 0, 1), seq, iid_problem) == [3, 4]
+        assert _spans(EarliestFinishTime(), [seq], iid_problem) == [3]
 
     def test_eft_never_beats_lower_bound_nor_upper(self):
         rng = random.Random(99)
@@ -381,18 +346,17 @@ class TestListSchedulers:
             times = sorted(rng.sample(range(1, 11), rng.randint(1, 4)))
             speeds = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(m)]
             alphabet, problem = make_problem(times, speeds)
-            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 30))))
-            assignment = schedule(EarliestFinishTime(), seq, problem)
-            assert assignment == eft_by_loop(seq, problem)
-            span = makespan(assignment, seq, problem)
-            assert span_lower_bound(seq, problem) <= span <= span_upper_bound(seq, problem)
+            seq = tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 30)))
+            (span,) = _spans(EarliestFinishTime(), [seq], problem)
+            assert span == makespan_of(eft_by_loop(seq, problem), seq, problem)
+            lo, hi = _span_bracket(sum(alphabet.time_of(sym) for sym in seq), problem)
+            assert lo <= span <= hi
 
     def test_lpt_trace(self, iid_problem):
-        seq = JobSequence(("a", "b", "b"))
-        assignment = schedule(LPT(), seq, iid_problem)
-        assert assignment.machine_of == (1, 1, 0)
-        assert assignment == lpt_by_loop(seq, iid_problem)
-        assert makespan(assignment, seq, iid_problem) == 3
+        seq = ("a", "b", "b")
+        assert lpt_by_loop(seq, iid_problem) == (1, 1, 0)
+        assert makespan_of((1, 1, 0), seq, iid_problem) == 3
+        assert _spans(LPT(), [seq], iid_problem) == [3]
 
     def test_lpt_within_bounds_and_often_at_optimum(self):
         rng = random.Random(5)
@@ -401,30 +365,28 @@ class TestListSchedulers:
             m = rng.randint(1, 3)
             times = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
             alphabet, problem = make_problem(times, [Fraction(rng.randint(1, 3)) for _ in range(m)])
-            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 7))))
-            assignment = schedule(LPT(), seq, problem)
-            assert assignment == lpt_by_loop(seq, problem)
-            lpt_span = makespan(assignment, seq, problem)
-            _, opt = brute_force_optimal(seq, problem)
-            assert opt <= lpt_span <= span_upper_bound(seq, problem)
+            seq = tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 7)))
+            (lpt_span,) = _spans(LPT(), [seq], problem)
+            assert lpt_span == makespan_of(lpt_by_loop(seq, problem), seq, problem)
+            (opt,) = _spans(BruteForce(), [seq], problem)
+            assert opt <= lpt_span <= _span_bracket(sum(alphabet.time_of(sym) for sym in seq), problem)[1]
             hits += lpt_span == opt
         assert hits > 40  # LPT is usually optimal on tiny instances
 
     def test_lpt_ties_follow_alphabet_then_position(self):
         alphabet, problem = make_problem([2, 2, 5], [Fraction(1), Fraction(1), Fraction(1)])
         rng = random.Random(12)
-        for _ in range(30):
-            seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=8)))
-            assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
+        seqs = [tuple(rng.choices(alphabet.symbols, k=8)) for _ in range(30)]
+        assert _spans(LPT(), seqs, problem) == [makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
 
     def test_dispatch(self, iid_problem):
-        seq = JobSequence(("b", "a"))
-        assert schedule(EarliestFinishTime(), seq, iid_problem) == eft_by_loop(seq, iid_problem)
-        assert schedule(LPT(), seq, iid_problem) == lpt_by_loop(seq, iid_problem)
-        a, _ = brute_force_optimal(seq, iid_problem)
-        assert schedule(BruteForce(), seq, iid_problem) == a
-        with pytest.raises(DomainError):
-            schedule(object(), seq, iid_problem)
+        seq = ("b", "a")
+        for scheduler, want in (
+            (EarliestFinishTime(), makespan_of(eft_by_loop(seq, iid_problem), seq, iid_problem)),
+            (LPT(), makespan_of(lpt_by_loop(seq, iid_problem), seq, iid_problem)),
+            (BruteForce(), best_makespan_by_enumeration(seq, iid_problem)),
+        ):
+            assert _spans(scheduler, [seq], iid_problem) == [want]
 
 
 class TestBatchEft:
@@ -432,20 +394,13 @@ class TestBatchEft:
         rng = random.Random(11)
         for speeds in ([Fraction(1)], [Fraction(1), Fraction(2)], [Fraction(3, 2), Fraction(1), Fraction(7, 3)]):
             alphabet, problem = make_problem([1, 2, 5], speeds)
-            rows = []
-            seqs = []
-            for _ in range(50):
-                seq = JobSequence(tuple(rng.choices(alphabet.symbols, k=12)))
-                seqs.append(seq)
-                rows.append([alphabet.time_of(s) for s in seq.items])
-            loads = batch_eft_loads(np.array(rows), problem.machines)
-            scaled, scale = makespans_scaled(EarliestFinishTime(), np.array(rows), problem.machines)
+            seqs = [tuple(rng.choices(alphabet.symbols, k=12)) for _ in range(50)]
+            loads = batch_eft_loads(_rows(seqs, problem), problem.machines)
+            spans = _spans(EarliestFinishTime(), seqs, problem)
             for i, seq in enumerate(seqs):
                 a = eft_by_loop(seq, problem)
-                assert schedule(EarliestFinishTime(), seq, problem) == a
-                expect = machine_loads(a, seq, alphabet, problem.machines.m)
-                assert loads[i].tolist() == expect
-                assert Fraction(int(scaled[i]), scale) == makespan(a, seq, problem)
+                assert loads[i].tolist() == loads_of(a, seq, problem)
+                assert spans[i] == makespan_of(a, seq, problem)
 
     def test_huge_loads_fall_back_to_float(self):
         # scaled finish times would overflow int64; the Python-int path must agree
@@ -454,10 +409,9 @@ class TestBatchEft:
         loads = batch_eft_loads(times, machines)
         assert loads.sum() == times.sum()
         assert (loads[:, 1] > 0).all()  # nearly all work goes to the fast machine
-        alphabet, problem = make_problem([2**31], machines.speeds)
-        seq = JobSequence(("a",) * 4)
-        expect = machine_loads(eft_by_loop(seq, problem), seq, alphabet, 2)
-        assert loads.tolist() == [expect] * 3
+        _, problem = make_problem([2**31], machines.speeds)
+        seq = ("a",) * 4
+        assert loads.tolist() == [loads_of(eft_by_loop(seq, problem), seq, problem)] * 3
 
     def test_python_int_branch_matches_oracle(self):
         # machine 1 is 999_999_937 times faster; after a first job of about 2^61
@@ -466,22 +420,21 @@ class TestBatchEft:
         tie = 2**31 * 999_999_936
         alphabet, problem = make_problem([2**31, tie - 1, tie, tie + 1], [Fraction(1), Fraction(999_999_937)])
         big = alphabet.symbols[1:]
-        rows, seqs = [], []
-        for first in big:
-            for tail in itertools.product(alphabet.symbols[:1] + big[:1], repeat=2):
-                seq = JobSequence((first, alphabet.symbols[0], *tail))
-                seqs.append(seq)
-                rows.append([alphabet.time_of(s) for s in seq.items])
-        loads = batch_eft_loads(np.array(rows), problem.machines)
-        scaled, scale = makespans_scaled(EarliestFinishTime(), np.array(rows), problem.machines)
+        seqs = [
+            (first, alphabet.symbols[0], *tail)
+            for first in big
+            for tail in itertools.product(alphabet.symbols[:1] + big[:1], repeat=2)
+        ]
+        loads = batch_eft_loads(_rows(seqs, problem), problem.machines)
+        eft_spans = _spans(EarliestFinishTime(), seqs, problem)
+        lpt_spans = _spans(LPT(), seqs, problem)
         second = []
         for i, seq in enumerate(seqs):
             a = eft_by_loop(seq, problem)
-            assert schedule(EarliestFinishTime(), seq, problem) == a
-            assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
-            assert loads[i].tolist() == machine_loads(a, seq, alphabet, problem.machines.m)
-            assert Fraction(int(scaled[i]), scale) == makespan(a, seq, problem)
-            second.append(a.machine_of[1])
+            assert loads[i].tolist() == loads_of(a, seq, problem)
+            assert eft_spans[i] == makespan_of(a, seq, problem)
+            assert lpt_spans[i] == makespan_of(lpt_by_loop(seq, problem), seq, problem)
+            second.append(a[1])
         # first job d = -1, 0, +1 below/at/above the tie: fast, slow (tie), slow
         assert second == [1] * 4 + [0] * 4 + [0] * 4
 
@@ -499,13 +452,13 @@ class TestBatchEft:
     def test_ties_go_to_the_lowest_machine_on_every_route(self, times, speeds):
         alphabet, problem = make_problem(times, [Fraction(v) for v in speeds])
         rng = random.Random(len(times) * 100 + len(speeds))
-        seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=11))) for _ in range(60)]
-        rows = np.array([[alphabet.time_of(s) for s in seq.items] for seq in seqs])
+        seqs = [tuple(rng.choices(alphabet.symbols, k=11)) for _ in range(60)]
+        rows = np.array([[alphabet.time_of(s) for s in seq] for seq in seqs])
         weights, _ = scaled_inverse_speeds(problem.machines)
         ties = 0
         for seq in seqs:
             loads = [0] * len(speeds)
-            for sym in seq.items:
+            for sym in seq:
                 finish = [(load + alphabet.time_of(sym)) * w for load, w in zip(loads, weights)]
                 ties += finish.count(min(finish)) > 1
                 loads[finish.index(min(finish))] += alphabet.time_of(sym)
@@ -516,9 +469,8 @@ class TestBatchEft:
             assert (loads.dtype == object) == (max(times) > 2**40)
             for i, seq in enumerate(seqs):
                 a = eft_by_loop(seq, problem)
-                assert schedule(EarliestFinishTime(), seq, problem) == a
-                assert loads[i].tolist() == machine_loads(a, seq, alphabet, problem.machines.m)
-                assert Fraction(int(scaled[i]), scale) == makespan(a, seq, problem)
+                assert loads[i].tolist() == loads_of(a, seq, problem)
+                assert Fraction(int(scaled[i]), scale) == makespan_of(a, seq, problem)
         for n in (3, 5):
             discard = ThresholdDiscardSet(n=n, alpha=Fraction(2 * max(times)) / problem.machines.v_sum)
             assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
@@ -533,11 +485,9 @@ class TestMakespansScaled:
             ([2**31, tie - 1, tie, tie + 1], [Fraction(1), Fraction(999_999_937)]),  # Python-int weights
         ):
             alphabet, problem = make_problem(times, speeds)
-            seqs = [JobSequence(tuple(rng.choices(alphabet.symbols, k=3))) for _ in range(40)]
-            rows = np.array([[alphabet.time_of(s) for s in seq.items] for seq in seqs])
-            scaled, scale = makespans_scaled(LPT(), rows, problem.machines)
-            spans = [Fraction(int(v), scale) for v in scaled]
-            assert spans == [makespan(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
+            seqs = [tuple(rng.choices(alphabet.symbols, k=3)) for _ in range(40)]
+            spans = _spans(LPT(), seqs, problem)
+            assert spans == [makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
 
     def test_unknown_scheduler_is_a_domain_error(self, iid_problem):
         with pytest.raises(DomainError, match="unknown scheduler"):
@@ -568,18 +518,23 @@ class TestExactAtEveryMagnitude:
         problem, discard = self._instance(times)
         symbols = problem.alphabet.symbols
         assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
-        multisets = [JobSequence(items) for items in itertools.combinations_with_replacement(symbols, 4)]
-        lpt_worst = max(makespan(lpt_by_loop(seq, problem), seq, problem) for seq in multisets)
+        multisets = itertools.combinations_with_replacement(symbols, 4)
+        lpt_worst = max(makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in multisets)
         assert cost_exact(LPT(), discard, problem) == lpt_worst
         assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(discard, problem)
 
     @pytest.mark.parametrize("times", TIMES, ids=IDS)
     def test_schedule(self, times):
         problem, _ = self._instance(times)
-        for items in itertools.product(problem.alphabet.symbols, repeat=4):
-            seq = JobSequence(items)
-            assert schedule(EarliestFinishTime(), seq, problem) == eft_by_loop(seq, problem)
-            assert schedule(LPT(), seq, problem) == lpt_by_loop(seq, problem)
+        seqs = list(itertools.product(problem.alphabet.symbols, repeat=4))
+        loads = batch_eft_loads(_rows(seqs, problem), problem.machines)
+        eft_spans = _spans(EarliestFinishTime(), seqs, problem)
+        lpt_spans = _spans(LPT(), seqs, problem)
+        for i, seq in enumerate(seqs):
+            a = eft_by_loop(seq, problem)
+            assert loads[i].tolist() == loads_of(a, seq, problem)
+            assert eft_spans[i] == makespan_of(a, seq, problem)
+            assert lpt_spans[i] == makespan_of(lpt_by_loop(seq, problem), seq, problem)
 
     def test_generous_alpha_keeps_the_eft_sweep_in_int64(self, monkeypatch):
         # no load passes n * t_max, so a limit far above it keeps the same sequences and the same dtypes
@@ -729,8 +684,8 @@ class TestDiscardSets:
             for counts in itertools.product(range(n + 1), repeat=k):
                 if sum(counts) != n or sum(c * t for c, t in zip(counts, times)) > threshold:
                     continue
-                seq = JobSequence(tuple(s for s, c in zip(problem.alphabet.symbols, counts) for _ in range(c)))
-                span = makespan(lpt_by_loop(seq, problem), seq, problem)
+                seq = _sequence(problem.alphabet, counts)
+                span = makespan_of(lpt_by_loop(seq, problem), seq, problem)
                 want = span if want is None or span > want else want
             if want is None:
                 with pytest.raises(DomainError):

@@ -9,7 +9,6 @@ from stochsched import (
     SchedulingProblem,
     berry_esseen_error_bound,
     berry_esseen_prediction,
-    r_n_plus,
     second_order_table,
     sum_distribution,
 )
@@ -17,15 +16,21 @@ from stochsched import (
 from .oracles import normal_quantile_by_bisection, normal_upper_tail_by_quadrature
 
 
+def exact_rate(n: int, epsilon: float, problem) -> Fraction:
+    """The r_n_plus column of the one-row `second_order_table` at length n."""
+    (row,) = second_order_table([n], epsilon, problem)
+    return row.r_n_plus
+
+
 class TestExactRate:
     def test_desk_values(self, iid_problem):
-        assert r_n_plus(2, 0.3, iid_problem) == Fraction(2, 3)
-        assert r_n_plus(2, 0.25, iid_problem) == Fraction(2, 3)  # boundary: P(>4) = 0.25
-        assert r_n_plus(2, 0.2, iid_problem) == 1
-        assert r_n_plus(2, 0.75, iid_problem) == Fraction(1, 3)
-        assert r_n_plus(2, 1e-12, iid_problem) == 1  # epsilon -> 0 gives t_max/v_sum
-        assert r_n_plus(1, 0.6, iid_problem) == Fraction(1, 3)
-        assert r_n_plus(1, 0.4, iid_problem) == 1
+        assert exact_rate(2, 0.3, iid_problem) == Fraction(2, 3)
+        assert exact_rate(2, 0.25, iid_problem) == Fraction(2, 3)  # boundary: P(>4) = 0.25
+        assert exact_rate(2, 0.2, iid_problem) == 1
+        assert exact_rate(2, 0.75, iid_problem) == Fraction(1, 3)
+        assert exact_rate(2, 1e-12, iid_problem) == 1  # epsilon -> 0 gives t_max/v_sum
+        assert exact_rate(1, 0.6, iid_problem) == Fraction(1, 3)
+        assert exact_rate(1, 0.4, iid_problem) == 1
 
     def test_definition_holds_on_the_lattice(self, iid_problem):
         v_sum = iid_problem.machines.v_sum
@@ -33,7 +38,7 @@ class TestExactRate:
             dist = sum_distribution(iid_problem.process, iid_problem.alphabet, n)
             support = dist.support()
             for eps in (0.01, 0.1, 0.35, 0.9):
-                r = r_n_plus(n, eps, iid_problem)
+                r = exact_rate(n, eps, iid_problem)
                 s = n * v_sum * r
                 assert s.denominator == 1
                 s = int(s)
@@ -43,21 +48,21 @@ class TestExactRate:
                     assert dist.prob_above(below[-1]) > eps
 
     def test_nonincreasing_in_epsilon(self, iid_problem):
-        rates = [r_n_plus(40, eps, iid_problem) for eps in (0.01, 0.1, 0.3, 0.6, 0.9)]
+        rates = [exact_rate(40, eps, iid_problem) for eps in (0.01, 0.1, 0.3, 0.6, 0.9)]
         assert rates == sorted(rates, reverse=True)
 
     def test_half_epsilon_tracks_the_median(self, iid_problem):
         # the law of T_n is symmetric about 2n, so the eps=1/2 rate stays
         # within one job of the mean: |n*v_sum*r - n*E[T]| <= t_max
         for n in range(1, 41):
-            scaled = 3 * n * r_n_plus(n, 0.5, iid_problem)
+            scaled = 3 * n * exact_rate(n, 0.5, iid_problem)
             assert abs(scaled - 2 * n) <= 3
 
     def test_epsilon_domain(self, iid_problem):
         with pytest.raises(DomainError):
-            r_n_plus(2, 0.0, iid_problem)
+            exact_rate(2, 0.0, iid_problem)
         with pytest.raises(DomainError):
-            r_n_plus(2, 1.0, iid_problem)
+            exact_rate(2, 1.0, iid_problem)
 
 
 class TestGaussianApproximation:

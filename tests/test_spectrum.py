@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -18,16 +17,13 @@ from stochsched import (
     RateExperimentRow,
     ResourceError,
     SchedulingProblem,
-    JobSequence,
     ThresholdDiscardSet,
     achievability_experiment,
     average_case_bracket,
-    brute_force_optimal,
     converse_experiment,
     cost_exact,
     ebar_theoretical,
     ebar_underline_theoretical,
-    makespan,
     makespans_scaled,
     sample_time_matrix,
     spectral_scan,
@@ -38,7 +34,7 @@ from stochsched import spectrum
 from stochsched.cli import parse_config
 from stochsched.core import _span_bracket
 
-from .oracles import lpt_by_loop
+from .oracles import best_makespan_by_enumeration, lpt_by_loop, makespan_of
 
 
 class TestTheoreticalRates:
@@ -111,12 +107,6 @@ class TestSpectralScan:
         for row in report.tail:  # larger alpha, smaller tail
             assert row[0] >= row[1]
 
-    def test_workers_do_not_change_results(self, iid_problem):
-        grid = [Fraction(3, 5), Fraction(7, 10)]
-        serial = spectral_scan(iid_problem, grid, [50, 200, 400])
-        parallel = spectral_scan(iid_problem, grid, [50, 200, 400], workers=2)
-        assert serial == parallel
-
     def test_no_converged_alpha_gives_none(self, iid_problem):
         report = spectral_scan(iid_problem, [Fraction(1, 2)], [10, 20, 40])
         assert report.converged == (False,)
@@ -131,13 +121,6 @@ class TestSpectralScan:
             spectral_scan(iid_problem, [Fraction(1)], [10, 10])
         with pytest.raises(DomainError):
             spectral_scan(iid_problem, [Fraction(1)], [10], delta=1.0)
-        with pytest.raises(DomainError):
-            spectral_scan(iid_problem, [Fraction(1)], [10], workers=0)
-
-    def test_workers_capped_at_cpu_count(self, iid_problem, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(ResourceError, match="CPUs"):
-            spectral_scan(iid_problem, [Fraction(1)], [10], workers=3)
 
 
 class TestAchievability:
@@ -252,16 +235,16 @@ class TestAverageCase:
         res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler=BruteForce())
         times = sample_time_matrix(iid_problem.process, iid_problem.alphabet, 7, 50, 5)
         symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
-        seqs = [JobSequence(tuple(symbol[t] for t in row)) for row in times.tolist()]
-        spans = [float(brute_force_optimal(seq, iid_problem)[1]) for seq in seqs]
+        seqs = [tuple(symbol[t] for t in row) for row in times.tolist()]
+        spans = [float(best_makespan_by_enumeration(seq, iid_problem)) for seq in seqs]
         assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
 
     def test_lpt_mean_matches_per_trial_loop(self, iid_problem):
         res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler=LPT())
         times = sample_time_matrix(iid_problem.process, iid_problem.alphabet, 7, 50, 5)
         symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
-        seqs = [JobSequence(tuple(symbol[t] for t in row)) for row in times.tolist()]
-        spans = [float(makespan(lpt_by_loop(seq, iid_problem), seq, iid_problem)) for seq in seqs]
+        seqs = [tuple(symbol[t] for t in row) for row in times.tolist()]
+        spans = [float(makespan_of(lpt_by_loop(seq, iid_problem), seq, iid_problem)) for seq in seqs]
         assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
 
     def test_markov_run(self, markov_problem):

@@ -422,9 +422,14 @@ class TestMain:
         loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert loaded.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("budget", [10, 0])
-    def test_resource_error_exit_code(self, tmp_path, capsys, budget):
-        text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=budget)
+    def test_resource_error_exit_code(self, tmp_path, capsys):
+        text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=10)
+        assert main(["cost", "--config", self.write(tmp_path, text)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "resource"
+
+    def test_zero_budget_is_a_resource_error(self, tmp_path, capsys):
+        # zero is in range, so it parses and is then exceeded, unlike a negative budget
+        text = config_text(PROBLEM_IID, kind="cost", n=100, alpha="1", budget=0)
         assert main(["cost", "--config", self.write(tmp_path, text)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "resource"
 

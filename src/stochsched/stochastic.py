@@ -182,8 +182,10 @@ class SumDistribution:
     masses[i] = P(T_n = offset + i), dense over every reachable total.  Every
     query indexes masses by the exact integer total - offset, so tails and
     quantiles hold at any job time.  The support and the {total: probability}
-    view `mass` hold the totals of positive mass; totals whose probability
-    underflows double precision drop out.
+    view `mass` hold the totals of positive mass.  The kernels compute
+    masses below 2^-1022 as normal doubles and round them into the
+    subnormal range only as they scale them back (see _LIFT), so a total
+    drops out only when its probability rounds to 0.0, below about 2^-1075.
     """
 
     n: int
@@ -248,6 +250,12 @@ def _symbol_times(process: JobProcess, alphabet: JobAlphabet) -> list[int]:
 
 
 _SQUARE_CUTOFF = 1024  # at or below this length one np.convolve beats splitting
+# The sum-law kernels multiply masses lifted by a power of two, 2^511 on each
+# IID factor and _LIFT on the Markov state, and scale each result back by
+# 1/_LIFT: masses sum to at most 1, so nothing lifted exceeds 2^1022, every
+# product and sum that is a normal double unlifted has the same bits lifted,
+# and those below 2^-1022 are computed as normal doubles and rounded once.
+_LIFT = 2.0**1022
 
 
 def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -256,8 +264,10 @@ def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     With x = [a | b] split at h = len(x) // 2, x*x is a*a at 0, plus 2*(a*b)
     shifted by h, plus b*b shifted by 2h; the two squares recurse.  That is
     about len(x)^2 / 2 multiply-adds in place of len(x)^2.  Every term is a
-    product of masses and the doubling is exact, so each mass keeps the
-    relative error of a direct sum.
+    product of two entries of x and the doubling is exact, so each entry
+    keeps the relative error of a direct sum wherever no product or partial
+    sum is subnormal, and scaling x by a power of two scales the result
+    exactly there; `_iid_law` squares masses lifted by 2^511 (see _LIFT).
     """
     if out is None:
         out = np.empty(2 * len(x) - 1)
@@ -281,13 +291,20 @@ def _iid_law(base: np.ndarray, n: int) -> np.ndarray:
     Each bit of n after the leading one squares the law so far, and a set
     bit convolves it once more with `base`: the law of n is the square of the
     law of n >> 1, times `base` for odd n.  The steps depend on n alone, so
-    a law is the same bit for bit on any grid.
+    a law is the same bit for bit on any grid.  Each square and product
+    runs on factors lifted by 2^511 and is scaled back by 1/_LIFT at once,
+    which rounds only its masses below 2^-1022; the law is lifted in place
+    and `base` through one lifted copy, so no step holds an extra array.
     """
+    up = _LIFT**0.5
+    lifted = base * up
     law = base
     for bit in bin(n)[3:]:
-        law = _square(law)
+        law = _square(lifted if law is base else np.multiply(law, up, out=law))
+        law *= 1 / _LIFT
         if bit == "1":
-            law = np.convolve(law, base)
+            law = np.convolve(np.multiply(law, up, out=law), lifted)
+            law *= 1 / _LIFT
     return law
 
 
@@ -314,11 +331,14 @@ def _markov_sums(model: MarkovModel, alphabet: JobAlphabet, ns: Sequence[int]) -
     # then copied to [shift_j, shift_j + width) of the next state.  That
     # range grows every step, so row j's other columns stay zero.  One DP
     # runs to the largest n and keeps the law at each smaller grid length.
+    # The state starts at _LIFT times the initial law, so its rows sum to at
+    # most _LIFT and the k x k products stay off the subnormal path until
+    # a mass falls below 2^-2044; each kept law is scaled back in place.
     cur = np.zeros((len(times), ns[-1] * span + 1))
     nxt = np.zeros_like(cur)
     product = np.empty_like(cur)
     for j, shift in enumerate(shifts):
-        cur[j, shift] = float(model.initial[j])
+        cur[j, shift] = float(model.initial[j]) * _LIFT
     laws = []
     for step in range(1, ns[-1]):
         width = step * span + 1
@@ -329,6 +349,8 @@ def _markov_sums(model: MarkovModel, alphabet: JobAlphabet, ns: Sequence[int]) -
             nxt[j, shift : shift + width] = moved[j]
         cur, nxt = nxt, cur
     laws.append(cur.sum(axis=0))
+    for law in laws:
+        law *= 1 / _LIFT
     return laws
 
 
@@ -591,6 +613,12 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
     about L^2/6 multiply-adds in all for a law of L lattice points; and
     O(1) per n when every job time is equal.  A mixture adds its leaves'
     laws with their weights; they share one symbol set, hence one lattice.
+    The kernels run on masses lifted by a power of two (see _LIFT): a mass
+    has the bits the unlifted arithmetic gives it unless that arithmetic
+    rounds a subnormal on the way, which happens only deep in a tail, and
+    a mass below 2^-1022 is computed as a normal double and rounded when
+    it is scaled back, so it is as accurate as that rounding allows and
+    reads 0.0 only below about 2^-1075.
     An empty grid gives [].  Raises DomainError for an unsorted or repeated
     grid or an n < 1, and ResourceError, before allocating, when the largest
     leaf kernel's working arrays, the laws it holds for the smaller lengths

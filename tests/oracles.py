@@ -4,10 +4,11 @@ Everything here is deliberately naive: full enumeration with exact rational
 arithmetic, and quadrature-based normal quantiles.  No pruning and no closed
 forms shared with the library code.  Some routines are earlier versions of
 the package's own code, kept as references for the kernels that replaced
-them at sizes enumeration cannot reach: the per-step sum-law DP, the
-right-to-left binary powering of the IID law, the one-job-at-a-time EFT
-and LPT loops, the per-step exact Markov mean, the sampler with one block
-per process kind, and one `SeedSequence` per trial stream.
+them at sizes enumeration cannot reach: the per-step sum-law DP, in floats
+and in exact integers, the right-to-left binary powering of the IID law,
+the one-job-at-a-time EFT and LPT loops, the per-step exact Markov mean,
+the sampler with one block per process kind, and one `SeedSequence` per
+trial stream.
 """
 
 from __future__ import annotations
@@ -120,6 +121,38 @@ def sum_law_by_direct_dp(process, alphabet, n: int) -> dict[int, float]:
         cur = new
     arr = cur.sum(axis=0)
     return {n * t_min + int(i): float(arr[i]) for i in np.nonzero(arr > 0.0)[0]}
+
+
+def sum_law_exact(process, alphabet, n: int) -> dict[int, Fraction]:
+    """Exact law of the total time by the per-step DP of `sum_law_by_direct_dp`, in rationals.
+
+    Every probability is an integer over one common denominator d, so after
+    `step` jobs the state-resolved law is integers over d**step, held as
+    Python ints in object arrays.  IID runs as the chain whose rows all
+    equal the IID law.  Totals of zero mass are left out.
+    """
+    if isinstance(process, IIDModel):
+        initial = list(process.probs.values())
+        rows = [initial] * len(initial)
+    else:
+        initial, rows = list(process.initial), [list(row) for row in process.transition]
+    d = math.lcm(*(p.denominator for p in [*initial, *itertools.chain(*rows)]))
+    times = [alphabet.time_of(sym) for sym in process.symbols]
+    t_min = min(times)
+    shifts = [t - t_min for t in times]
+    cur = np.zeros((len(times), n * max(shifts) + 1), dtype=object)
+    for j, shift in enumerate(shifts):
+        cur[j, shift] = int(initial[j] * d)
+    for step in range(1, n):
+        width = step * max(shifts) + 1
+        nxt = np.zeros_like(cur)
+        for i, shift in enumerate(shifts):
+            for j, row in enumerate(rows):
+                if row[i]:
+                    nxt[i, shift : shift + width] += int(row[i] * d) * cur[j, :width]
+        cur = nxt
+    den = d**n
+    return {n * t_min + s: Fraction(int(m), den) for s, m in enumerate(cur.sum(axis=0)) if m}
 
 
 def pow_convolve(base: np.ndarray, n: int) -> np.ndarray:

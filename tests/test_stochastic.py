@@ -490,6 +490,86 @@ class TestIIDSquaring:
             assert not law.masses[np.arange(len(former)) % step != 0].any()
 
 
+_DYADIC_TIMES = JobAlphabet({"a": 1, "b": 2, "c": 5})
+# c, the longest job, follows itself with 1/8, so the upper tail passes
+# below 2^-1022 by n = 400
+_DYADIC_CHAIN = MarkovModel(
+    ("a", "b", "c"),
+    (
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
+        (Fraction(3, 4), Fraction(1, 8), Fraction(1, 8)),
+    ),
+    (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
+)
+
+
+class TestDeepTailAgainstTheExactLaw:
+    """Masses below 2^-1022: within 2^-1074 of the exact law, and 0.0 only where it is below 2^-1074."""
+
+    SMALLEST = Fraction(2) ** -1074
+
+    @pytest.mark.parametrize(
+        "process, n",
+        [(IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4)}), 700), (_DYADIC_CHAIN, 400)],
+        ids=["iid", "markov"],
+    )
+    def test_every_total(self, process, n):
+        # dyadic probabilities: every mass is an integer over 4^n or 8^n;
+        # each law has 20 to 40 totals in [2^-1074, 2^-1022)
+        exact = oracles.sum_law_exact(process, _DYADIC_TIMES, n)
+        assert sum(self.SMALLEST <= p < Fraction(2) ** -1022 for p in exact.values()) >= 20
+        dist = sum_distribution(process, _DYADIC_TIMES, n)
+        assert set(dist.mass) <= set(exact)
+        for total, p in exact.items():
+            got = Fraction(dist.mass_at(total))
+            assert abs(got - p) <= self.SMALLEST + p / 10**13
+            assert got > 0 or p < self.SMALLEST
+
+    @pytest.mark.parametrize("n", [1, 2, 1022, 1023, 1024, 1025, 1073, 1074])
+    def test_extreme_totals_of_two_halves(self, n):
+        # P(T_n = n) = P(T_n = 2n) = 2^-n, a double down to 2^-1074
+        dist = sum_distribution(UNIFORM, JobAlphabet({"a": 1, "b": 2}), n)
+        assert dist.masses[0] == dist.masses[-1] == math.ldexp(1.0, -n)
+
+
+def _three_cycle():
+    """Deterministic a -> b -> c -> a: its cumulative rows hold only 0 and 1."""
+    one, zero = Fraction(1), Fraction(0)
+    rows = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
+    return MarkovModel(("a", "b", "c"), rows, (zero, one, zero))
+
+
+def _eight_state_chain():
+    """(chain, alphabet): each state stays with 1/2 and moves 1 on with 1/3 and 3 on with 1/6; job times 1, 2, 3, 1, ..."""
+    rows = []
+    for i in range(8):
+        row = [Fraction(0)] * 8
+        for step, p in ((0, Fraction(1, 2)), (1, Fraction(1, 3)), (3, Fraction(1, 6))):
+            row[(i + step) % 8] = p
+        rows.append(tuple(row))
+    initial = (Fraction(1),) + (Fraction(0),) * 7
+    return MarkovModel(tuple("abcdefgh"), tuple(rows), initial), JobAlphabet({s: 1 + i % 3 for i, s in enumerate("abcdefgh")})
+
+
+class TestLiftedKernelsStayInRange:
+    """Lifted masses never overflow: a law's masses sum to 1, so none exceeds 2^1022 while lifted."""
+
+    CASES = {
+        "iid-near-point-mass": (IIDModel({"a": Fraction(999_999, 10**6), "b": Fraction(1, 10**6), "c": Fraction(0)}), _WIDE),
+        "three-cycle": (_three_cycle(), _WIDE),
+        "eight-state": _eight_state_chain(),
+        "mixture-nested": (_DENSE_CASES["mixture-nested"], _WIDE),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finite_and_summing_to_one(self, case):
+        process, alphabet = self.CASES[case]
+        for law in sum_distributions(process, alphabet, [1, 2, 1024, 1025, 4097]):
+            assert np.isfinite(law.masses).all()
+            assert abs(float(law.masses.sum()) - 1.0) <= 1e-12
+
+
 def test_sum_laws_leave_no_reference_cycles():
     # a law that sits in a cycle lives until the cyclic collector runs, which
     # keeps a table's arrays alive long after the table is done
@@ -680,13 +760,6 @@ class TestExactMoments:
             law = sum_law_by_enumeration(chain, desk_alphabet, n)
             expect = sum((p * s for s, p in law.items()), Fraction(0))
             assert mean_total_time_exact(chain, desk_alphabet, n) == expect
-
-
-def _three_cycle():
-    """Deterministic a -> b -> c -> a: its cumulative rows hold only 0 and 1."""
-    one, zero = Fraction(1), Fraction(0)
-    rows = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
-    return MarkovModel(("a", "b", "c"), rows, (zero, one, zero))
 
 
 _SAMPLER_CASES = {**_DENSE_CASES, "markov-3-cycle": _three_cycle()}

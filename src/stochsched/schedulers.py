@@ -7,20 +7,21 @@ Three scheduling strategies share one dispatch surface, `makespans_scaled`:
 * EarliestFinishTime  list scheduling onto the machine that finishes first,
 * LPT             EFT over the jobs reordered longest-first.
 
-EFT and LPT run on one kernel, `_eft_step`: one job per row of a (rows, m)
-load matrix goes to the machine where it finishes first, comparing exact
-scaled-integer finish times.  Every caller holds its loads machine-major,
-an (m, rows) array seen through its transpose, so a step is a running
-minimum over m contiguous finish-time vectors and one scatter-add: a few
-vector operations of length rows per machine.  EFT's COST runs it on every
-reachable EFT load vector.  `makespans_scaled` is the one route from many
-job rows to makespans under every scheduler, for the average case and for
-the COST of LPT and the optimum; job-major rows, as the sampler returns
-them, give each step one contiguous job column.
+EFT and LPT run on one kernel, `_eft_step`, over keyed finish times: one
+exact integer key per machine and row, key_i = load_i * w_i * m + i, the
+scaled load with the machine index as its low digit, held as (m, rows).  A
+step is a few branch-free vector operations of length rows per machine.
+EFT's COST runs it on every reachable EFT load vector, held as keys from
+step to step.  `makespans_scaled` is the one route from many job rows to
+makespans under every scheduler, for the average case and for the COST of
+LPT and the optimum; job-major rows, as the sampler returns them and as LPT
+sorts them, give each step one contiguous job column.
 
 Every array of job times, loads, finish times or keys takes its dtype from
 `core._int_dtype` and a bound on its entries: int64 below 2**62, Python ints
 in an object array above, so no route wraps and every makespan is exact.
+A key is at most ((max_total + 1) * max(w) + 1) * m: the finish-time bound
+times the factor m of its machine digit.
 
 A ThresholdDiscardSet drops every length-n sequence whose normalized total
 time exceeds alpha; COST of a scheduler against a discard set is the largest
@@ -103,26 +104,25 @@ def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
     return np.array(weights, dtype=_int_dtype((max_total + 1) * max(weights)))
 
 
-def _eft_step(loads: np.ndarray, t, weights: np.ndarray) -> None:
-    """Place one job per row (t: one time per row, or one for all) where it finishes first.
+def _key_weights(weights: tuple[int, ...], max_total: int) -> np.ndarray:
+    """The column m*w_i, in the dtype of keys of loads up to max_total: ((max_total+1)*max(w)+1)*m bounds them."""
+    m = len(weights)
+    return np.array([m * w for w in weights], dtype=_int_dtype(((max_total + 1) * max(weights) + 1) * m))[:, None]
 
-    `loads` is (rows, m), held machine-major by every caller: the transpose
-    view of an (m, rows) array, so each machine's loads are one contiguous
-    vector.  Finish times are compared as scaled integers in a running
-    minimum over the m machines, which moves a row only on a strictly
-    smaller finish time, so ties go to the lowest machine index.  One
-    scatter-add then updates the loads, in the weights' dtype (int64 or
-    object), in place.
+
+def _eft_step(keys: np.ndarray, t, wm: np.ndarray) -> None:
+    """Place one job per column of keys (t: one time per column, or one for all) where it finishes first.
+
+    keys (m, rows) holds key_i = load_i * w_i * m + i, and wm is the column
+    m * w_i.  The candidates key_i + wm_i * t are scaled finish times with
+    the machine index as low digit, all distinct, so the least is the
+    earliest finish on the lowest machine, and that machine alone takes its
+    candidate: max(keys, cand * (cand == least)), with no choice array,
+    masked assignment or scatter-add.  In place, in the keys' dtype.
     """
-    finish = loads.T + t
-    finish *= weights[:, None]
-    best = finish[0]
-    choice = np.zeros(len(loads), dtype=np.intp)
-    for i in range(1, len(weights)):
-        better = finish[i] < best
-        choice[better] = i
-        np.minimum(best, finish[i], out=best)
-    loads[np.arange(len(loads)), choice] += t
+    cand = wm * t + keys
+    cand *= cand == np.minimum.reduce(cand, axis=0)
+    np.maximum(keys, cand, out=keys)
 
 
 # grids of the sub-multiset lattice that `_prefix_tables` holds at once: the
@@ -186,20 +186,23 @@ def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
 
 
 def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
-    """EFT over many integer job rows (rows, n) at once, one kernel step per job; loads (rows, m) in the weights' dtype.
+    """EFT over many integer job rows (rows, n) at once, one kernel step per job; loads (rows, m) in the keys' dtype.
 
-    The loads are the transpose view of an (m, rows) array, and each step
-    reads one job column of `times`: contiguous when `times` is job-major,
-    as the sampler's (n, trials) arrays viewed as (trials, n) are.  A step
-    costs a few vector operations of length rows per machine.  Every row
-    total is bounded by n * t_max, so no row sum is taken.
+    The keys are an (m, rows) array, each machine's contiguous, and each
+    step reads one job column of `times`: contiguous when `times` is
+    job-major, as the sampler's (n, trials) arrays viewed as (trials, n)
+    are.  A step costs a few vector operations of length rows per machine.
+    Every row total is bounded by n * t_max, so no row sum is taken.  The
+    loads are decoded once, at the end, as keys // (m * w_i), and returned
+    as the transpose view of that (m, rows) array.
     """
     times = np.asarray(times)
-    weights = _weight_array(scaled_inverse_speeds(machines)[0], int(times.max(initial=0)) * times.shape[1])
-    loads = np.zeros((machines.m, len(times)), dtype=weights.dtype).T
-    for column in times.astype(loads.dtype, copy=False).T:  # an object row of small times, too
-        _eft_step(loads, column, weights)
-    return loads
+    weights = scaled_inverse_speeds(machines)[0]
+    wm = _key_weights(weights, int(times.max(initial=0)) * times.shape[1])
+    keys = np.repeat(np.arange(machines.m)[:, None], len(times), axis=1).astype(wm.dtype)
+    for column in times.astype(wm.dtype, copy=False).T:  # an object row of small times, too
+        _eft_step(keys, column, wm)
+    return (keys // wm).T
 
 
 def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
@@ -220,7 +223,7 @@ def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
         optimum = {c: _optimal_scaled(c, tvals, weights) for c in dict.fromkeys(counts)}
         return np.array([optimum[c] for c in counts], dtype=object), scale
     if isinstance(scheduler, LPT):
-        times = np.sort(times, axis=1)[:, ::-1]
+        times = np.sort(times.T, axis=0)[::-1].T  # longest first, sorted job-major
     elif not isinstance(scheduler, EarliestFinishTime):
         raise DomainError(f"unknown scheduler {scheduler!r}")
     loads = batch_eft_loads(times, machines)
@@ -265,50 +268,45 @@ def _maximal(counts: np.ndarray, totals: np.ndarray, times: list[int], limit: in
     return counts[maximal]
 
 
-def _distinct_loads(loads: np.ndarray, limit: int) -> np.ndarray:
-    """The distinct load vectors, columns of an (m, N) array with entries in [0, limit], keyed base limit+1."""
-    powers = [(limit + 1) ** i for i in range(len(loads))]
-    dtype = _int_dtype((limit + 1) * powers[-1])
-    keys = np.array(powers, dtype=dtype) @ loads.astype(dtype)
-    return loads[:, np.unique(keys, return_index=True)[1]]
-
-
 def _eft_worst_scaled(times: list[int], n: int, limit: int, weights: tuple[int, ...], budget: int) -> int:
     """Largest scaled EFT makespan over every order of every kept sequence, for a `_kept_limit` limit.
 
-    A forward sweep over the distinct EFT load vectors of kept prefixes: each
-    step extends every vector by every job time that still leaves room for
-    the remaining jobs at t_min under the limit.  Refused once the distinct
+    A forward sweep over the distinct EFT load vectors of kept prefixes,
+    held as columns of their `_eft_step` keys and their total: each step
+    extends every vector by every job time that still leaves room for the
+    remaining jobs at t_min under the limit.  Refused once the distinct
     vectors, summed over steps, or the extensions of one step exceed budget,
     or once one step's arrays would exceed the byte budget; the last two
     checks come before the extensions are allocated.
     """
     t_min = min(times)
-    times = sorted(t for t in set(times) if t <= limit - (n - 1) * t_min)  # the others fit no kept sequence
     m = len(weights)
-    largest = max((limit + 1) * max(weights), (limit + 1) ** m)  # a finish time, or a `_distinct_loads` key
-    weights = _weight_array(weights, limit)
-    loads = np.zeros((m, 1), dtype=weights.dtype)  # one column per load vector
+    wm = _key_weights(weights, limit)
+    # the others fit no kept sequence
+    times = np.array(sorted(t for t in set(times) if t <= limit - (n - 1) * t_min), dtype=wm.dtype)
+    # sum_i key_i * lcm(w)/w_i * (limit+1)^i is m*lcm(w) times the load vector read
+    # base limit+1, plus a constant, so one product tells the vectors apart undecoded
+    lcm = math.lcm(*weights)
+    largest = 2 * m * lcm * (limit + 1) ** m  # bounds that product, and so every key too
+    digits = np.array([lcm // w * (limit + 1) ** i for i, w in enumerate(weights)] + [0], dtype=_int_dtype(largest))
+    state = np.array([*range(m), 0], dtype=wm.dtype)[:, None]  # one column per load vector: its m keys, then its total
     swept = 0
     for step in range(1, n + 1):
-        room = limit - (n - step) * t_min
-        totals = loads.sum(axis=0)
-        extend = [(t, totals + t <= room) for t in times]
-        extensions = sum(int(mask.sum()) for _, mask in extend)
+        fits = state[m] <= limit - (n - step) * t_min - times[:, None]  # fits[j, v]: time j extends vector v
+        extensions = int(fits.sum())
         if extensions > budget:
             raise ResourceError(f"EFT order sweep would extend more than {budget} load vectors at job {step} of {n}")
-        # the vectors, the extended ones, their concatenation, its key copy and the distinct vectors, with their keys
-        _refuse_bytes((loads.shape[1] + 4 * extensions) * (m + 1), f"EFT order sweep at job {step} of {n}", largest)
-        parts = []
-        for t, mask in extend:
-            part = loads[:, mask]
-            _eft_step(part.T, t, weights)
-            parts.append(part)
-        loads = _distinct_loads(np.concatenate(parts, axis=1), limit)
-        swept += loads.shape[1]
+        # the vectors; the extended ones with their job index, time, candidates and key product; the distinct ones
+        _refuse_bytes((state.shape[1] + 4 * extensions) * (m + 1), f"EFT order sweep at job {step} of {n}", largest)
+        job, vector = np.nonzero(fits)
+        state, t = state[:, vector], times[job]
+        _eft_step(state[:m], t, wm)
+        state[m] += t
+        state = state[:, np.unique(digits @ state.astype(digits.dtype, copy=False), return_index=True)[1]]
+        swept += state.shape[1]
         if swept > budget:
             raise ResourceError(f"EFT order sweep kept more than {budget} load vectors by job {step} of {n}")
-    return int((loads * weights[:, None]).max())
+    return int(state[:m].max()) // m  # key_i // m is load_i * w_i
 
 
 def _kept_limit(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int:

@@ -34,6 +34,7 @@ from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
 _MAX_BYTES = 1 << 30  # refuse any route whose working arrays would exceed 1 GiB
+_SAMPLE_BLOCK = 64  # trials whose uniforms the sampler draws row by row before one transposed write
 
 
 def _refuse_bytes(entries: int, what: str, largest: int = 0) -> None:
@@ -675,20 +676,22 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     Cost: one pass of about 170 operations over (trials,) uint32 arrays
     hashes every trial's seed words (under 0.1 us a trial); then each trial
     builds its PCG64 from its words and draws its uniforms, a few
-    microseconds a trial.  The work is job-major: trial t's uniforms fill
-    column t of an (n, trials) array, and the leaf blocks pick every
-    trial's symbol for one job in a few vector operations per bin edge.  The
-    matrix is returned as (trials, n), the transpose view of the
-    (n, trials) indices.
+    microseconds a trial.  The work is job-major: the uniforms of a block
+    of `_SAMPLE_BLOCK` (64) trials fill a (64, n) block row by row, and one
+    transposed copy writes the block into 64 columns of an (n, trials)
+    array, in place of one strided column write per trial.  The leaf blocks
+    then pick every trial's symbol for one job in a few vector operations
+    per bin edge.  The matrix is returned as (trials, n), the transpose view
+    of the (n, trials) indices.
 
     Raises DomainError unless n and trials are positive integers, and
     ResourceError, before allocating, when the arrays held at once would
     exceed _MAX_BYTES: the seed words, 4 entries a trial, and as many again
-    for the hash's uint32 pool and temporaries; the uniforms and the
-    indices, and for a mixture a leaf's copy of its trials' uniforms and its
-    own indices, each as large at most.  An IID pick adds one boolean
-    comparison, an eighth of those arrays, and numpy's cast buffer of 8192
-    entries for adding it.
+    for the hash's uint32 pool and temporaries; the block of 64 trials'
+    uniforms; the uniforms and the indices, and for a mixture a leaf's copy
+    of its trials' uniforms and its own indices, each as large at most.  An
+    IID pick adds one boolean comparison, an eighth of those arrays, and
+    numpy's cast buffer of 8192 entries for adding it.
     """
     _check_length(n)
     _check_length(trials, "trials")
@@ -697,12 +700,19 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     lead = len(leaves) > 1
     entries = trials * (n + lead)
     seeding = 8 * trials  # the words, and the hash's pool and temporaries
-    # refused far below 2^32 trials, so each trial index is one uint32 word
-    _refuse_bytes((4 if lead else 2) * entries + entries // 8 + 8192 + seeding, f"sampling {trials} trials of n={n}")
+    per_block = min(_SAMPLE_BLOCK, trials)
+    held = (4 if lead else 2) * entries + entries // 8 + 8192 + seeding + per_block * (n + lead)
+    _refuse_bytes(held, f"sampling {trials} trials of n={n}")
     u = np.empty((n + lead, trials), dtype=np.float64)
-    for t, words in enumerate(_seed_words(master_seed, np.arange(trials, dtype=np.uint32))):
-        u[:, t] = _trial_stream(words).random(n + lead)
-    del words  # the last trial's row, which would keep every trial's words through the picking
+    block = np.empty((per_block, n + lead), dtype=np.float64)  # a block of trials' uniforms, one row each
+    # refused far below 2^32 trials, so each trial index is one uint32 word
+    words = _seed_words(master_seed, np.arange(trials, dtype=np.uint32))
+    for start in range(0, trials, per_block):
+        rows = block[: trials - start]
+        for row, trial in zip(rows, words[start:]):
+            row[:] = _trial_stream(trial).random(n + lead)
+        u[:, start : start + len(rows)] = rows.T
+    del block, rows, words, trial  # trial, a view, would keep every trial's words through the picking
     if not lead:
         return _LEAVES[type(process)].sample(process, u).T, symbols
     chosen = _pick(_cumulative(w for w, _ in leaves), u[0])

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochsched import (
     BruteForce,
@@ -474,6 +476,55 @@ class TestBatchEft:
         for n in (3, 5):
             discard = ThresholdDiscardSet(n=n, alpha=Fraction(2 * max(times)) / problem.machines.v_sum)
             assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+
+
+@st.composite
+def _list_instances(draw):
+    """m from 1 to 5 from few speeds, so equal speeds and tied finish times occur; k <= 4 times; up to 40 rows."""
+    pool = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(1, 2)]
+    speeds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    times = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, len(times) - 1), min_size=n, max_size=n), min_size=1, max_size=40))
+    _, problem = make_problem(times, speeds)
+    return problem, [tuple(problem.alphabet.symbols[j] for j in row) for row in rows]
+
+
+class TestListSchedulersAgainstTheLoops:
+    """`batch_eft_loads` and `makespans_scaled` for EFT and LPT against the one-job-at-a-time oracles."""
+
+    @staticmethod
+    def _check(problem, seqs):
+        rows = _rows(seqs, problem)
+        for layout in (rows, np.asfortranarray(rows)):  # row-major, and job-major as the sampler returns
+            loads = batch_eft_loads(layout, problem.machines)
+            eft, scale = makespans_scaled(EarliestFinishTime(), layout, problem.machines)
+            lpt, lpt_scale = makespans_scaled(LPT(), layout, problem.machines)
+            for i, seq in enumerate(seqs):
+                a = eft_by_loop(seq, problem)
+                assert loads[i].tolist() == loads_of(a, seq, problem)
+                assert Fraction(int(eft[i]), scale) == makespan_of(a, seq, problem)
+                assert Fraction(int(lpt[i]), lpt_scale) == makespan_of(lpt_by_loop(seq, problem), seq, problem)
+        return loads.dtype
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_list_instances())
+    def test_property(self, instance):
+        self._check(*instance)
+
+    # weights (2, 1, 1), m = 3 and n = 2, so the key bound ((2*t_max + 1)*2 + 1)*3 is 12*t_max + 9
+    _BELOW = (2**62 - 4) // 12 - 1  # 12*t_max + 9 = 2**62 - 7
+    _ABOVE = (2**62 - 4) // 12  # 2**62 + 5
+    _WRAPS = 2**60 - 1  # the bound without its factor m is 2**62 - 1, and keys reach 3 * 2**62
+
+    @pytest.mark.parametrize(
+        "t_max, dtype", [(_BELOW, np.int64), (_ABOVE, object), (_WRAPS, object)], ids=["below", "above", "wraps"]
+    )
+    def test_key_dtype_at_2_to_the_62(self, t_max, dtype):
+        assert (((2 * t_max + 1) * 2 + 1) * 3 < 2**62) == (dtype is np.int64)
+        _, problem = make_problem([1, t_max // 3, t_max - 1, t_max], [Fraction(1), Fraction(2), Fraction(2)])
+        seqs = list(itertools.product(problem.alphabet.symbols, repeat=2))
+        assert self._check(problem, seqs) == dtype
 
 
 class TestMakespansScaled:

@@ -803,7 +803,7 @@ def _edge_rng_stream(master_seed, trial):
 
 class TestSamplerAgainstPerKindReference:
     @pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
-    @pytest.mark.parametrize("n, trials", [(1, 5), (37, 200)])
+    @pytest.mark.parametrize("n, trials", [(1, 5), (37, 200), (3, 63), (3, 64), (3, 65), (3, 129)])  # blocks of 64
     def test_draws_bit_identical(self, case, n, trials):
         process = _SAMPLER_CASES[case]
         idx, symbols = sample_index_matrix(process, n, trials, master_seed=2024)

@@ -9,7 +9,8 @@ arrays that kernel holds, its sampler block and its exact E[T_n]), and
 `sum_distributions`, `mean_total_time_exact` and `sample_index_matrix` are
 each one loop over the weighted leaves.  A sum-law kernel serves a whole
 grid of lengths in one call: the Markov DP runs once, to the largest n,
-and the IID kernel powers each n on its own.
+on the lattice of the shifts' gcd, and the IID kernel powers each n on its
+own, squaring only the nonzero band of each law.
 
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
@@ -268,7 +269,8 @@ def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     product of two entries of x and the doubling is exact, so each entry
     keeps the relative error of a direct sum wherever no product or partial
     sum is subnormal, and scaling x by a power of two scales the result
-    exactly there; `_iid_law` squares masses lifted by 2^511 (see _LIFT).
+    exactly there; `_iid_law` squares masses lifted by 2^511 (see _LIFT),
+    and only their nonzero band (see _band).
     """
     if out is None:
         out = np.empty(2 * len(x) - 1)
@@ -286,6 +288,25 @@ def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _band(x: np.ndarray) -> tuple[int, int]:
+    """(first, last + 1): the indices that bound x's nonzero entries; x has one.
+
+    O(1) when both end entries are nonzero, and one O(len(x)) pass otherwise.
+    """
+    if x[0] and x[-1]:
+        return 0, len(x)
+    nonzero = x != 0.0
+    return int(np.argmax(nonzero)), len(x) - int(np.argmax(nonzero[::-1]))
+
+
+def _square_band(x: np.ndarray) -> np.ndarray:
+    """_square(x), run on x's nonzero band [lo, hi) and written at 2*lo into zeros."""
+    lo, hi = _band(x)
+    out = np.zeros(2 * len(x) - 1)
+    _square(x[lo:hi], out[2 * lo : 2 * hi - 1])
+    return out
+
+
 def _iid_law(base: np.ndarray, n: int) -> np.ndarray:
     """Law of n jobs from `base`, the one-job law, powering from the left.
 
@@ -296,15 +317,31 @@ def _iid_law(base: np.ndarray, n: int) -> np.ndarray:
     runs on factors lifted by 2^511 and is scaled back by 1/_LIFT at once,
     which rounds only its masses below 2^-1022; the law is lifted in place
     and `base` through one lifted copy, so no step holds an extra array.
+
+    Each square and product runs on the nonzero band of its factors only
+    (see _band): a law whose extreme masses rounded to 0.0, or a one-job law
+    with a zero-probability extreme time, skips the lattice points that
+    cannot hold mass, and the result is written at the band's offset into
+    zeros.  A factor without zero edges is its own band, so such a law takes
+    the same steps as an unbanded kernel, bit for bit; a banded square splits
+    at a different index, which changes only the order of its sums.
     """
     up = _LIFT**0.5
     lifted = base * up
+    first, last = _band(lifted)
+    one_job = lifted[first:last]
     law = base
     for bit in bin(n)[3:]:
-        law = _square(lifted if law is base else np.multiply(law, up, out=law))
+        law = _square_band(lifted if law is base else np.multiply(law, up, out=law))
         law *= 1 / _LIFT
         if bit == "1":
-            law = np.convolve(np.multiply(law, up, out=law), lifted)
+            lo, hi = _band(np.multiply(law, up, out=law))
+            length = len(law) + len(base) - 1
+            law = np.convolve(law[lo:hi], one_job)
+            if len(law) < length:  # a zero edge: place the bands' product at its offset into zeros
+                placed = np.zeros(length)
+                placed[lo + first : lo + first + len(law)] = law
+                law = placed
             law *= 1 / _LIFT
     return law
 
@@ -321,35 +358,54 @@ def _iid_sums(model: IIDModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list
 
 
 def _markov_sums(model: MarkovModel, alphabet: JobAlphabet, ns: Sequence[int]) -> list[np.ndarray]:
+    """Per n of ns, the law of T_n over [n*t_min, n*t_max], from one DP on the shifts' gcd lattice.
+
+    The shifts t - t_min share a gcd g, so every total is n*t_min + g*i and
+    g - 1 of every g dense lattice points hold no mass.  The DP runs on the
+    reduced shifts (t - t_min) / g, over step*span/g + 1 points after `step`
+    jobs, and each kept law is summed straight into every g-th entry of its
+    zero-filled dense array.  Every reduced point sees the products and sums
+    its dense point saw, in the same order, so each law is the one a DP on
+    the dense lattice gives, bit for bit, at O(k^2 * n^2 * span / g) cost.
+    """
     times = _symbol_times(model, alphabet)
     shifts = [t - min(times) for t in times]
+    stride = math.gcd(*shifts)  # > 0: sum_distributions runs no kernel when every time is equal
+    shifts = [shift // stride for shift in shifts]
     span = max(shifts)
     trans_t = np.array([[float(p) for p in row] for row in model.transition]).T.copy()
-    # state-resolved law of the running total re-based at step*t_min, in two
-    # buffers used in turn; after `step` jobs the first step*span+1 columns
-    # are live.  Each job is one k x k product of the live window into a
-    # reused buffer (BLAS reads the strided window in place), whose row j is
-    # then copied to [shift_j, shift_j + width) of the next state.  That
-    # range grows every step, so row j's other columns stay zero.  One DP
-    # runs to the largest n and keeps the law at each smaller grid length.
-    # The state starts at _LIFT times the initial law, so its rows sum to at
-    # most _LIFT and the k x k products stay off the subnormal path until
-    # a mass falls below 2^-2044; each kept law is scaled back in place.
+    # state-resolved law of the running total re-based at step*t_min, on the
+    # reduced lattice, in two buffers used in turn; after `step` jobs the
+    # first step*span+1 columns are live.  Each job is one k x k product of
+    # the live window into a reused buffer (BLAS reads the strided window in
+    # place), whose row j is then copied to [shift_j, shift_j + width) of the
+    # next state.  That range grows every step, so row j's other columns stay
+    # zero.  One DP runs to the largest n and keeps the law at each smaller
+    # grid length.  The state starts at _LIFT times the initial law, so its
+    # rows sum to at most _LIFT and the k x k products stay off the
+    # subnormal path until a mass falls below 2^-2044; each kept law is
+    # scaled back in place.
     cur = np.zeros((len(times), ns[-1] * span + 1))
     nxt = np.zeros_like(cur)
     product = np.empty_like(cur)
     for j, shift in enumerate(shifts):
         cur[j, shift] = float(model.initial[j]) * _LIFT
+
+    def kept(state: np.ndarray) -> np.ndarray:
+        law = np.zeros((state.shape[1] - 1) * stride + 1)
+        np.sum(state, axis=0, out=law[::stride])
+        return law
+
     laws = []
     for step in range(1, ns[-1]):
         width = step * span + 1
         if step == ns[len(laws)]:
-            laws.append(cur[:, :width].sum(axis=0))
+            laws.append(kept(cur[:, :width]))
         moved = np.matmul(trans_t, cur[:, :width], out=product[:, :width])
         for j, shift in enumerate(shifts):
             nxt[j, shift : shift + width] = moved[j]
         cur, nxt = nxt, cur
-    laws.append(cur.sum(axis=0))
+    laws.append(kept(cur))
     for law in laws:
         law *= 1 / _LIFT
     return laws
@@ -573,7 +629,7 @@ def _sample_markov(model: MarkovModel, u: np.ndarray) -> np.ndarray:
 
 class _Leaf(NamedTuple):
     sum_law: Callable  # (leaf, alphabet, ns) -> per n, masses over [n*t_min, n*t_max]
-    rows: Callable  # leaf -> float64 arrays as wide as the largest n's lattice that sum_law holds at once
+    rows: Callable  # leaf -> float64 arrays as wide as the largest n's lattice that bound what sum_law holds at once
     sample: Callable  # (leaf, u) -> (n, trials) indices into leaf.symbols, for (n, trials) uniforms u
     mean_total: Callable  # (leaf, alphabet, n) -> exact E[T_n]
 
@@ -581,13 +637,17 @@ class _Leaf(NamedTuple):
 _LEAVES = {
     IIDModel: _Leaf(
         sum_law=_iid_sums,
-        rows=lambda model: 3,  # a square, its input and cross term (2.25 rows together), or a square and its odd-n product
+        # a square, its input and cross term (2.25 rows together); a square and
+        # its band's odd-n product; or that product and the zeros it is placed in
+        rows=lambda model: 3,
         sample=_sample_iid,
         mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
     ),
     MarkovModel: _Leaf(
         sum_law=_markov_sums,
-        rows=lambda model: 3 * len(model.symbols) + 1,  # two state buffers, the product buffer and the sum
+        # two state buffers and the product buffer, on the lattice of stride g
+        # (g times narrower), and the dense law their sum is written into
+        rows=lambda model: 3 * len(model.symbols) + 1,
         sample=_sample_markov,
         mean_total=_markov_mean_total,
     ),
@@ -608,12 +668,14 @@ def _check_grid(grid: Sequence, what: str) -> None:
 def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequence[int]) -> list[SumDistribution]:
     """Exact dynamic-programming laws of the n-job total processing time, one per n of a strictly increasing grid.
 
-    Cost: one O(k^2 * N^2 * span) sweep for a k-state Markov chain, where N
-    is the largest n, keeping the law at each smaller n on its way; for IID,
-    per n, one square of the law of n >> 1 after that law's own squares,
-    about L^2/6 multiply-adds in all for a law of L lattice points; and
-    O(1) per n when every job time is equal.  A mixture adds its leaves'
-    laws with their weights; they share one symbol set, hence one lattice.
+    Cost: one O(k^2 * N^2 * span / g) sweep for a k-state Markov chain,
+    where N is the largest n and g the gcd of the shifts t - t_min, keeping
+    the law at each smaller n on its way; for IID, per n, one square of the
+    law of n >> 1 after that law's own squares, about L^2/6 multiply-adds in
+    all for a law of L lattice points, fewer where its extreme masses read
+    0.0, as each square runs on the nonzero band; and O(1) per n when every
+    job time is equal.  A mixture adds its leaves' laws with their weights;
+    they share one symbol set, hence one lattice.
     The kernels run on masses lifted by a power of two (see _LIFT): a mass
     has the bits the unlifted arithmetic gives it unless that arithmetic
     rounds a subnormal on the way, which happens only deep in a tail, and
@@ -624,6 +686,8 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
     grid or an n < 1, and ResourceError, before allocating, when the largest
     leaf kernel's working arrays, the laws it holds for the smaller lengths
     and a mixture's weighted sum at every length would exceed _MAX_BYTES.
+    A Markov leaf is counted on the dense lattice, which bounds its DP on
+    the lattice of stride g.
     """
     ns = list(n_grid)
     for n in ns:

@@ -241,7 +241,8 @@ def _chain_with_zero_start():
     return MarkovModel(("a", "b", "c"), rows, (Fraction(0), Fraction(0), Fraction(1)))
 
 
-_WIDE = JobAlphabet({"a": 2, "b": 5, "c": 11})
+_WIDE = JobAlphabet({"a": 2, "b": 5, "c": 11})  # shifts 0, 3, 9: the Markov DP runs on the lattice of stride 3
+_COPRIME = JobAlphabet({"a": 2, "b": 5, "c": 10})  # shifts 0, 3, 8: stride 1
 _IID_EDGE_ZERO = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(0)})
 _IID3 = IIDModel({"a": Fraction(1, 5), "b": Fraction(1, 2), "c": Fraction(3, 10)})
 _DENSE_CASES = {
@@ -279,24 +280,50 @@ _EDGE_SHAPES = {
 }
 
 
+def _assert_matches_direct_dp(process, alphabet, n):
+    dist = sum_distribution(process, alphabet, n)
+    oracle = sum_law_by_direct_dp(process, alphabet, n)
+    assert set(dist.mass) == set(oracle)
+    for total, p in oracle.items():
+        if p >= 1e-290:
+            assert abs(dist.mass_at(total) - p) <= 1e-12 * p
+    assert abs(float(dist.masses.sum()) - 1.0) <= 1e-12
+    tails = TailsFromMass(dist.mass)
+    for s in dist.support():
+        assert dist.prob_above(s) == min(1.0, tails.above[s])
+        assert dist.prob_below(s) == min(1.0, tails.below[s])
+        if 0.0 < tails.above[s] < 1.0:
+            assert dist.upper_quantile_total(tails.above[s]) == tails.upper_quantile_total(tails.above[s])
+
+
+def _assert_peak_within_budget(monkeypatch, process, alphabet, grid):
+    # the bytes sum_distributions budgets must cover what its kernels hold
+    with monkeypatch.context() as patch:
+        patch.setattr(stochastic, "_MAX_BYTES", 0)
+        with pytest.raises(ResourceError) as refused:
+            sum_distributions(process, alphabet, grid)
+    needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+    tracemalloc.start()
+    try:
+        sum_distributions(process, alphabet, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needed + (64 << 10)
+
+
 class TestDenseKernelAgainstDirectDP:
     @pytest.mark.parametrize("case", sorted(_DENSE_CASES))
     @pytest.mark.parametrize("n", [1, 2, 7, 150, 400])
     def test_masses_and_queries(self, case, n):
-        process = _DENSE_CASES[case]
-        dist = sum_distribution(process, _WIDE, n)
-        oracle = sum_law_by_direct_dp(process, _WIDE, n)
-        assert set(dist.mass) == set(oracle)
-        for total, p in oracle.items():
-            if p >= 1e-290:
-                assert abs(dist.mass_at(total) - p) <= 1e-12 * p
-        assert abs(float(dist.masses.sum()) - 1.0) <= 1e-12
-        tails = TailsFromMass(dist.mass)
-        for s in dist.support():
-            assert dist.prob_above(s) == min(1.0, tails.above[s])
-            assert dist.prob_below(s) == min(1.0, tails.below[s])
-            if 0.0 < tails.above[s] < 1.0:
-                assert dist.upper_quantile_total(tails.above[s]) == tails.upper_quantile_total(tails.above[s])
+        _assert_matches_direct_dp(_DENSE_CASES[case], _WIDE, n)
+
+    @pytest.mark.parametrize("case", ["markov-zero-start", "markov-periodic", "mixture", "mixture-nested"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 150, 400])
+    def test_markov_on_unit_stride(self, case, n):
+        # _WIDE's Markov laws come from the DP on the lattice of stride 3;
+        # on _COPRIME it runs on every lattice point
+        _assert_matches_direct_dp(_DENSE_CASES[case], _COPRIME, n)
 
     @pytest.mark.parametrize("case", ["markov-zero-start", "markov-periodic", "mixture"])
     def test_masses_where_they_underflow(self, case):
@@ -326,26 +353,41 @@ class TestDenseKernelAgainstDirectDP:
 
     @pytest.mark.parametrize("case", ["iid", "markov-zero-start", "mixture", "mixture-nested"])
     def test_peak_memory_within_the_budget(self, monkeypatch, case):
-        # the bytes sum_distributions budgets must cover what its kernels
-        # hold, the laws kept for a grid's smaller lengths included; an odd
-        # IID length holds a square and its product with the one-job law
-        process = _DENSE_CASES[case]
+        # the laws kept for a grid's smaller lengths count too; an odd IID
+        # length holds a square and its product with the one-job law
         grids = [[3000], [1000, 2000, 3000]]
         if case == "iid":
             grids += [[3001], [4097], [1000, 2001, 4097]]
         for grid in grids:
-            with monkeypatch.context() as patch:
-                patch.setattr(stochastic, "_MAX_BYTES", 0)
-                with pytest.raises(ResourceError) as refused:
-                    sum_distributions(process, _WIDE, grid)
-            needed = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
-            tracemalloc.start()
-            try:
-                sum_distributions(process, _WIDE, grid)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= needed + (64 << 10)
+            _assert_peak_within_budget(monkeypatch, _DENSE_CASES[case], _WIDE, grid)
+
+    @pytest.mark.parametrize(
+        "process, alphabet, grid",
+        [
+            (_IID_EDGE_ZERO, _WIDE, [1000, 2001, 4097]),
+            (_chain_with_zero_start(), JobAlphabet({"a": 1, "b": 7, "c": 13}), [1000, 2000, 3000]),
+            (_chain_with_zero_start(), _COPRIME, [1000, 2000, 3000]),
+        ],
+        ids=["iid-banded", "markov-stride-6", "markov-stride-1"],
+    )
+    def test_peak_memory_on_bands_and_strides(self, monkeypatch, process, alphabet, grid):
+        # a banded IID law places each square and odd product into zeros;
+        # a strided Markov DP sums each kept law into every g-th dense entry
+        _assert_peak_within_budget(monkeypatch, process, alphabet, grid)
+
+    def test_strided_dp_holds_its_buffers_on_the_reduced_lattice(self):
+        # times 1, 7, 13: the shifts 0, 6, 12 share g = 6, so the two state
+        # buffers and the product buffer are 6 times narrower than the dense
+        # law their sum is written into
+        k, g, n = 3, 6, 3000
+        points = n * 12 + 1
+        tracemalloc.start()
+        try:
+            sum_distribution(_chain_with_zero_start(), JobAlphabet({"a": 1, "b": 7, "c": 13}), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * k * ((points - 1) // g + 1) + points) + (64 << 10)
 
     def test_byte_budget_refuses_before_allocating(self):
         n, span, k = 10, 10_000_000, 3
@@ -389,8 +431,16 @@ _MACHINES = MachineSet((Fraction(1), Fraction(3, 2), Fraction(2)))
 class TestSumLawsOverAGrid:
     """One sweep over a grid gives, bit for bit, the law each length gives on its own."""
 
-    GRIDS = [[1], [1, 2, 7], [3, 4, 5], [7, 150, 400]]
-    CASES = {**{name: (process, _WIDE) for name, process in _DENSE_CASES.items()}, **_EDGE_SHAPES}
+    # the last grid straddles the underflow of the two-halves law's extreme
+    # masses, 2^-n: the law of 2151 squares the nonzero band of the law of 1075
+    GRIDS = [[1], [1, 2, 7], [3, 4, 5], [7, 150, 400], [1000, 1075, 2151]]
+    CASES = {
+        **{name: (process, _WIDE) for name, process in _DENSE_CASES.items()},
+        **_EDGE_SHAPES,
+        "markov-zero-start-stride-1": (_chain_with_zero_start(), _COPRIME),
+        "mixture-stride-1": (_DENSE_CASES["mixture"], _COPRIME),
+        "iid-two-halves": (UNIFORM, JobAlphabet({"a": 1, "b": 2})),
+    }
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda grid: ",".join(map(str, grid)))
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -468,8 +518,12 @@ class TestIIDSquaring:
 
     @pytest.mark.parametrize(
         "process, alphabet",
-        [(_IID3, JobAlphabet({"a": 4, "b": 6, "c": 14})), (_IID_EDGE_ZERO, _WIDE)],
-        ids=["gcd-2", "iid-zero-at-edge"],
+        [
+            (_IID3, JobAlphabet({"a": 4, "b": 6, "c": 14})),
+            (_IID_EDGE_ZERO, _WIDE),
+            (IIDModel({"a": Fraction(0), "b": Fraction(1, 2), "c": Fraction(1, 2)}), _WIDE),
+        ],
+        ids=["gcd-2", "iid-zero-at-edge", "iid-zero-at-lower-edge"],
     )
     def test_law_matches_the_former_kernel(self, process, alphabet):
         # below 1e-290 the two kernels may round a subnormal total differently,
@@ -488,6 +542,34 @@ class TestIIDSquaring:
             assert np.array_equal(law.masses >= 1e-290, normal)
             assert np.all(np.abs(law.masses[normal] - former[normal]) <= 1e-13 * former[normal])
             assert not law.masses[np.arange(len(former)) % step != 0].any()
+
+    @staticmethod
+    def _unbanded(base, n):
+        # _iid_law with every square and product on the whole lattice
+        up = stochastic._LIFT**0.5
+        lifted = base * up
+        law = base
+        for bit in bin(n)[3:]:
+            law = stochastic._square(lifted if law is base else law * up) / stochastic._LIFT
+            if bit == "1":
+                law = np.convolve(law * up, lifted) / stochastic._LIFT
+        return law
+
+    @pytest.mark.parametrize("n", [2, 7, 150, 401, 1500, 3001])
+    def test_band_changes_only_laws_with_zero_edges(self, n):
+        # _IID3's extreme masses are 5^-n and (10/3)^-n; the first falls below
+        # 2^-1075 near n = 463.  Below that every law is its own band and the
+        # kernel's bits are the unbanded ones; above, only the order of a
+        # square's sums moves
+        base = np.array([0.2, 0, 0, 0.5, 0, 0, 0, 0, 0, 0.3])
+        law, unbanded = stochastic._iid_law(base, n), self._unbanded(base, n)
+        assert np.array_equal(law > 0, unbanded > 0)
+        if n < 460:
+            assert np.array_equal(law, unbanded)
+        else:
+            assert law[0] == law[-1] == 0.0
+            normal = unbanded >= 1e-290
+            assert np.all(np.abs(law[normal] - unbanded[normal]) <= 1e-13 * unbanded[normal])
 
 
 _DYADIC_TIMES = JobAlphabet({"a": 1, "b": 2, "c": 5})
@@ -510,20 +592,41 @@ class TestDeepTailAgainstTheExactLaw:
     SMALLEST = Fraction(2) ** -1074
 
     @pytest.mark.parametrize(
-        "process, n",
-        [(IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4)}), 700), (_DYADIC_CHAIN, 400)],
-        ids=["iid", "markov"],
+        "process, alphabet, n",
+        [
+            (IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 4)}), _DYADIC_TIMES, 700),
+            (_DYADIC_CHAIN, _DYADIC_TIMES, 400),
+            (_DYADIC_CHAIN, JobAlphabet({"a": 2, "b": 5, "c": 14}), 400),
+        ],
+        ids=["iid", "markov", "markov-stride-3"],
     )
-    def test_every_total(self, process, n):
+    def test_every_total(self, process, alphabet, n):
         # dyadic probabilities: every mass is an integer over 4^n or 8^n;
         # each law has 20 to 40 totals in [2^-1074, 2^-1022)
-        exact = oracles.sum_law_exact(process, _DYADIC_TIMES, n)
+        exact = oracles.sum_law_exact(process, alphabet, n)
         assert sum(self.SMALLEST <= p < Fraction(2) ** -1022 for p in exact.values()) >= 20
-        dist = sum_distribution(process, _DYADIC_TIMES, n)
+        dist = sum_distribution(process, alphabet, n)
         assert set(dist.mass) <= set(exact)
         for total, p in exact.items():
             got = Fraction(dist.mass_at(total))
             assert abs(got - p) <= self.SMALLEST + p / 10**13
+            assert got > 0 or p < self.SMALLEST
+        # no sequence reaches a total off the stride of the shifts t - t_min
+        times = [alphabet.time_of(sym) for sym in process.symbols]
+        stride = math.gcd(*(t - min(times) for t in times))
+        assert not dist.masses[np.arange(len(dist.masses)) % stride != 0].any()
+
+    @pytest.mark.parametrize("n", [1075, 1076, 1500, 2151, 3001])
+    def test_two_halves_against_the_binomial_law(self, n):
+        # P(T_n = n + j) = C(n, j) / 2^n.  From n = 1075 on the extreme masses
+        # are below 2^-1074 and read 0.0, and the laws of 2151 and 3001 square
+        # (and multiply once more) only the nonzero band of a law with zero edges
+        dist = sum_distribution(UNIFORM, JobAlphabet({"a": 1, "b": 2}), n)
+        assert (dist.offset, len(dist.masses)) == (n, n + 1)
+        assert dist.masses[0] == dist.masses[-1] == 0.0
+        for j, got in enumerate(dist.masses.tolist()):
+            p = Fraction(math.comb(n, j), 2**n)
+            assert abs(Fraction(got) - p) <= self.SMALLEST + p / 10**13
             assert got > 0 or p < self.SMALLEST
 
     @pytest.mark.parametrize("n", [1, 2, 1022, 1023, 1024, 1025, 1073, 1074])

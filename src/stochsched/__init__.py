@@ -23,12 +23,7 @@ from .schedulers import (
     makespans_scaled,
     max_kept_total_time,
 )
-from .second_order import (
-    SecondOrderRow,
-    berry_esseen_error_bound,
-    berry_esseen_prediction,
-    second_order_table,
-)
+from .second_order import SecondOrderRow, second_order_table
 from .spectrum import (
     AverageCaseResult,
     RateExperimentRow,

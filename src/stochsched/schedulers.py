@@ -2,8 +2,9 @@
 
 Three scheduling strategies share one dispatch surface, `makespans_scaled`:
 
-* BruteForce      exact optimum: a dynamic programme over machines on a
-                  job multiset's count vector,
+* BruteForce      exact optimum: `_optimal_scaled`, one dynamic programme
+                  over machines on the sub-multisets of a job multiset's
+                  count vector, its last machine one vector operation,
 * EarliestFinishTime  list scheduling onto the machine that finishes first,
 * LPT             EFT over the jobs reordered longest-first.
 
@@ -90,20 +91,6 @@ class ThresholdDiscardSet:
         return self.n * problem.machines.v_sum * self.alpha
 
 
-def _refuse_assignments_over_budget(m: int, n: int, budget: int) -> None:
-    """The brute-force budget: refuse n jobs on m >= 2 machines when m^n exceeds budget."""
-    if m > 1 and m**n > budget:
-        raise ResourceError(
-            f"brute force would enumerate {m}^{n} assignments (budget {budget}); "
-            "use EarliestFinishTime or LPT instead"
-        )
-
-
-def _weight_array(weights: tuple[int, ...], max_total: int) -> np.ndarray:
-    """Scaled inverse speeds in the dtype of every finish time up to max_total; loads take the same dtype."""
-    return np.array(weights, dtype=_int_dtype((max_total + 1) * max(weights)))
-
-
 def _key_weights(weights: tuple[int, ...], max_total: int) -> np.ndarray:
     """The column m*w_i, in the dtype of keys of loads up to max_total: ((max_total+1)*max(w)+1)*m bounds them."""
     m = len(weights)
@@ -125,36 +112,37 @@ def _eft_step(keys: np.ndarray, t, wm: np.ndarray) -> None:
     np.maximum(keys, cand, out=keys)
 
 
-# grids of the sub-multiset lattice that `_prefix_tables` holds at once: the
+# grids of the sub-multiset lattice that `_optimal_scaled` holds at once: the
 # loads, the previous and the next table, a machine's finish times and one temporary
 _PREFIX_GRIDS = 5
 
 
-def _load_grid(present: list[tuple[int, int]], weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Total time of every sub-multiset a <= counts of (count, time) pairs, and the weights in its dtype.
+def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
+    """Optimal scaled makespan of counts[j] jobs of time times[j] on machines with scaled inverse speeds weights.
 
-    Refused before allocating when the `_PREFIX_GRIDS` grids that the
-    programme holds at once exceed the byte budget.
+    A dynamic programme over machines on the grid of sub-multisets a <=
+    counts, whose total times are load[a].  f[a] is the least scaled
+    makespan of placing a on the machines so far: the first machine takes
+    load[a]*w; each middle machine takes min over b <= a of max(f[a-b],
+    load[b]*w), one slice operation per b, and only the latest table is
+    kept; the last machine takes the rest, so the optimum is the least
+    max(f[a], load[counts-a]*w) over a, one vector operation.  The loads and
+    weights take the dtype of every finish time, and the programme is
+    refused before allocating when its `_PREFIX_GRIDS` grids exceed the
+    byte budget.
     """
+    present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
     max_total = sum(c * t for c, t in present)
-    w = _weight_array(weights, max_total)
+    if len(weights) == 1:
+        return max_total * weights[0]
+    largest = (max_total + 1) * max(weights)
     grid = math.prod(c + 1 for c, _ in present)
-    _refuse_bytes(_PREFIX_GRIDS * grid, "brute force's count-vector programme", (max_total + 1) * max(weights))
+    _refuse_bytes(_PREFIX_GRIDS * grid, "brute force's count-vector programme", largest)
+    w = np.array(weights, dtype=_int_dtype(largest))
     load = np.zeros([c + 1 for c, _ in present], dtype=w.dtype)
     for along_axis in np.ix_(*(np.arange(c + 1, dtype=w.dtype) * t for c, t in present)):
         load = load + along_axis
-    return load, w
-
-
-def _prefix_tables(load: np.ndarray, w: np.ndarray):
-    """The dynamic programme over machines: yields f for every machine but the last.
-
-    f[a] is the least scaled makespan of placing the sub-multiset a on the
-    machines so far.  The first machine takes load[a]*w; each middle machine
-    takes min over b <= a of max(f[a-b], load[b]*w), one slice operation per b.
-    """
     f = load * w[0]
-    yield f
     for wi in w[1:-1]:
         machine = load * wi
         g = f.copy()  # b = 0: the machine stays empty
@@ -162,27 +150,7 @@ def _prefix_tables(load: np.ndarray, w: np.ndarray):
             upper = g[tuple(slice(x, None) for x in b)]
             np.minimum(upper, np.maximum(f[tuple(slice(s - x) for s, x in zip(load.shape, b))], machine[b]), out=upper)
         f = g
-        yield f
-
-
-def _with_last_machine(f: np.ndarray, load: np.ndarray, w_last) -> np.ndarray:
-    """Scaled makespan when the machines before the last take a and the last takes the rest, for every a."""
-    return np.maximum(f, load[(slice(None, None, -1),) * load.ndim] * w_last)
-
-
-def _optimal_scaled(counts, times, weights: tuple[int, ...]) -> int:
-    """Optimal scaled makespan of counts[j] jobs of time times[j] on machines with scaled inverse speeds weights.
-
-    Runs `_prefix_tables` keeping only the latest table; the last machine
-    needs it only at the full vector, one vector operation.
-    """
-    present = [(int(c), int(t)) for c, t in zip(counts, times) if c]
-    if len(weights) == 1:
-        return sum(c * t for c, t in present) * weights[0]
-    load, w = _load_grid(present, weights)
-    for f in _prefix_tables(load, w):
-        pass
-    return int(_with_last_machine(f, load, w[-1]).min())
+    return int(np.maximum(f, load[(slice(None, None, -1),) * load.ndim] * w[-1]).min())
 
 
 def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
@@ -217,7 +185,12 @@ def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
     weights, scale = scaled_inverse_speeds(machines)
     times = np.asarray(times)
     if isinstance(scheduler, BruteForce):
-        _refuse_assignments_over_budget(machines.m, times.shape[1], scheduler.budget)
+        m, n = machines.m, times.shape[1]
+        if m > 1 and m**n > scheduler.budget:
+            raise ResourceError(
+                f"brute force would enumerate {m}^{n} assignments (budget {scheduler.budget}); "
+                "use EarliestFinishTime or LPT instead"
+            )
         tvals = np.unique(times).tolist()
         counts = [tuple(c) for c in np.stack([(times == t).sum(axis=1) for t in tvals], axis=1).tolist()]
         optimum = {c: _optimal_scaled(c, tvals, weights) for c in dict.fromkeys(counts)}

@@ -28,35 +28,6 @@ from .stochastic import IIDModel, _iid_central_moments, sum_distributions
 _NORMAL = NormalDist()
 
 
-def _require_iid_nondegenerate(problem: SchedulingProblem) -> tuple[Fraction, Fraction, Fraction]:
-    if not isinstance(problem.process, IIDModel):
-        raise DomainError("second-order analysis covers IID job streams only")
-    mu, var, rho = _iid_central_moments(problem.process, problem.alphabet)
-    if var == 0:
-        raise DomainError("degenerate one-point time law: variance is zero")
-    return mu, var, rho
-
-
-def berry_esseen_prediction(n: int, epsilon: float, problem: SchedulingProblem) -> float:
-    """Gaussian prediction of the optimal epsilon-discard cost at length n."""
-    if not 0.0 < float(epsilon) < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    mu, var, _ = _require_iid_nondegenerate(problem)
-    v_sum = float(problem.machines.v_sum)
-    q = _NORMAL.inv_cdf(float(epsilon))
-    return n * float(mu) / v_sum - math.sqrt(float(var) * n) * q / v_sum
-
-
-def berry_esseen_error_bound(n: int, problem: SchedulingProblem) -> float:
-    """Uniform CDF error bound rho/(sigma^3 sqrt(n)) for the normalized total.
-
-    With the per-job summand (T - E[T])/v_sum the v_sum factors cancel, so
-    the bound equals E|T-E[T]|^3 / (Var[T]^{3/2} sqrt(n)).
-    """
-    _, var, rho = _require_iid_nondegenerate(problem)
-    return float(rho) / (float(var) ** 1.5 * math.sqrt(n))
-
-
 @dataclass(frozen=True)
 class SecondOrderRow:
     """One grid length: exact optimal rate, its cost bracket, and the Gaussian view."""
@@ -81,20 +52,31 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
     prediction, and the residual midpoint(bracket) - prediction.
     gaussian_tail is the normal approximation of the exceedance probability
     at the chosen quantile, to be compared against epsilon within be_bound
-    plus the lattice atom there.  The laws come from one `sum_distributions`
-    call over n_grid, which squares the law of n >> 1 for each n.
+    plus the lattice atom there.  be_bound is the uniform CDF error bound
+    rho/(sigma^3 sqrt(n)) of the normalized total: with the per-job summand
+    (T - E[T])/v_sum the v_sum factors cancel, so it is E|T-E[T]|^3 /
+    (Var[T]^{3/2} sqrt(n)).  The laws come from one `sum_distributions` call
+    over n_grid, which squares the law of n >> 1 for each n.
+
+    Raises DomainError for a process that is not IID, a one-point time law
+    (variance zero) or an epsilon outside (0, 1).
     """
-    mu, var, _ = _require_iid_nondegenerate(problem)
+    if not isinstance(problem.process, IIDModel):
+        raise DomainError("second-order analysis covers IID job streams only")
+    mu, var, rho = _iid_central_moments(problem.process, problem.alphabet)
+    if var == 0:
+        raise DomainError("degenerate one-point time law: variance is zero")
     if not 0.0 < float(epsilon) < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     epsilon = float(epsilon)
+    v_sum = float(problem.machines.v_sum)
+    q = _NORMAL.inv_cdf(epsilon)
     rows = []
-    for dist in sum_distributions(problem.process, problem.alphabet, [int(n) for n in n_grid]):
+    for dist in sum_distributions(problem.process, problem.alphabet, n_grid):
         n = dist.n
         s = dist.upper_quantile_total(epsilon)
         lo, hi = _span_bracket(s, problem)
-        pred = berry_esseen_prediction(n, epsilon, problem)
-        resid = float(lo + hi) / 2.0 - pred
+        pred = n * float(mu) / v_sum - math.sqrt(float(var) * n) * q / v_sum
         z = float(s - n * mu) / math.sqrt(n * float(var))
         rows.append(
             SecondOrderRow(
@@ -104,8 +86,8 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
                 cost_lo=lo,
                 cost_hi=hi,
                 prediction=pred,
-                residual=resid,
-                be_bound=berry_esseen_error_bound(n, problem),
+                residual=float(lo + hi) / 2.0 - pred,
+                be_bound=float(rho) / (float(var) ** 1.5 * math.sqrt(n)),
                 quantile_atom=dist.mass_at(s),
                 gaussian_tail=0.5 * math.erfc(z / math.sqrt(2.0)),  # P(Z > z); 1 - cdf(z) would cancel
             )

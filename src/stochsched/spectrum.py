@@ -100,15 +100,12 @@ def spectral_scan(
     each n.
     """
     alphas = tuple(as_fraction(a) for a in alpha_grid)
-    ns = tuple(int(n) for n in n_grid)
+    ns = tuple(n_grid)
     if not alphas or not ns:
         raise DomainError("alpha_grid and n_grid must be non-empty")
     if any(a < 0 for a in alphas):
         raise DomainError("threshold rates must be non-negative")
     _check_grid(alphas, "alpha_grid")
-    _check_grid(ns, "n_grid")
-    if ns[0] < 1:
-        raise DomainError("n_grid must hold positive integers")
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
 
@@ -171,7 +168,7 @@ def achievability_experiment(
         raise DomainError(f"gamma must be positive, got {gamma}")
     alpha = ebar_theoretical(problem) + gamma
     rows = []
-    for dist in sum_distributions(problem.process, problem.alphabet, [int(n) for n in n_grid]):
+    for dist in sum_distributions(problem.process, problem.alphabet, n_grid):
         discard = ThresholdDiscardSet(n=dist.n, alpha=alpha)
         p = dist.prob_above(discard.keep_threshold(problem))
         try:
@@ -210,7 +207,7 @@ def converse_experiment(
     if not 0 < gap < ebar:
         raise DomainError(f"gap out of range: need 0 < gap < ebar = {ebar}, got {gap}")
     alpha = ebar - gap
-    dists = sum_distributions(problem.process, problem.alphabet, [int(n) for n in n_grid])
+    dists = sum_distributions(problem.process, problem.alphabet, n_grid)
     return [(dist.n, _tails(dist, problem, [alpha])[0]) for dist in dists]
 
 

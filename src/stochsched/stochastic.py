@@ -299,14 +299,6 @@ def _band(x: np.ndarray) -> tuple[int, int]:
     return int(np.argmax(nonzero)), len(x) - int(np.argmax(nonzero[::-1]))
 
 
-def _square_band(x: np.ndarray) -> np.ndarray:
-    """_square(x), run on x's nonzero band [lo, hi) and written at 2*lo into zeros."""
-    lo, hi = _band(x)
-    out = np.zeros(2 * len(x) - 1)
-    _square(x[lo:hi], out[2 * lo : 2 * hi - 1])
-    return out
-
-
 def _iid_law(base: np.ndarray, n: int) -> np.ndarray:
     """Law of n jobs from `base`, the one-job law, powering from the left.
 
@@ -315,35 +307,36 @@ def _iid_law(base: np.ndarray, n: int) -> np.ndarray:
     law of n >> 1, times `base` for odd n.  The steps depend on n alone, so
     a law is the same bit for bit on any grid.  Each square and product
     runs on factors lifted by 2^511 and is scaled back by 1/_LIFT at once,
-    which rounds only its masses below 2^-1022; the law is lifted in place
-    and `base` through one lifted copy, so no step holds an extra array.
+    which rounds only its masses below 2^-1022; the law is lifted in place,
+    and the one-job band through its one lifted copy, so `base` is never
+    written.
 
-    Each square and product runs on the nonzero band of its factors only
-    (see _band): a law whose extreme masses rounded to 0.0, or a one-job law
-    with a zero-probability extreme time, skips the lattice points that
-    cannot hold mass, and the result is written at the band's offset into
-    zeros.  A factor without zero edges is its own band, so such a law takes
-    the same steps as an unbanded kernel, bit for bit; a banded square splits
-    at a different index, which changes only the order of its sums.
+    The law is held as its nonzero band (see _band) at lattice offset lo,
+    trimmed after every square and product, and placed once, at the end,
+    into the zero-filled lattice: a law whose extreme masses rounded to
+    0.0, or a one-job law with a zero-probability extreme time, skips the
+    lattice points that cannot hold mass.  A law without zero edges is its
+    own band, so it takes the same steps as an unbanded kernel, bit for bit;
+    a banded square splits at a different index, which changes only the
+    order of its sums.
     """
     up = _LIFT**0.5
-    lifted = base * up
-    first, last = _band(lifted)
-    one_job = lifted[first:last]
-    law = base
-    for bit in bin(n)[3:]:
-        law = _square_band(lifted if law is base else np.multiply(law, up, out=law))
+    first, last = _band(base)
+    law, lo = base[first:last], first
+    one_job = law * up
+    for i, bit in enumerate(bin(n)[3:]):
+        law = _square(np.multiply(law, up, out=law) if i else one_job)
         law *= 1 / _LIFT
+        a, b = _band(law)
+        law, lo = law[a:b], 2 * lo + a
         if bit == "1":
-            lo, hi = _band(np.multiply(law, up, out=law))
-            length = len(law) + len(base) - 1
-            law = np.convolve(law[lo:hi], one_job)
-            if len(law) < length:  # a zero edge: place the bands' product at its offset into zeros
-                placed = np.zeros(length)
-                placed[lo + first : lo + first + len(law)] = law
-                law = placed
+            law = np.convolve(np.multiply(law, up, out=law), one_job)
             law *= 1 / _LIFT
-    return law
+            a, b = _band(law)
+            law, lo = law[a:b], lo + first + a
+    placed = np.zeros(n * (len(base) - 1) + 1)
+    placed[lo : lo + len(law)] = law
+    return placed
 
 
 # Each kernel takes a strictly increasing grid ns and returns, per n, the
@@ -629,7 +622,9 @@ def _sample_markov(model: MarkovModel, u: np.ndarray) -> np.ndarray:
 
 class _Leaf(NamedTuple):
     sum_law: Callable  # (leaf, alphabet, ns) -> per n, masses over [n*t_min, n*t_max]
-    rows: Callable  # leaf -> float64 arrays as wide as the largest n's lattice that bound what sum_law holds at once
+    # (leaf, points, stride) -> float64 entries sum_law holds at once, for the largest n's
+    # lattice of `points` points, on whose every stride-th point (the shifts' gcd) the masses sit
+    held: Callable
     sample: Callable  # (leaf, u) -> (n, trials) indices into leaf.symbols, for (n, trials) uniforms u
     mean_total: Callable  # (leaf, alphabet, n) -> exact E[T_n]
 
@@ -637,17 +632,18 @@ class _Leaf(NamedTuple):
 _LEAVES = {
     IIDModel: _Leaf(
         sum_law=_iid_sums,
-        # a square, its input and cross term (2.25 rows together); a square and
-        # its band's odd-n product; or that product and the zeros it is placed in
-        rows=lambda model: 3,
+        # lattice-wide rows: a square, its input and cross term (2.25 rows
+        # together); a square and its odd-n product; or the last band and
+        # the zeros it is placed in, once, at the end
+        held=lambda model, points, stride: 3 * points,
         sample=_sample_iid,
         mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
     ),
     MarkovModel: _Leaf(
         sum_law=_markov_sums,
-        # two state buffers and the product buffer, on the lattice of stride g
-        # (g times narrower), and the dense law their sum is written into
-        rows=lambda model: 3 * len(model.symbols) + 1,
+        # two state buffers and the product buffer, k rows each on the lattice
+        # of the stride, and the dense law their sum is written into
+        held=lambda model, points, stride: 3 * len(model.symbols) * ((points - 1) // stride + 1) + points,
         sample=_sample_markov,
         mean_total=_markov_mean_total,
     ),
@@ -686,8 +682,8 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
     grid or an n < 1, and ResourceError, before allocating, when the largest
     leaf kernel's working arrays, the laws it holds for the smaller lengths
     and a mixture's weighted sum at every length would exceed _MAX_BYTES.
-    A Markov leaf is counted on the dense lattice, which bounds its DP on
-    the lattice of stride g.
+    A Markov leaf's buffers are counted on the lattice of stride g, as its
+    DP holds them.
     """
     ns = list(n_grid)
     for n in ns:
@@ -701,9 +697,10 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
     if t_min == t_max:  # every sequence totals n*t_min; no kernel needs to run
         return [SumDistribution(n, n * t_min, np.ones(1)) for n in ns]
     points = [n * (t_max - t_min) + 1 for n in ns]
-    rows = max(_LEAVES[type(leaf)].rows(leaf) for _, leaf in leaves)
+    stride = math.gcd(*(t - t_min for t in times))
+    kernel = max(_LEAVES[type(leaf)].held(leaf, points[-1], stride) for _, leaf in leaves)
     held = sum(points[:-1]) + (len(leaves) > 1) * sum(points)  # smaller lengths' laws; a mixture's sums
-    _refuse_bytes(rows * points[-1] + held, f"sum law for n={ns[-1]}")
+    _refuse_bytes(kernel + held, f"sum law for n={ns[-1]}")
     masses = None
     for w, leaf in leaves:
         parts = _LEAVES[type(leaf)].sum_law(leaf, alphabet, ns)

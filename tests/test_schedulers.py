@@ -33,7 +33,7 @@ from stochsched import (
     sum_distribution,
 )
 from stochsched.core import _int_dtype, _span_bracket
-from stochsched.schedulers import _kept_count_vectors, _optimal_scaled, _weight_array
+from stochsched.schedulers import _kept_count_vectors, _optimal_scaled
 
 from .oracles import (
     best_makespan_by_enumeration,
@@ -145,7 +145,7 @@ class TestCountVectorOptimum:
         weights, scale = scaled_inverse_speeds(problem.machines)
         for counts in ([2, 1, 0], [1, 1, 1], [0, 2, 1], [3, 0, 0]):
             total = sum(c * t for c, t in zip(counts, times))
-            assert _weight_array(weights, total).dtype == object
+            assert (total + 1) * max(weights) >= 2**62  # the finish-time bound: the programme runs on Python ints
             got = Fraction(_optimal_scaled(counts, times, weights), scale)
             assert got == best_makespan_by_enumeration(_sequence(alphabet, counts), problem)
             rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]] * 2)

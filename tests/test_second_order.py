@@ -7,8 +7,6 @@ from stochsched import (
     DomainError,
     IIDModel,
     SchedulingProblem,
-    berry_esseen_error_bound,
-    berry_esseen_prediction,
     second_order_table,
     sum_distribution,
 )
@@ -16,10 +14,15 @@ from stochsched import (
 from .oracles import normal_quantile_by_bisection, normal_upper_tail_by_quadrature
 
 
+def one_row(n: int, epsilon: float, problem):
+    """The one row of `second_order_table` on the grid [n]."""
+    (row,) = second_order_table([n], epsilon, problem)
+    return row
+
+
 def exact_rate(n: int, epsilon: float, problem) -> Fraction:
     """The r_n_plus column of the one-row `second_order_table` at length n."""
-    (row,) = second_order_table([n], epsilon, problem)
-    return row.r_n_plus
+    return one_row(n, epsilon, problem).r_n_plus
 
 
 class TestExactRate:
@@ -66,33 +69,32 @@ class TestExactRate:
 
 
 class TestGaussianApproximation:
+    """The prediction and be_bound columns of `second_order_table`."""
+
     def test_prediction_formula(self, iid_problem):
         # (n*mu - sqrt(n*var)*quantile(eps)) / v_sum with mu=2, var=1, v_sum=3
-        pred = berry_esseen_prediction(100, 0.1, iid_problem)
-        assert pred == pytest.approx(70.93850521848, abs=1e-8)
+        assert one_row(100, 0.1, iid_problem).prediction == pytest.approx(70.93850521848, abs=1e-8)
         q = normal_quantile_by_bisection(0.25)
-        assert berry_esseen_prediction(64, 0.25, iid_problem) == pytest.approx(
-            (64 * 2 - 8 * q) / 3, abs=1e-7
-        )
+        assert one_row(64, 0.25, iid_problem).prediction == pytest.approx((64 * 2 - 8 * q) / 3, abs=1e-7)
 
     def test_error_bound_values(self, iid_problem, desk_alphabet, desk_machines):
-        assert berry_esseen_error_bound(64, iid_problem) == 0.125  # rho/sigma^3 = 1
+        assert one_row(64, 0.1, iid_problem).be_bound == 0.125  # rho/sigma^3 = 1
         skew = IIDModel({"a": Fraction(3, 4), "b": Fraction(1, 4)})
         problem = SchedulingProblem(desk_alphabet, desk_machines, skew)
         expect = 0.9375 / (0.75**1.5 * math.sqrt(100))
-        assert berry_esseen_error_bound(100, problem) == pytest.approx(expect, rel=1e-12)
+        assert one_row(100, 0.1, problem).be_bound == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_non_iid_and_degenerate(self, markov_problem, desk_alphabet, desk_machines):
         with pytest.raises(DomainError):
-            berry_esseen_error_bound(10, markov_problem)
+            second_order_table([10], 0.1, markov_problem)
         sure = IIDModel({"a": Fraction(1), "b": Fraction(0)})
         degenerate = SchedulingProblem(desk_alphabet, desk_machines, sure)
         with pytest.raises(DomainError):
-            berry_esseen_prediction(10, 0.1, degenerate)
+            second_order_table([10], 0.1, degenerate)
 
     def test_epsilon_domain(self, iid_problem):
         with pytest.raises(DomainError):
-            berry_esseen_prediction(10, 0.0, iid_problem)
+            second_order_table([10], 0.0, iid_problem)
         with pytest.raises(DomainError):
             second_order_table([10], 1.0, iid_problem)
 

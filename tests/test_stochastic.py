@@ -243,6 +243,8 @@ def _chain_with_zero_start():
 
 _WIDE = JobAlphabet({"a": 2, "b": 5, "c": 11})  # shifts 0, 3, 9: the Markov DP runs on the lattice of stride 3
 _COPRIME = JobAlphabet({"a": 2, "b": 5, "c": 10})  # shifts 0, 3, 8: stride 1
+# shifts 0, 5*10^6 + 1 and 10^7: stride 1, so a Markov leaf's buffers are as wide as the dense lattice
+_SPAN_TEN_MILLION = JobAlphabet({"a": 1, "b": 5_000_002, "c": 10_000_001})
 _IID_EDGE_ZERO = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(0)})
 _IID3 = IIDModel({"a": Fraction(1, 5), "b": Fraction(1, 2), "c": Fraction(3, 10)})
 _DENSE_CASES = {
@@ -371,27 +373,36 @@ class TestDenseKernelAgainstDirectDP:
         ids=["iid-banded", "markov-stride-6", "markov-stride-1"],
     )
     def test_peak_memory_on_bands_and_strides(self, monkeypatch, process, alphabet, grid):
-        # a banded IID law places each square and odd product into zeros;
+        # a banded IID law is held as its band and placed into zeros once, at the end;
         # a strided Markov DP sums each kept law into every g-th dense entry
         _assert_peak_within_budget(monkeypatch, process, alphabet, grid)
 
-    def test_strided_dp_holds_its_buffers_on_the_reduced_lattice(self):
+    def test_strided_dp_holds_its_buffers_on_the_reduced_lattice(self, monkeypatch):
         # times 1, 7, 13: the shifts 0, 6, 12 share g = 6, so the two state
         # buffers and the product buffer are 6 times narrower than the dense
-        # law their sum is written into
+        # law their sum is written into.  The budget counts them so: a budget
+        # of that count, a quarter of the dense one, admits the chain and
+        # bounds its peak, and a byte less refuses it
         k, g, n = 3, 6, 3000
         points = n * 12 + 1
+        needed = 8 * (3 * k * ((points - 1) // g + 1) + points)
+        assert 8 * (3 * k + 1) * points > 3 * needed
+        chain, alphabet = _chain_with_zero_start(), JobAlphabet({"a": 1, "b": 7, "c": 13})
+        monkeypatch.setattr(stochastic, "_MAX_BYTES", needed)
         tracemalloc.start()
         try:
-            sum_distribution(_chain_with_zero_start(), JobAlphabet({"a": 1, "b": 7, "c": 13}), n)
+            sum_distribution(chain, alphabet, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (3 * k * ((points - 1) // g + 1) + points) + (64 << 10)
+        assert peak <= needed + (64 << 10)
+        monkeypatch.setattr(stochastic, "_MAX_BYTES", needed - 1)
+        with pytest.raises(ResourceError, match=f"needs {needed} bytes"):
+            sum_distribution(chain, alphabet, n)
 
     def test_byte_budget_refuses_before_allocating(self):
         n, span, k = 10, 10_000_000, 3
-        wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
+        wide = _SPAN_TEN_MILLION
         chain = _chain_with_zero_start()
         points = n * span + 1
         assert points < 200_000_000  # admitted by the former lattice-point limit
@@ -412,7 +423,7 @@ class TestDenseKernelAgainstDirectDP:
         # buffers, the product buffer and the sum); a mixture adds one
         # accumulator, however deeply it nests
         n, span, k = 10, 10_000_000, 3
-        wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
+        wide = _SPAN_TEN_MILLION
         inner = MixtureModel(((Fraction(1, 2), _periodic_chain()), (Fraction(1, 2), _chain_with_zero_start())))
         nested = MixtureModel(((Fraction(1, 3), inner), (Fraction(2, 3), _IID3)))
         tracemalloc.start()
@@ -467,7 +478,7 @@ class TestSumLawsOverAGrid:
         # lattice and keeps the law at each smaller n; a mixture adds one
         # weighted sum per n
         grid, span, k = [1000, 2000, 3000], 10_000_000, 3
-        wide = JobAlphabet({"a": 1, "b": 1 + span // 2, "c": 1 + span})
+        wide = _SPAN_TEN_MILLION
         points = [n * span + 1 for n in grid]
         held = points[0] + points[1] + (case == "mixture-nested") * sum(points)
         needed = 8 * ((3 * k + 1) * points[2] + held)
@@ -496,6 +507,20 @@ class TestSumLawsOverAGrid:
         achievability_experiment(problem, Fraction(1, 10), EarliestFinishTime(), grid)
         second_order_table(grid, 0.1, problem)
         assert calls == [grid] * 4
+
+    @pytest.mark.parametrize("length", [2.5, True], ids=["2.5", "True"])
+    @pytest.mark.parametrize("table", ["scan", "converse", "achievability", "second-order"])
+    def test_tables_refuse_lengths_that_are_not_integers(self, table, length):
+        # each grid reaches sum_distributions as given, so no length is rounded to one nobody asked for
+        problem = SchedulingProblem(_WIDE, _MACHINES, _IID3)
+        run = {
+            "scan": lambda grid: spectral_scan(problem, [Fraction(3)], grid),
+            "converse": lambda grid: converse_experiment(problem, Fraction(1, 10), grid),
+            "achievability": lambda grid: achievability_experiment(problem, Fraction(1, 10), EarliestFinishTime(), grid),
+            "second-order": lambda grid: second_order_table(grid, 0.1, problem),
+        }[table]
+        with pytest.raises(DomainError):
+            run([length])
 
 
 
@@ -570,6 +595,29 @@ class TestIIDSquaring:
             assert law[0] == law[-1] == 0.0
             normal = unbanded >= 1e-290
             assert np.all(np.abs(law[normal] - unbanded[normal]) <= 1e-13 * unbanded[normal])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 20), min_size=1, max_size=10).filter(any),
+        below=st.integers(0, 4),
+        above=st.integers(0, 4),
+        n=st.integers(1, 3000),
+    )
+    @example(weights=[1, 1], below=2, above=1, n=2151)
+    @example(weights=[2, 0, 0, 5, 0, 3], below=0, above=3, n=1501)
+    def test_zero_edges_shift_the_law(self, weights, below, above, n):
+        # zero-probability times below and above the one-job law shift the
+        # law of n by n * below, bit for bit, with exact zeros around it;
+        # the kernel leaves its input as it was
+        base = np.array(weights, dtype=float) / sum(weights)
+        padded = np.concatenate([np.zeros(below), base, np.zeros(above)])
+        before = padded.copy()
+        law = stochastic._iid_law(base, n)
+        shifted = stochastic._iid_law(padded, n)
+        assert padded.tobytes() == before.tobytes()
+        assert len(shifted) == len(law) + n * (below + above)
+        assert shifted[n * below : n * below + len(law)].tobytes() == law.tobytes()
+        assert not shifted[: n * below].any() and not shifted[n * below + len(law) :].any()
 
 
 _DYADIC_TIMES = JobAlphabet({"a": 1, "b": 2, "c": 5})

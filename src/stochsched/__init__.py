@@ -43,7 +43,6 @@ from .stochastic import (
     MixtureModel,
     SumDistribution,
     flatten_mixture,
-    mean_time_exact,
     mean_total_time_exact,
     sample_index_matrix,
     sample_time_matrix,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Mapping
 
 import numpy as np
@@ -39,6 +39,13 @@ def as_fraction(value) -> Fraction:
     raise DomainError(f"expected a rational number, got {type(value).__name__}")
 
 
+def _positive_int(value, what: str) -> int:
+    """int(value) for an integer >= 1 of any integral type (numpy's included) but bool; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class JobAlphabet:
     """Finite set of job types with integer processing requirements."""
@@ -52,9 +59,7 @@ class JobAlphabet:
         for sym, t in self.proc_time.items():
             if not isinstance(sym, str) or not sym:
                 raise DomainError(f"alphabet symbol {sym!r} must be a non-empty string")
-            if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-                raise DomainError(f"processing time for {sym!r} must be a positive integer, got {t!r}")
-            clean[sym] = t
+            clean[sym] = _positive_int(t, f"processing time for {sym!r}")
         object.__setattr__(self, "proc_time", clean)
 
     @property

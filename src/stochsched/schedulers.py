@@ -46,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SchedulingProblem, _int_dtype, as_fraction, scaled_inverse_speeds
+from .core import SchedulingProblem, _int_dtype, _positive_int, as_fraction, scaled_inverse_speeds
 from .errors import DomainError, ResourceError
 from .stochastic import _refuse_bytes, sum_distribution
 
@@ -79,8 +79,7 @@ class ThresholdDiscardSet:
     alpha: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"discard-set length must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _positive_int(self.n, "discard-set length"))
         alpha = as_fraction(self.alpha)
         if alpha < 0:
             raise DomainError(f"threshold rate must be non-negative, got {alpha}")

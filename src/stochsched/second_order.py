@@ -56,7 +56,7 @@ def second_order_table(n_grid: Sequence[int], epsilon: float, problem: Schedulin
     rho/(sigma^3 sqrt(n)) of the normalized total: with the per-job summand
     (T - E[T])/v_sum the v_sum factors cancel, so it is E|T-E[T]|^3 /
     (Var[T]^{3/2} sqrt(n)).  The laws come from one `sum_distributions` call
-    over n_grid, which squares the law of n >> 1 for each n.
+    over n_grid, at the cost it states.
 
     Raises DomainError for a process that is not IID, a one-point time law
     (variance zero) or an epsilon outside (0, 1).

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SchedulingProblem, _int_dtype, _span_bracket, as_fraction
+from .core import SchedulingProblem, _int_dtype, _positive_int, _span_bracket, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
     _WORK_BUDGET,
@@ -28,10 +28,10 @@ from .schedulers import (
     max_kept_total_time,
 )
 from .stochastic import (
+    _LEAVES,
     SumDistribution,
     _check_grid,
     flatten_mixture,
-    mean_time_exact,
     mean_total_time_exact,
     sample_time_matrix,
     sum_distributions,
@@ -39,13 +39,13 @@ from .stochastic import (
 
 
 def _component_rates(problem: SchedulingProblem) -> list[Fraction]:
-    """Long-run per-job rate mean/v_sum of every leaf of flatten_mixture.
+    """Long-run per-job rate mean/v_sum of every leaf of flatten_mixture, the mean from the leaf's `_LEAVES` entry.
 
     IID and Markov processes are their own single leaf; mixtures are
     flattened, nested ones included.
     """
     v_sum = problem.machines.v_sum
-    return [mean_time_exact(leaf, problem.alphabet) / v_sum for _, leaf in flatten_mixture(problem.process)]
+    return [_LEAVES[type(leaf)].mean(leaf, problem.alphabet) / v_sum for _, leaf in flatten_mixture(problem.process)]
 
 
 def ebar_theoretical(problem: SchedulingProblem) -> Fraction:
@@ -95,9 +95,8 @@ def spectral_scan(
     An alpha counts as converged when its tail at the largest n is below
     delta and the tail is non-increasing over the last three grid lengths.
     ebar_estimate is the smallest converged alpha (None when there is none).
-    The table runs one `sum_distributions` sweep over n_grid: a Markov grid
-    costs what its largest n costs, and IID squares the law of n >> 1 for
-    each n.
+    The laws come from one `sum_distributions` call over n_grid, at the cost
+    it states.
     """
     alphas = tuple(as_fraction(a) for a in alpha_grid)
     ns = tuple(n_grid)
@@ -119,9 +118,8 @@ def spectral_scan(
         ok = col[-1] < delta and all(a >= b for a, b in zip(last, last[1:]))
         converged.append(ok)
     estimate = next((alphas[j] for j, ok in enumerate(converged) if ok), None)
-    return SpectralReport(
-        alpha_grid=alphas, n_grid=ns, tail=tail, converged=tuple(converged), ebar_estimate=estimate
-    )
+    n_grid = tuple(dist.n for dist in dists)  # Python ints, whatever integers the grid held
+    return SpectralReport(alpha_grid=alphas, n_grid=n_grid, tail=tail, converged=tuple(converged), ebar_estimate=estimate)
 
 
 @dataclass(frozen=True)
@@ -159,9 +157,8 @@ def achievability_experiment(
     reads the exact discard probability from the law of T_n, and computes
     either the exact scheduler COST over the kept set or (when enumeration
     exceeds the budget) the analytic bracket from the largest kept total
-    time.  The laws come from one `sum_distributions` sweep over n_grid: a
-    Markov grid costs what its largest n costs, and IID squares the law of
-    n >> 1 for each n.
+    time.  The laws come from one `sum_distributions` call over n_grid, at
+    the cost it states.
     """
     gamma = as_fraction(gamma)
     if gamma <= 0:
@@ -198,9 +195,8 @@ def converse_experiment(
     Any schedule fitting the kept sequences under per-job cost alpha must
     keep only sequences with T_n <= n*v_sum*alpha (the total-work floor),
     so the discard probability is at least P(T_n/(n*v_sum) > alpha).
-    Returns that exact tail for each n, from one `sum_distributions` sweep
-    over n_grid (a Markov grid costs what its largest n costs; IID squares
-    the law of n >> 1 for each n).
+    Returns that exact tail for each n, from one `sum_distributions` call
+    over n_grid, at the cost it states.
     """
     gap = as_fraction(epsilon_gap)
     ebar = ebar_theoretical(problem)
@@ -257,8 +253,10 @@ def average_case_bracket(
     brackets is the bracket above, so the mean makespan falls in it up to
     Monte-Carlo noise, which `total_z` measures on T_n without raising.
     """
-    if not isinstance(trials, int) or trials < 2:
+    trials = _positive_int(trials, "trials")
+    if trials < 2:
         raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
+    n = _positive_int(n, "sequence length")
     times = sample_time_matrix(problem.process, problem.alphabet, n, trials, seed)
     scaled, scale = makespans_scaled(scheduler, times, problem.machines)
     totals = times.astype(_int_dtype(n * problem.alphabet.t_max), copy=False).sum(axis=1)

@@ -5,12 +5,13 @@ and a finite mixture (one component drawn per sequence, then held fixed).
 `flatten_mixture` is the only code that knows what a mixture is: it resolves
 any process, nested mixtures included, into weighted i.i.d./Markov leaves.
 Each leaf type has one entry in `_LEAVES` (its sum-law kernel, the working
-arrays that kernel holds, its sampler block and its exact E[T_n]), and
-`sum_distributions`, `mean_total_time_exact` and `sample_index_matrix` are
-each one loop over the weighted leaves.  A sum-law kernel serves a whole
-grid of lengths in one call: the Markov DP runs once, to the largest n,
-on the lattice of the shifts' gcd, and the IID kernel powers each n on its
-own, squaring only the nonzero band of each law.
+arrays that kernel holds, its sampler block, its exact long-run mean time
+of one job and its exact E[T_n]), and `sum_distributions`,
+`mean_total_time_exact` and `sample_index_matrix` are each one loop over
+the weighted leaves.  A sum-law kernel serves a whole grid of lengths in
+one call: the Markov DP runs once, to the largest n, on the lattice of the
+shifts' gcd, and the IID kernel powers each n on its own, squaring only
+the nonzero band of each law.
 
 Probabilities are stored as exact rationals so that closed-form quantities
 (means, stationary vectors, spectral rates) come out exact; dynamic programs
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import JobAlphabet, _int_dtype, as_fraction
+from .core import JobAlphabet, _int_dtype, _positive_int, as_fraction
 from .errors import DomainError, NumericError, ResourceError
 
 _PROB_TOL = Fraction(1, 10**12)
@@ -446,22 +447,13 @@ def _solve_stationary(model: MarkovModel) -> tuple[Fraction, ...]:
     return pi
 
 
-def mean_time_exact(process: JobProcess, alphabet: JobAlphabet) -> Fraction:
-    """Exact long-run mean processing time of one job.
-
-    IID: sum p(j) T(j).  Markov: the stationary mean.  Mixtures have no
-    single long-run mean, so they are rejected here.
-    """
-    if isinstance(process, IIDModel):
-        return sum((p * alphabet.time_of(sym) for sym, p in process.probs.items()), Fraction(0))
-    if isinstance(process, MarkovModel):
-        pi = stationary_distribution(process)
-        return sum((p * alphabet.time_of(sym) for sym, p in zip(process.symbols, pi)), Fraction(0))
-    raise DomainError("mixtures do not have a single per-job mean; query the components")
+def _mean_time(weights: Iterable[Fraction], model: IIDModel | MarkovModel, alphabet: JobAlphabet) -> Fraction:
+    """sum w(j) T(j) over the leaf's symbols j: the mean time of one job drawn by the weights."""
+    return sum((w * t for w, t in zip(weights, _symbol_times(model, alphabet))), Fraction(0))
 
 
 def _iid_central_moments(model: IIDModel, alphabet: JobAlphabet) -> tuple[Fraction, Fraction, Fraction]:
-    mu = mean_time_exact(model, alphabet)
+    mu = _LEAVES[IIDModel].mean(model, alphabet)
     var = Fraction(0)
     rho = Fraction(0)
     for sym, p in model.probs.items():
@@ -626,6 +618,7 @@ class _Leaf(NamedTuple):
     # lattice of `points` points, on whose every stride-th point (the shifts' gcd) the masses sit
     held: Callable
     sample: Callable  # (leaf, u) -> (n, trials) indices into leaf.symbols, for (n, trials) uniforms u
+    mean: Callable  # (leaf, alphabet) -> exact long-run mean time of one job
     mean_total: Callable  # (leaf, alphabet, n) -> exact E[T_n]
 
 
@@ -637,7 +630,8 @@ _LEAVES = {
         # the zeros it is placed in, once, at the end
         held=lambda model, points, stride: 3 * points,
         sample=_sample_iid,
-        mean_total=lambda model, alphabet, n: n * mean_time_exact(model, alphabet),
+        mean=lambda model, alphabet: _mean_time(model.probs.values(), model, alphabet),
+        mean_total=lambda model, alphabet, n: n * _LEAVES[IIDModel].mean(model, alphabet),
     ),
     MarkovModel: _Leaf(
         sum_law=_markov_sums,
@@ -645,14 +639,10 @@ _LEAVES = {
         # of the stride, and the dense law their sum is written into
         held=lambda model, points, stride: 3 * len(model.symbols) * ((points - 1) // stride + 1) + points,
         sample=_sample_markov,
+        mean=lambda model, alphabet: _mean_time(stationary_distribution(model), model, alphabet),  # pi . t
         mean_total=_markov_mean_total,
     ),
 }
-
-
-def _check_length(n, what: str = "sequence length") -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"{what} must be a positive integer, got {n!r}")
 
 
 def _check_grid(grid: Sequence, what: str) -> None:
@@ -678,16 +668,16 @@ def sum_distributions(process: JobProcess, alphabet: JobAlphabet, n_grid: Sequen
     a mass below 2^-1022 is computed as a normal double and rounded when
     it is scaled back, so it is as accurate as that rounding allows and
     reads 0.0 only below about 2^-1075.
-    An empty grid gives [].  Raises DomainError for an unsorted or repeated
-    grid or an n < 1, and ResourceError, before allocating, when the largest
-    leaf kernel's working arrays, the laws it holds for the smaller lengths
-    and a mixture's weighted sum at every length would exceed _MAX_BYTES.
+    An empty grid gives [], and each law's n is a Python int.  Raises
+    DomainError for an unsorted or repeated grid or an n that is not a
+    positive integer (numpy integers count, bools do not), and
+    ResourceError, before allocating, when the largest leaf kernel's working
+    arrays, the laws it holds for the smaller lengths and a mixture's
+    weighted sum at every length would exceed _MAX_BYTES.
     A Markov leaf's buffers are counted on the lattice of stride g, as its
     DP holds them.
     """
-    ns = list(n_grid)
-    for n in ns:
-        _check_length(n)
+    ns = [_positive_int(n, "sequence length") for n in n_grid]
     _check_grid(ns, "n_grid")
     if not ns:
         return []
@@ -718,7 +708,7 @@ def sum_distribution(process: JobProcess, alphabet: JobAlphabet, n: int) -> SumD
 
 def mean_total_time_exact(process: JobProcess, alphabet: JobAlphabet, n: int) -> Fraction:
     """Exact E[T_n] for any model, honoring Markov initial distributions."""
-    _check_length(n)
+    n = _positive_int(n, "sequence length")
     return sum(
         (w * _LEAVES[type(leaf)].mean_total(leaf, alphabet, n) for w, leaf in flatten_mixture(process)),
         Fraction(0),
@@ -754,8 +744,7 @@ def sample_index_matrix(process: JobProcess, n: int, trials: int, master_seed: i
     IID pick adds one boolean comparison, an eighth of those arrays, and
     numpy's cast buffer of 8192 entries for adding it.
     """
-    _check_length(n)
-    _check_length(trials, "trials")
+    n, trials = _positive_int(n, "sequence length"), _positive_int(trials, "trials")
     leaves = flatten_mixture(process)
     symbols = process.symbols
     lead = len(leaves) > 1

@@ -64,14 +64,33 @@ _IID = {
     "machines": ["1", "2"],
     "process": {"kind": "iid", "probs": {"a": "1/2", "b": "1/2"}},
 }
+_MARKOV = {
+    **_IID,
+    "process": {"kind": "markov", "symbols": ["a", "b"], "transition": [["1/2", "1/2"], ["1/4", "3/4"]], "initial": ["1", "0"]},
+}
+_MARKOV_AND_IID = {
+    **_IID,
+    "process": {
+        "kind": "mixture",
+        "components": [{"weight": "1/3", "process": _MARKOV["process"]}, {"weight": "2/3", "process": _IID["process"]}],
+    },
+}
 _TABLES = [
-    {"kind": "validate"},
-    {"kind": "scan", "alpha_grid": ["1/2", "1"], "n_grid": [2, 4, 8]},
-    {"kind": "achievability", "gamma": "1/10", "n_grid": [3, 40], "budget": 100},  # n=40 takes the bracket
-    {"kind": "converse", "gap": "1/10", "n_grid": [4]},
-    {"kind": "second-order", "epsilon": 0.1, "n_grid": [4, 8]},
-    *({"kind": "average-case", "n": 6, "trials": 20, "scheduler": s} for s in ("eft", "lpt", "brute-force")),
-    *({"kind": "cost", "n": 4, "alpha": "1", "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+    *(
+        (_IID, experiment)
+        for experiment in (
+            {"kind": "validate"},
+            {"kind": "scan", "alpha_grid": ["1/2", "1"], "n_grid": [2, 4, 8]},
+            {"kind": "achievability", "gamma": "1/10", "n_grid": [3, 40], "budget": 100},  # n=40 takes the bracket
+            {"kind": "converse", "gap": "1/10", "n_grid": [4]},
+            {"kind": "second-order", "epsilon": 0.1, "n_grid": [4, 8]},
+            *({"kind": "average-case", "n": 6, "trials": 20, "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+            *({"kind": "cost", "n": 4, "alpha": "1", "scheduler": s} for s in ("eft", "lpt", "brute-force")),
+        )
+    ),
+    # the chain's rate is its stationary mean: each of these tables solves for it
+    (_MARKOV_AND_IID, {"kind": "validate"}),
+    (_MARKOV, {"kind": "converse", "gap": "1/10", "n_grid": [4, 8]}),
 ]
 
 
@@ -79,15 +98,19 @@ def test_traced_tables_run_and_feed_every_counter(tracing, tmp_path, capsys):
     # a renamed parameter that a counter reads would raise in flush()
     tracer = tracing.Tracer()
     tracer.install(stochsched)
+    solves = []
     try:
-        for i, experiment in enumerate(_TABLES):
+        for i, (problem, experiment) in enumerate(_TABLES):
             path = tmp_path / f"{i}.json"
-            path.write_text(json.dumps({"problem": _IID, "experiment": experiment}))
+            path.write_text(json.dumps({"problem": problem, "experiment": experiment}))
+            begin = tracer.mark()
             assert stochsched.cli.main([experiment["kind"], "--config", str(path), "--format", "jsonl"]) == 0
             tracer.flush()
+            solves.append(tracer.aggregate(begin, tracer.mark()).get("stochastic.stationary", {}).get("calls", 0))
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    assert solves[-2] > 0 and solves[-1] > 0
     for counter in (
         "schedulers.batch_eft.row_jobs",
         "stochastic.sample.draws",

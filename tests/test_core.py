@@ -15,9 +15,15 @@ from stochsched import (
     LPT,
     MachineSet,
     SchedulingProblem,
+    ThresholdDiscardSet,
+    achievability_experiment,
     as_fraction,
+    average_case_bracket,
+    converse_experiment,
     makespans_scaled,
     scaled_inverse_speeds,
+    second_order_table,
+    spectral_scan,
 )
 from stochsched.core import _span_bracket
 
@@ -86,6 +92,31 @@ class TestContainers:
         stray = IIDModel({"a": Fraction(1, 2), "c": Fraction(1, 2)})
         with pytest.raises(DomainError):
             SchedulingProblem(desk_alphabet, desk_machines, stray)
+
+
+# each caller of the positive-integer rule, given two increasing integers (a grid, or two scalars)
+_INTEGER_CALLERS = {
+    "spectral_scan": lambda p, ints: spectral_scan(p, ["1/2", "1"], ints),
+    "converse_experiment": lambda p, ints: converse_experiment(p, "1/10", ints),
+    "achievability_experiment": lambda p, ints: achievability_experiment(p, "1/10", EarliestFinishTime(), ints),
+    "second_order_table": lambda p, ints: second_order_table(ints, 0.1, p),
+    "average_case_bracket": lambda p, ints: average_case_bracket(p, ints[0], ints[1], 7, EarliestFinishTime()),
+    "ThresholdDiscardSet": lambda p, ints: [ThresholdDiscardSet(n, 1) for n in ints],
+    "JobAlphabet": lambda p, ints: JobAlphabet({"a": ints[0], "b": ints[1]}),
+}
+
+
+class TestPositiveIntegers:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("caller", list(_INTEGER_CALLERS))
+    def test_any_integral_type_but_bool(self, iid_problem, caller, dtype):
+        run = _INTEGER_CALLERS[caller]
+        # the repr shows a numpy integer that leaks into a result, e.g. as a reported n
+        assert repr(run(iid_problem, np.arange(3, 6, 2, dtype=dtype))) == repr(run(iid_problem, [3, 5]))
+        for bad in (True, np.bool_(True), 2.5, np.float64(3.0)):
+            for ints in ([bad, 5], [3, bad]):
+                with pytest.raises(DomainError, match="must be a positive integer"):
+                    run(iid_problem, ints)
 
 
 class TestMakespan:

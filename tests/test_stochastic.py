@@ -26,7 +26,6 @@ from stochsched import (
     discard_probability,
     ebar_theoretical,
     flatten_mixture,
-    mean_time_exact,
     mean_total_time_exact,
     sample_index_matrix,
     sample_time_matrix,
@@ -869,12 +868,12 @@ class TestExactMoments:
         for i in range(3):
             assert sum(pi[j] * P[j][i] for j in range(3)) == pi[i]
 
-    def test_mean_time_exact(self, desk_alphabet, markov_problem, mixture_problem):
-        assert mean_time_exact(UNIFORM, desk_alphabet) == 2
-        assert mean_time_exact(SKEWED, desk_alphabet) == Fraction(3, 2)
-        assert mean_time_exact(markov_problem.process, desk_alphabet) == Fraction(4, 3)
-        with pytest.raises(DomainError):
-            mean_time_exact(mixture_problem.process, desk_alphabet)
+    def test_leaf_mean(self, desk_alphabet, markov_problem):
+        # each leaf's long-run mean time of one job: sum p*t for IID, pi . t for a chain
+        iid, markov = stochastic._LEAVES[IIDModel], stochastic._LEAVES[MarkovModel]
+        assert iid.mean(UNIFORM, desk_alphabet) == 2
+        assert iid.mean(SKEWED, desk_alphabet) == Fraction(3, 2)
+        assert markov.mean(markov_problem.process, desk_alphabet) == Fraction(4, 3)
 
     def test_central_moments(self, desk_alphabet):
         # (mean, variance, E|T - mean|^3) of the one-job time, as second_order uses them

@@ -12,10 +12,7 @@ __version__ = "0.1.0"
 from .core import JobAlphabet, MachineSet, SchedulingProblem, as_fraction, scaled_inverse_speeds
 from .errors import ConfigError, DomainError, NumericError, ResourceError
 from .schedulers import (
-    BruteForce,
-    EarliestFinishTime,
-    LPT,
-    Scheduler,
+    SCHEDULERS,
     ThresholdDiscardSet,
     batch_eft_loads,
     cost_exact,
@@ -31,10 +28,8 @@ from .spectrum import (
     achievability_experiment,
     average_case_bracket,
     converse_experiment,
-    ebar_theoretical,
-    ebar_underline_theoretical,
+    spectral_rates,
     spectral_scan,
-    strong_converse_holds,
 )
 from .stochastic import (
     IIDModel,

@@ -61,15 +61,7 @@ from typing import Callable
 from . import __version__
 from .core import JobAlphabet, MachineSet, SchedulingProblem, as_fraction
 from .errors import ConfigError, DomainError, NumericError, ResourceError
-from .schedulers import (
-    _WORK_BUDGET,
-    BruteForce,
-    EarliestFinishTime,
-    LPT,
-    ThresholdDiscardSet,
-    cost_exact,
-    discard_probability,
-)
+from .schedulers import _WORK_BUDGET, SCHEDULERS, ThresholdDiscardSet, cost_exact, discard_probability
 from .second_order import SecondOrderRow, second_order_table
 from .spectrum import (
     AverageCaseResult,
@@ -77,18 +69,10 @@ from .spectrum import (
     achievability_experiment,
     average_case_bracket,
     converse_experiment,
-    ebar_theoretical,
-    ebar_underline_theoretical,
+    spectral_rates,
     spectral_scan,
-    strong_converse_holds,
 )
-from .stochastic import IIDModel, MarkovModel, MixtureModel, stationary_distribution
-
-_SCHEDULERS = {
-    "eft": EarliestFinishTime,
-    "lpt": LPT,
-    "brute-force": BruteForce,
-}
+from .stochastic import IIDModel, MarkovModel, MixtureModel
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -317,15 +301,6 @@ def _parse_initial(value, path: str, errors: _Errors):
     return _list_of(_parse_fraction, 'rationals, or "stationary"')(value, path, errors)
 
 
-def _markov(symbols, transition, initial) -> MarkovModel:
-    stationary = initial == "stationary"
-    k = len(symbols)
-    chain = MarkovModel(symbols, transition, (Fraction(1, k),) * k if stationary else initial)
-    if stationary:  # the stationary vector does not depend on the start, so the chain keeps its one solve
-        object.__setattr__(chain, "initial", stationary_distribution(chain))
-    return chain
-
-
 _fraction_list = _list_of(_parse_fraction, "rationals")
 _int_list = _list_of(_parse_int, "integers")
 _component = _record({"weight": (_parse_fraction, _REQUIRED), "process": (_parse_process, _REQUIRED)})
@@ -334,7 +309,7 @@ _component = _record({"weight": (_parse_fraction, _REQUIRED), "process": (_parse
 _PROCESSES = {
     "iid": (IIDModel, {"probs": (_map_of(_parse_fraction), _REQUIRED)}),
     "markov": (
-        _markov,
+        MarkovModel,
         {
             "symbols": (_list_of(_parse_str, "strings"), _REQUIRED),
             "transition": (_list_of(_fraction_list, "rows"), _REQUIRED),
@@ -377,6 +352,7 @@ def _columns(result_type) -> tuple[str, ...]:
 
 def _run_validate(problem: SchedulingProblem, p: dict, seed: int):
     machines = problem.machines
+    ebar, ebar_under = spectral_rates(problem)
     row = (
         problem.alphabet.t_min,
         problem.alphabet.t_max,
@@ -384,9 +360,9 @@ def _run_validate(problem: SchedulingProblem, p: dict, seed: int):
         machines.v_sum,
         machines.v_min,
         machines.v_max,
-        ebar_theoretical(problem),
-        ebar_underline_theoretical(problem),
-        strong_converse_holds(problem),
+        ebar,
+        ebar_under,
+        ebar == ebar_under,
     )
     return [row], {}
 
@@ -403,15 +379,14 @@ def _run_scan(problem: SchedulingProblem, p: dict, seed: int):
 
 
 def _run_achievability(problem: SchedulingProblem, p: dict, seed: int):
-    scheduler = _SCHEDULERS[p["scheduler"]]()
-    result = achievability_experiment(problem, p["gamma"], scheduler, p["n_grid"], budget=p["budget"])
-    alpha = ebar_theoretical(problem) + p["gamma"]
+    result = achievability_experiment(problem, p["gamma"], p["scheduler"], p["n_grid"], budget=p["budget"])
+    alpha = spectral_rates(problem)[0] + p["gamma"]
     return [_values(r) for r in result], {"alpha": str(alpha), "scheduler": p["scheduler"]}
 
 
 def _run_converse(problem: SchedulingProblem, p: dict, seed: int):
     rows = converse_experiment(problem, p["gap"], p["n_grid"])
-    return rows, {"alpha": str(ebar_theoretical(problem) - p["gap"])}
+    return rows, {"alpha": str(spectral_rates(problem)[0] - p["gap"])}
 
 
 def _run_second_order(problem: SchedulingProblem, p: dict, seed: int):
@@ -419,13 +394,13 @@ def _run_second_order(problem: SchedulingProblem, p: dict, seed: int):
 
 
 def _run_average_case(problem: SchedulingProblem, p: dict, seed: int):
-    result = average_case_bracket(problem, p["n"], p["trials"], seed, _SCHEDULERS[p["scheduler"]]())
+    result = average_case_bracket(problem, p["n"], p["trials"], seed, p["scheduler"])
     return [_values(result)], {"scheduler": p["scheduler"]}
 
 
 def _run_cost(problem: SchedulingProblem, p: dict, seed: int):
     discard = ThresholdDiscardSet(n=p["n"], alpha=p["alpha"])
-    cost = cost_exact(_SCHEDULERS[p["scheduler"]](), discard, problem, budget=p["budget"])
+    cost = cost_exact(p["scheduler"], discard, problem, budget=p["budget"])
     prob = discard_probability(discard, problem)
     return [(p["n"], p["alpha"], prob, cost, cost / p["n"])], {"scheduler": p["scheduler"]}
 
@@ -437,7 +412,7 @@ class _Experiment:
     run: Callable
 
 
-_scheduler = _one_of(_SCHEDULERS)
+_scheduler = _one_of(SCHEDULERS)
 
 _EXPERIMENTS: dict[str, _Experiment] = {
     "validate": _Experiment(

@@ -1,12 +1,13 @@
 """Schedulers and discard-set cost evaluation.
 
-Three scheduling strategies share one dispatch surface, `makespans_scaled`:
+A scheduler is one of the names in `SCHEDULERS`, and two routes dispatch on
+it, `makespans_scaled` and `cost_exact`, each refusing any other value first:
 
-* BruteForce      exact optimum: `_optimal_scaled`, one dynamic programme
-                  over machines on the sub-multisets of a job multiset's
-                  count vector, its last machine one vector operation,
-* EarliestFinishTime  list scheduling onto the machine that finishes first,
-* LPT             EFT over the jobs reordered longest-first.
+* "eft"          list scheduling onto the machine that finishes first,
+* "lpt"          EFT over the jobs reordered longest-first,
+* "brute-force"  exact optimum: `_optimal_scaled`, one dynamic programme
+                 over machines on the sub-multisets of a job multiset's
+                 count vector, its last machine one vector operation.
 
 EFT and LPT run on one kernel, `_eft_step`, over keyed finish times: one
 exact integer key per machine and row, key_i = load_i * w_i * m + i, the
@@ -42,7 +43,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -51,24 +51,14 @@ from .errors import DomainError, ResourceError
 from .stochastic import _refuse_bytes, sum_distribution
 
 _WORK_BUDGET = 2_000_000  # cost_exact's default budget of multisets * n work units
+_BRUTE_FORCE_BUDGET = 10_000_000  # brute force is refused when m^n exceeds this
+
+SCHEDULERS = ("eft", "lpt", "brute-force")
 
 
-@dataclass(frozen=True)
-class BruteForce:
-    budget: int = 10_000_000
-
-
-@dataclass(frozen=True)
-class EarliestFinishTime:
-    pass
-
-
-@dataclass(frozen=True)
-class LPT:
-    pass
-
-
-Scheduler = Union[BruteForce, EarliestFinishTime, LPT]
+def _check_scheduler(scheduler) -> None:
+    if scheduler not in SCHEDULERS:
+        raise DomainError(f"unknown scheduler {scheduler!r}")
 
 
 @dataclass(frozen=True)
@@ -172,32 +162,31 @@ def batch_eft_loads(times: np.ndarray, machines) -> np.ndarray:
     return (keys // wm).T
 
 
-def makespans_scaled(scheduler: Scheduler, times, machines) -> tuple:
+def makespans_scaled(scheduler: str, times, machines) -> tuple:
     """Makespans of integer job rows (rows, n) under one scheduler as (scaled, scale): makespan = scaled/scale.
 
     EFT takes each row in order and LPT longest first, in one batch EFT pass
-    whose makespans keep its loads' dtype.  BruteForce solves each distinct
+    whose makespans keep its loads' dtype.  Brute force solves each distinct
     count vector of job times once, its Python ints in an object array; it
-    is refused when m^n exceeds its budget, and its tables beyond the byte
-    budget before they are allocated.
+    is refused when m^n exceeds `_BRUTE_FORCE_BUDGET`, and its tables beyond
+    the byte budget before they are allocated.
     """
+    _check_scheduler(scheduler)
     weights, scale = scaled_inverse_speeds(machines)
     times = np.asarray(times)
-    if isinstance(scheduler, BruteForce):
+    if scheduler == "brute-force":
         m, n = machines.m, times.shape[1]
-        if m > 1 and m**n > scheduler.budget:
+        if m > 1 and m**n > _BRUTE_FORCE_BUDGET:
             raise ResourceError(
-                f"brute force would enumerate {m}^{n} assignments (budget {scheduler.budget}); "
-                "use EarliestFinishTime or LPT instead"
+                f"brute force would enumerate {m}^{n} assignments (budget {_BRUTE_FORCE_BUDGET}); "
+                "use eft or lpt instead"
             )
         tvals = np.unique(times).tolist()
         counts = [tuple(c) for c in np.stack([(times == t).sum(axis=1) for t in tvals], axis=1).tolist()]
         optimum = {c: _optimal_scaled(c, tvals, weights) for c in dict.fromkeys(counts)}
         return np.array([optimum[c] for c in counts], dtype=object), scale
-    if isinstance(scheduler, LPT):
+    if scheduler == "lpt":
         times = np.sort(times.T, axis=0)[::-1].T  # longest first, sorted job-major
-    elif not isinstance(scheduler, EarliestFinishTime):
-        raise DomainError(f"unknown scheduler {scheduler!r}")
     loads = batch_eft_loads(times, machines)
     return (loads * np.array(weights, dtype=loads.dtype)).max(axis=1), scale
 
@@ -297,22 +286,23 @@ def _kept_limit(discard: ThresholdDiscardSet, problem: SchedulingProblem) -> int
 
 
 def cost_exact(
-    scheduler: Scheduler,
+    scheduler: str,
     discard: ThresholdDiscardSet,
     problem: SchedulingProblem,
     budget: int = _WORK_BUDGET,
 ) -> Fraction:
     """Largest makespan the scheduler produces over the kept sequences.
 
-    Refused (ResourceError) when multisets * n exceeds budget, then
-    (DomainError) when nothing is kept.  BruteForce takes the maximal kept
-    count vectors, as the optimum cannot fall when a job is lengthened, and
-    LPT every kept vector, as rows of one `makespans_scaled` call.  EFT
-    depends on job order, so it sweeps the distinct EFT load vectors of kept
-    prefixes, refused once their sum over steps or one step's extensions
-    exceed budget.  Every route refuses arrays beyond the byte budget before
-    allocating them.
+    Refused (DomainError) for an unknown scheduler, then (ResourceError)
+    when multisets * n exceeds budget, then (DomainError) when nothing is
+    kept.  Brute force takes the maximal kept count vectors, as the optimum
+    cannot fall when a job is lengthened, and LPT every kept vector, as
+    rows of one `makespans_scaled` call.  EFT depends on job order, so it
+    sweeps the distinct EFT load vectors of kept prefixes, refused once
+    their sum over steps or one step's extensions exceed budget.  Every
+    route refuses arrays beyond the byte budget before allocating them.
     """
+    _check_scheduler(scheduler)
     n = discard.n
     symbols = problem.alphabet.symbols
     k = len(symbols)
@@ -324,15 +314,15 @@ def cost_exact(
     limit = _kept_limit(discard, problem)
     times = [problem.alphabet.time_of(sym) for sym in symbols]
     weights, scale = scaled_inverse_speeds(problem.machines)
-    if isinstance(scheduler, EarliestFinishTime):
+    if scheduler == "eft":
         return Fraction(_eft_worst_scaled(times, n, limit, weights, budget), scale)
     # the enumeration holds at most 3k + 4 entries per count vector
     _refuse_bytes((3 * k + 4) * n_multisets, "the enumeration of kept count vectors", n * max(times))
     kept, totals = _kept_count_vectors(times, n, limit)
-    if isinstance(scheduler, BruteForce):
+    if scheduler == "brute-force":
         kept = _maximal(kept, totals, times, limit)
     # one row of n job times per kept vector, and LPT's copy of them sorted longest first
-    copies = 2 if isinstance(scheduler, LPT) else 1
+    copies = 2 if scheduler == "lpt" else 1
     _refuse_bytes(copies * len(kept) * n, "the layout of kept rows", max(times))
     tiled = np.tile(np.array(times, dtype=_int_dtype(max(times))), len(kept))
     rows = np.repeat(tiled, kept.ravel()).reshape(len(kept), n)

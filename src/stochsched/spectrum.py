@@ -21,8 +21,8 @@ from .core import SchedulingProblem, _int_dtype, _positive_int, _span_bracket, a
 from .errors import DomainError, NumericError, ResourceError
 from .schedulers import (
     _WORK_BUDGET,
-    Scheduler,
     ThresholdDiscardSet,
+    _check_scheduler,
     cost_exact,
     makespans_scaled,
     max_kept_total_time,
@@ -38,33 +38,15 @@ from .stochastic import (
 )
 
 
-def _component_rates(problem: SchedulingProblem) -> list[Fraction]:
-    """Long-run per-job rate mean/v_sum of every leaf of flatten_mixture, the mean from the leaf's `_LEAVES` entry.
+def spectral_rates(problem: SchedulingProblem) -> tuple[Fraction, Fraction]:
+    """Exact (ebar, ebar_underline) of T_n/(n*v_sum): the largest and the smallest rate of a leaf.
 
-    IID and Markov processes are their own single leaf; mixtures are
-    flattened, nested ones included.
+    A leaf of flatten_mixture has rate mean/v_sum, its long-run mean time of one job from its
+    `_LEAVES` entry.  The strong converse holds exactly when the two rates are equal.
     """
     v_sum = problem.machines.v_sum
-    return [_LEAVES[type(leaf)].mean(leaf, problem.alphabet) / v_sum for _, leaf in flatten_mixture(problem.process)]
-
-
-def ebar_theoretical(problem: SchedulingProblem) -> Fraction:
-    """Exact upper spectral rate of T_n/(n*v_sum): the largest component rate.
-
-    IID: mean time over v_sum.  Markov (irreducible): stationary mean over
-    v_sum.  Mixture: the largest rate among its components.
-    """
-    return max(_component_rates(problem))
-
-
-def ebar_underline_theoretical(problem: SchedulingProblem) -> Fraction:
-    """Exact lower spectral rate: the smallest component rate."""
-    return min(_component_rates(problem))
-
-
-def strong_converse_holds(problem: SchedulingProblem) -> bool:
-    """True when the two spectral rates coincide (exact rational comparison)."""
-    return ebar_theoretical(problem) == ebar_underline_theoretical(problem)
+    rates = [_LEAVES[type(leaf)].mean(leaf, problem.alphabet) / v_sum for _, leaf in flatten_mixture(problem.process)]
+    return max(rates), min(rates)
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,7 @@ class RateExperimentRow:
 def achievability_experiment(
     problem: SchedulingProblem,
     gamma,
-    scheduler: Scheduler,
+    scheduler: str,
     n_grid: Sequence[int],
     budget: int = _WORK_BUDGET,
 ) -> list[RateExperimentRow]:
@@ -160,10 +142,11 @@ def achievability_experiment(
     time.  The laws come from one `sum_distributions` call over n_grid, at
     the cost it states.
     """
+    _check_scheduler(scheduler)
     gamma = as_fraction(gamma)
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    alpha = ebar_theoretical(problem) + gamma
+    alpha = spectral_rates(problem)[0] + gamma
     rows = []
     for dist in sum_distributions(problem.process, problem.alphabet, n_grid):
         discard = ThresholdDiscardSet(n=dist.n, alpha=alpha)
@@ -199,7 +182,7 @@ def converse_experiment(
     over n_grid, at the cost it states.
     """
     gap = as_fraction(epsilon_gap)
-    ebar = ebar_theoretical(problem)
+    ebar = spectral_rates(problem)[0]
     if not 0 < gap < ebar:
         raise DomainError(f"gap out of range: need 0 < gap < ebar = {ebar}, got {gap}")
     alpha = ebar - gap
@@ -240,12 +223,12 @@ def average_case_bracket(
     n: int,
     trials: int,
     seed: int,
-    scheduler: Scheduler,
+    scheduler: str,
 ) -> AverageCaseResult:
     """Monte-Carlo mean of SPAN/n against the exact bracket [E T_n/(n v_sum), + t_max/(n v_min)].
 
-    The sampled rows' makespans come from one `makespans_scaled` call, which
-    raises DomainError for an unknown scheduler.
+    The sampled rows' makespans come from one `makespans_scaled` call; an
+    unknown scheduler is refused (DomainError) before anything is sampled.
 
     Every sampled makespan must lie in the `_span_bracket` of its own row's
     total, [T/v_sum, T/v_sum + t_max/v_min]; the check is exact, in
@@ -257,6 +240,7 @@ def average_case_bracket(
     if trials < 2:
         raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
     n = _positive_int(n, "sequence length")
+    _check_scheduler(scheduler)
     times = sample_time_matrix(problem.process, problem.alphabet, n, trials, seed)
     scaled, scale = makespans_scaled(scheduler, times, problem.machines)
     totals = times.astype(_int_dtype(n * problem.alphabet.t_max), copy=False).sum(axis=1)

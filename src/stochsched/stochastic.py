@@ -80,11 +80,14 @@ class IIDModel:
 
 @dataclass(frozen=True)
 class MarkovModel:
-    """Markov chain over job symbols; requires irreducibility, not aperiodicity."""
+    """Markov chain over job symbols; requires irreducibility, not aperiodicity.
+
+    `initial` "stationary" starts the chain in its exact stationary vector, solved once.
+    """
 
     symbols: tuple[str, ...]
     transition: tuple[tuple[Fraction, ...], ...]
-    initial: tuple[Fraction, ...]
+    initial: tuple[Fraction, ...]  # or "stationary" on construction
 
     def __post_init__(self):
         symbols = tuple(self.symbols)
@@ -95,15 +98,20 @@ class MarkovModel:
         if len(rows) != k or any(len(row) != k for row in rows):
             raise DomainError(f"transition matrix must be {k}x{k}")
         rows = tuple(_normalised(row, f"transition row for {symbols[i]!r}") for i, row in enumerate(rows))
-        initial = tuple(as_fraction(p) for p in self.initial)
-        if len(initial) != k:
-            raise DomainError(f"initial distribution must have {k} entries")
-        initial = _normalised(initial, "initial distribution")
+        stationary = isinstance(self.initial, str)
+        if stationary and self.initial != "stationary":
+            raise DomainError(f'initial distribution must be a vector or "stationary", got {self.initial!r}')
+        if not stationary:
+            initial = tuple(as_fraction(p) for p in self.initial)
+            if len(initial) != k:
+                raise DomainError(f"initial distribution must have {k} entries")
+            object.__setattr__(self, "initial", _normalised(initial, "initial distribution"))
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "transition", rows)
-        object.__setattr__(self, "initial", initial)
         if not _strongly_connected(rows):
             raise DomainError("Markov chain is reducible; spectral rates need an irreducible chain")
+        if stationary:  # through the module global, so a wrapped stationary_distribution sees the solve
+            object.__setattr__(self, "initial", stationary_distribution(self))
 
     @cached_property
     def _stationary(self) -> tuple[Fraction, ...]:

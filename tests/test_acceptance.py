@@ -15,11 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from stochsched import (
-    BruteForce,
-    EarliestFinishTime,
     IIDModel,
     JobAlphabet,
-    LPT,
     MachineSet,
     MarkovModel,
     MixtureModel,
@@ -30,11 +27,9 @@ from stochsched import (
     converse_experiment,
     cost_exact,
     discard_probability,
-    ebar_theoretical,
-    ebar_underline_theoretical,
     makespans_scaled,
     second_order_table,
-    strong_converse_holds,
+    spectral_rates,
     sum_distribution,
 )
 from stochsched.core import _span_bracket
@@ -80,7 +75,7 @@ def test_01_exact_bound_sandwich():
                         _, problem = uniform_problem(times, speeds)
                         for n in range(1, 7):
                             rows = np.array(list(itertools.product(times, repeat=n)))
-                            scaled, scale = makespans_scaled(BruteForce(), rows, problem.machines)
+                            scaled, scale = makespans_scaled("brute-force", rows, problem.machines)
                             for row, opt in zip(rows.tolist(), scaled):
                                 lb, ub = _span_bracket(sum(row), problem)
                                 assert lb <= Fraction(int(opt), scale) <= ub  # exact rationals
@@ -108,8 +103,8 @@ def test_02_heuristics_within_certified_bound():
             total = times.sum(axis=1).astype(object)
             worst = times.max(axis=1).astype(object)
             spans = {}
-            for name, scheduler in (("eft", EarliestFinishTime()), ("lpt", LPT())):
-                scaled, scale = makespans_scaled(scheduler, times, machines)
+            for name in ("eft", "lpt"):
+                scaled, scale = makespans_scaled(name, times, machines)
                 # exact check of scaled/scale <= total/S + worst/V via cross-multiplication
                 lhs = scaled.astype(object) * (S.numerator * V.numerator)
                 rhs = scale * (
@@ -121,7 +116,7 @@ def test_02_heuristics_within_certified_bound():
 
             alphabet, problem = uniform_problem(range(1, 11), speeds)
             if m**n <= 2048:  # brute force is feasible: heuristics can never beat it
-                optimal, opt_scale = makespans_scaled(BruteForce(), times, machines)
+                optimal, opt_scale = makespans_scaled("brute-force", times, machines)
                 for i in range(200):
                     opt = Fraction(int(optimal[i]), opt_scale)
                     assert _span_bracket(int(total[i]), problem)[0] <= opt
@@ -164,7 +159,7 @@ def test_03_achievability_above_ebar():
     with criterion("criterion 3: achievability at rate 2/3 + 1/10", 30):
         problem = canonical_iid()
         rows = achievability_experiment(
-            problem, Fraction(1, 10), EarliestFinishTime(), [10, 50, 200, 1000, 2000]
+            problem, Fraction(1, 10), "eft", [10, 50, 200, 1000, 2000]
         )
         probs = [r.discard_prob for r in rows]
         assert all(a > b for a, b in zip(probs, probs[1:]))  # strictly decreasing
@@ -188,7 +183,7 @@ def test_04_converse_forces_discards():
         assert probs[-1] >= 0.99
 
         mixture = canonical_mixture()
-        assert ebar_theoretical(mixture) - Fraction(7, 60) == Fraction(11, 20)  # target 0.55
+        assert spectral_rates(mixture)[0] - Fraction(7, 60) == Fraction(11, 20)  # target 0.55
         plateau = converse_experiment(mixture, Fraction(7, 60), [1000, 2000])
         for _, p in plateau:
             assert 0.49 <= p <= 0.51
@@ -223,7 +218,7 @@ def test_06_average_case_window():
     """Monte-Carlo mean span per job falls in the exact bracket up to 3 SE."""
     with criterion("criterion 6: average-case bracket (1e4 trials)", 120):
         iid = canonical_iid()
-        res = average_case_bracket(iid, 1000, 10_000, seed=2026, scheduler=EarliestFinishTime())
+        res = average_case_bracket(iid, 1000, 10_000, seed=2026, scheduler="eft")
         assert res.bracket_lo == float(Fraction(2, 3))
         assert res.bracket_hi == float(Fraction(2, 3) + Fraction(3, 1000))
         assert res.bracket_lo - 3 * res.std_error <= res.mc_mean_span_per_job
@@ -240,7 +235,7 @@ def test_06_average_case_window():
                 (Fraction(5, 6), Fraction(1, 6)),
             ),
         )
-        res = average_case_bracket(markov, 1000, 10_000, seed=2026, scheduler=EarliestFinishTime())
+        res = average_case_bracket(markov, 1000, 10_000, seed=2026, scheduler="eft")
         assert res.bracket_lo == float(Fraction(4, 9))
         assert res.bracket_lo - 3 * res.std_error <= res.mc_mean_span_per_job
         assert res.mc_mean_span_per_job <= res.bracket_hi + 3 * res.std_error
@@ -262,13 +257,10 @@ def test_07_rate_dispatch_exact():
                 (Fraction(5, 6), Fraction(1, 6)),
             ),
         )
-        assert ebar_theoretical(iid) == Fraction(2, 3)
-        assert ebar_theoretical(markov) == Fraction(4, 9)
-        assert ebar_theoretical(mixture) == Fraction(2, 3)
-        assert ebar_underline_theoretical(mixture) == Fraction(1, 2)
-        assert strong_converse_holds(iid) is True
-        assert strong_converse_holds(markov) is True
-        assert strong_converse_holds(mixture) is False
+        # the strong converse holds exactly when the two rates coincide
+        assert spectral_rates(iid) == (Fraction(2, 3), Fraction(2, 3))
+        assert spectral_rates(markov) == (Fraction(4, 9), Fraction(4, 9))
+        assert spectral_rates(mixture) == (Fraction(2, 3), Fraction(1, 2))
 
 
 def test_08_multiset_enumeration_cross_oracle():
@@ -279,7 +271,7 @@ def test_08_multiset_enumeration_cross_oracle():
         for n in (1, 2, 3, 4):
             for alpha in alphas:
                 discard = ThresholdDiscardSet(n=n, alpha=alpha)
-                assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(
+                assert cost_exact("brute-force", discard, problem) == optimal_cost_by_enumeration(
                     discard, problem
                 )
                 expect = discard_probability_by_enumeration(discard, problem.process, problem)

@@ -18,15 +18,14 @@ from pathlib import Path
 import pytest
 
 from stochsched import (
-    BruteForce,
     IIDModel,
     JobAlphabet,
-    LPT,
     MachineSet,
     MarkovModel,
     MixtureModel,
     SchedulingProblem,
     achievability_experiment,
+    schedulers,
 )
 from stochsched.cli import _emit_process
 
@@ -79,12 +78,12 @@ def test_reference_law_matches_direct_dp(verify, case, n):
 
 
 def test_brute_force_budget_matches_the_package(verify):
-    assert verify.BRUTE_FORCE_BUDGET == BruteForce().budget
+    assert verify.BRUTE_FORCE_BUDGET == schedulers._BRUTE_FORCE_BUDGET
 
 
 def test_must_be_exact_matches_achievability_routes(verify):
     # two symbols: n(n+1) work units against budget 30 flips between n=5 and n=6;
-    # m^n against BruteForce's 10^7 flips between n=23 and 24 (m=2) and n=14 and 15 (m=3)
+    # m^n against _BRUTE_FORCE_BUDGET = 10^7 flips between n=23 and 24 (m=2) and n=14 and 15 (m=3)
     alphabet = JobAlphabet({"a": 1, "b": 3})
     process = IIDModel({"a": Fraction(1, 2), "b": Fraction(1, 2)})
     n_grid = [5, 6, 14, 15, 23, 24]
@@ -95,9 +94,9 @@ def test_must_be_exact_matches_achievability_routes(verify):
         pb = verify.Problem(
             {"problem": {"alphabet": dict(alphabet.proc_time), "machines": speeds, "process": _emit_process(process)}}
         )
-        for name, scheduler in (("lpt", LPT()), ("brute-force", BruteForce())):
+        for name in ("lpt", "brute-force"):
             for budget in (30, 2_000_000):
-                rows = achievability_experiment(problem, Fraction(1, 10), scheduler, n_grid, budget=budget)
+                rows = achievability_experiment(problem, Fraction(1, 10), name, n_grid, budget=budget)
                 for n, row in zip(n_grid, rows):
                     expected = verify._must_be_exact({"scheduler": name, "budget": budget}, n, pb)
                     assert row.exact is expected, (name, m, budget, n)

@@ -132,6 +132,11 @@ class TestParsing:
             parse_config(config_text(PROBLEM_IID, kind="validate", bogus=1))
         assert any("bogus" in p for p in exc.value.problems)
 
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text(PROBLEM_IID, kind="cost", n=2, alpha="1", scheduler="opt"))
+        assert exc.value.problems == ["experiment.scheduler: expected one of ['eft', 'lpt', 'brute-force'], got 'opt'"]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(config_text(PROBLEM_IID, kind="frobnicate"))

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stochsched import DomainError, IIDModel, ThresholdDiscardSet, stationary_distribution
+from stochsched import SCHEDULERS, DomainError, IIDModel, ThresholdDiscardSet, stationary_distribution
 from stochsched.cli import parse_config, run
 
 from .oracles import (
@@ -33,9 +33,6 @@ from .oracles import (
     sample_index_matrix_by_kind,
     sum_law_by_enumeration,
 )
-
-_SCHEDULERS = ("eft", "lpt", "brute-force")
-
 
 @st.composite
 def _vector(draw, k: int) -> list[str]:
@@ -196,7 +193,7 @@ def test_every_cell_against_the_oracles(problem, n, grid, cuts, cut, eighths, se
         assert _close(tail, oracle.tail(m, ebar - gap)), m
 
     alpha = Fraction(n * alphabet.t_min + cut, n) / v_sum  # threshold n*t_min + cut, from below every total up
-    for scheduler in _SCHEDULERS:
+    for scheduler in SCHEDULERS:
         want = oracle.cost(scheduler, n, alpha)
         try:
             table = _table(problem, kind="cost", n=n, alpha=str(alpha), scheduler=scheduler)
@@ -209,7 +206,7 @@ def test_every_cell_against_the_oracles(problem, n, grid, cuts, cut, eighths, se
         assert _close(discard, discard_probability_by_enumeration(kept, oracle.process, oracle.problem)), scheduler
 
     gamma = Fraction(cuts[0] + 1, 2) / v_sum
-    for scheduler, budget in itertools.product(_SCHEDULERS, (10, 2_000_000)):
+    for scheduler, budget in itertools.product(SCHEDULERS, (10, 2_000_000)):
         rows = _table(problem, kind="achievability", gamma=str(gamma), n_grid=grid, scheduler=scheduler, budget=budget).rows
         assert [r[0] for r in rows] == grid
         for m, discard, cost, per_job, cost_lower, exact in rows:
@@ -222,7 +219,7 @@ def test_every_cell_against_the_oracles(problem, n, grid, cuts, cut, eighths, se
                 assert cost_lower <= want <= cost, (scheduler, budget, m)
 
     mean = oracle.mean_total(n)
-    for scheduler in _SCHEDULERS:
+    for scheduler in SCHEDULERS:
         (row,) = _table(problem, kind="average-case", n=n, trials=50, scheduler=scheduler, master_seed=seed).rows
         assert row[:2] == (n, 50)
         # every sampled stream is scheduled, so a change of tie rule moves this mean

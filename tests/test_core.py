@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsched import (
-    BruteForce,
     DomainError,
-    EarliestFinishTime,
     IIDModel,
     JobAlphabet,
-    LPT,
     MachineSet,
     SchedulingProblem,
     ThresholdDiscardSet,
@@ -31,8 +28,8 @@ from .oracles import loads_of, makespan_of
 
 
 def optimum(rows, machines) -> list[Fraction]:
-    """Optimal makespan of each row of job times, by `makespans_scaled(BruteForce())`."""
-    scaled, scale = makespans_scaled(BruteForce(), np.array(rows), machines)
+    """Optimal makespan of each row of job times, by `makespans_scaled("brute-force")`."""
+    scaled, scale = makespans_scaled("brute-force", np.array(rows), machines)
     return [Fraction(int(v), scale) for v in scaled]
 
 
@@ -98,9 +95,9 @@ class TestContainers:
 _INTEGER_CALLERS = {
     "spectral_scan": lambda p, ints: spectral_scan(p, ["1/2", "1"], ints),
     "converse_experiment": lambda p, ints: converse_experiment(p, "1/10", ints),
-    "achievability_experiment": lambda p, ints: achievability_experiment(p, "1/10", EarliestFinishTime(), ints),
+    "achievability_experiment": lambda p, ints: achievability_experiment(p, "1/10", "eft", ints),
     "second_order_table": lambda p, ints: second_order_table(ints, 0.1, p),
-    "average_case_bracket": lambda p, ints: average_case_bracket(p, ints[0], ints[1], 7, EarliestFinishTime()),
+    "average_case_bracket": lambda p, ints: average_case_bracket(p, ints[0], ints[1], 7, "eft"),
     "ThresholdDiscardSet": lambda p, ints: [ThresholdDiscardSet(n, 1) for n in ints],
     "JobAlphabet": lambda p, ints: JobAlphabet({"a": ints[0], "b": ints[1]}),
 }
@@ -124,7 +121,7 @@ class TestMakespan:
         # jobs (1, 3, 3) on speeds (1, 2): every scheduler reaches makespan 3, as (0, 1, 1) does
         assert loads_of((0, 1, 1), ("a", "b", "b"), iid_problem) == [1, 6]
         assert makespan_of((0, 1, 1), ("a", "b", "b"), iid_problem) == 3
-        for scheduler in (EarliestFinishTime(), LPT(), BruteForce()):
+        for scheduler in ("eft", "lpt", "brute-force"):
             scaled, scale = makespans_scaled(scheduler, np.array([[1, 3, 3]]), iid_problem.machines)
             assert Fraction(int(scaled[0]), scale) == 3
 

@@ -10,16 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsched import (
-    BruteForce,
     DomainError,
-    EarliestFinishTime,
     IIDModel,
     JobAlphabet,
-    LPT,
     MachineSet,
     ResourceError,
     SchedulingProblem,
     ThresholdDiscardSet,
+    achievability_experiment,
     average_case_bracket,
     batch_eft_loads,
     cost_exact,
@@ -29,6 +27,7 @@ from stochsched import (
     sample_index_matrix,
     scaled_inverse_speeds,
     schedulers,
+    spectrum,
     stochastic,
     sum_distribution,
 )
@@ -65,7 +64,7 @@ def _spans(scheduler, seqs, problem) -> list[Fraction]:
 class TestBruteForce:
     def test_desk_instance(self, iid_problem):
         seq = ("a", "b", "b")
-        assert _spans(BruteForce(), [seq], iid_problem) == [3]
+        assert _spans("brute-force", [seq], iid_problem) == [3]
         assert best_makespan_by_enumeration(seq, iid_problem) == 3
 
     def test_matches_enumeration_oracle(self):
@@ -76,19 +75,21 @@ class TestBruteForce:
             speeds = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(m)]
             alphabet, problem = make_problem(times, speeds)
             seq = tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 5)))
-            assert _spans(BruteForce(), [seq], problem) == [best_makespan_by_enumeration(seq, problem)]
+            assert _spans("brute-force", [seq], problem) == [best_makespan_by_enumeration(seq, problem)]
 
-    def test_budget_guard(self, iid_problem):
-        with pytest.raises(ResourceError, match=r"2\^30 assignments"):
-            makespans_scaled(BruteForce(budget=10**6), np.ones((1, 30), dtype=np.int64), iid_problem.machines)
+    def test_budget_guard(self, monkeypatch, iid_problem):
+        monkeypatch.setattr(schedulers, "_BRUTE_FORCE_BUDGET", 10**6)
+        with pytest.raises(ResourceError, match=r"2\^30 assignments \(budget 1000000\); use eft or lpt instead$"):
+            makespans_scaled("brute-force", np.ones((1, 30), dtype=np.int64), iid_problem.machines)
 
     def test_single_machine_needs_no_search(self):
         _, problem = make_problem([2, 5], [Fraction(3, 2)])
-        assert _spans(BruteForce(), [("a", "b") * 1500], problem) == [Fraction(2 * 1500 + 5 * 1500) / Fraction(3, 2)]
+        assert _spans("brute-force", [("a", "b") * 1500], problem) == [Fraction(2 * 1500 + 5 * 1500) / Fraction(3, 2)]
 
-    def test_long_sequence_solved_without_a_depth_limit(self, iid_problem):
+    def test_long_sequence_solved_without_a_depth_limit(self, monkeypatch, iid_problem):
         # 3000 unit jobs on speeds (1, 2): 1000 and 2000 of them finish together at 1000
-        assert _spans(BruteForce(budget=2**3000), [("a",) * 3000], iid_problem) == [1000]
+        monkeypatch.setattr(schedulers, "_BRUTE_FORCE_BUDGET", 2**3000)
+        assert _spans("brute-force", [("a",) * 3000], iid_problem) == [1000]
 
 
 def _sequence(alphabet, counts) -> tuple[str, ...]:
@@ -149,14 +150,14 @@ class TestCountVectorOptimum:
             got = Fraction(_optimal_scaled(counts, times, weights), scale)
             assert got == best_makespan_by_enumeration(_sequence(alphabet, counts), problem)
             rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]] * 2)
-            scaled, batch_scale = makespans_scaled(BruteForce(), rows, problem.machines)
+            scaled, batch_scale = makespans_scaled("brute-force", rows, problem.machines)
             assert [Fraction(v, batch_scale) for v in scaled] == [got, got]
 
     def test_batch_solves_each_row(self):
         rng = random.Random(9)
         alphabet, problem = make_problem([2, 3, 7], [Fraction(1), Fraction(3, 2), Fraction(5, 2)])
         seqs = [tuple(rng.choices(alphabet.symbols, k=6)) for _ in range(30)]
-        assert _spans(BruteForce(), seqs, problem) == [best_makespan_by_enumeration(seq, problem) for seq in seqs]
+        assert _spans("brute-force", seqs, problem) == [best_makespan_by_enumeration(seq, problem) for seq in seqs]
 
     def test_kept_count_vectors_match_the_recursive_generator(self):
         rng = random.Random(23)
@@ -190,7 +191,7 @@ class TestCountVectorOptimum:
             kept = [c for c in count_vectors(n, k) if sum(ci * t for ci, t in zip(c, times)) <= threshold]
             if not kept or len(_maximal_by_upgrades(kept, times, threshold)) == len(kept):
                 continue
-            assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(discard, problem)
+            assert cost_exact("brute-force", discard, problem) == optimal_cost_by_enumeration(discard, problem)
             checked += 1
             equal_times |= len(set(times)) < k
         assert equal_times
@@ -199,16 +200,17 @@ class TestCountVectorOptimum:
 class TestCountVectorByteBudget:
     """The count-vector DP refuses, before allocating, tables beyond stochastic._MAX_BYTES."""
 
-    def test_refused_before_allocating(self):
+    def test_refused_before_allocating(self, monkeypatch):
         # 40 job types of one job each: a 2^40-entry grid, whatever m^n budget is given
         times = list(range(1, 41))
         alphabet = JobAlphabet({f"j{t}": t for t in times})
         uniform = IIDModel({sym: Fraction(1, 40) for sym in alphabet.symbols})
         problem = SchedulingProblem(alphabet, MachineSet((Fraction(1), Fraction(2))), uniform)
+        monkeypatch.setattr(schedulers, "_BRUTE_FORCE_BUDGET", 2**3000)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError, match="bytes"):
-                makespans_scaled(BruteForce(budget=2**3000), np.array([times]), problem.machines)
+                makespans_scaled("brute-force", np.array([times]), problem.machines)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,9 +231,10 @@ class TestCountVectorByteBudget:
         _, problem = make_problem(times, [Fraction(i + 2, 2) for i in range(m)])
         rows = np.array([[t for t, c in zip(times, counts) for _ in range(c)]])
         slack = (64 << 10) + 2 * 8 * np.getbufsize()
+        monkeypatch.setattr(schedulers, "_BRUTE_FORCE_BUDGET", 2**3000)
 
         def solve():
-            return makespans_scaled(BruteForce(budget=2**3000), rows, problem.machines)
+            return makespans_scaled("brute-force", rows, problem.machines)
 
         with monkeypatch.context() as patch:
             patch.setattr(stochastic, "_MAX_BYTES", 0)
@@ -259,9 +262,9 @@ class TestCostByteBudget:
     @pytest.mark.parametrize(
         "scheduler,times,speeds,n,refused",
         [
-            (LPT(), [2, 5], [1, 2], 2000, "kept rows"),  # 2001 rows of 2000 jobs and their sorted copy: 64 MB
-            (LPT(), [1, 2, 3, 4, 5, 6], [1, 2], 20, "kept count vectors"),  # 53130 count vectors of 6 types
-            (EarliestFinishTime(), [2, 5, 11], [1, Fraction(3, 2), 2], 14, "EFT order sweep"),  # ~0.7 MB at its peak
+            ("lpt", [2, 5], [1, 2], 2000, "kept rows"),  # 2001 rows of 2000 jobs and their sorted copy: 64 MB
+            ("lpt", [1, 2, 3, 4, 5, 6], [1, 2], 20, "kept count vectors"),  # 53130 count vectors of 6 types
+            ("eft", [2, 5, 11], [1, Fraction(3, 2), 2], 14, "EFT order sweep"),  # ~0.7 MB at its peak
         ],
         ids=["lpt-rows", "lpt-count-vectors", "eft-sweep"],
     )
@@ -287,10 +290,10 @@ class TestOneByteRefusal:
         [
             ([2, 5, 11], 0, "sum law", lambda p: sum_distribution(p.process, p.alphabet, 10)),
             ([2, 5, 11], 0, "sampling", lambda p: sample_index_matrix(p.process, 10, 2, 0)),
-            ([2, 5, 11], 0, "count-vector programme", lambda p: _spans(BruteForce(), [("a", "b")], p)),
-            ([1, 2, 3, 4, 5, 6], 256 << 10, "kept count vectors", lambda p: _cost_keeping_all(LPT(), 20, p)),
-            ([2, 5], 256 << 10, "kept rows", lambda p: _cost_keeping_all(LPT(), 2000, p)),
-            ([2, 5, 11], 256 << 10, "EFT order sweep", lambda p: _cost_keeping_all(EarliestFinishTime(), 14, p)),
+            ([2, 5, 11], 0, "count-vector programme", lambda p: _spans("brute-force", [("a", "b")], p)),
+            ([1, 2, 3, 4, 5, 6], 256 << 10, "kept count vectors", lambda p: _cost_keeping_all("lpt", 20, p)),
+            ([2, 5], 256 << 10, "kept rows", lambda p: _cost_keeping_all("lpt", 2000, p)),
+            ([2, 5, 11], 256 << 10, "EFT order sweep", lambda p: _cost_keeping_all("eft", 14, p)),
         ],
         ids=["sum-law", "sampler", "dp-grid", "enumeration", "kept-rows", "eft-step"],
     )
@@ -311,12 +314,12 @@ class TestListSchedulerAnomalies:
     def test_eft_shortens_when_a_job_grows(self):
         _, problem = make_problem([2, 5, 9], [Fraction(3, 2), Fraction(1, 2)])
         seqs = [tuple("aabbca"), tuple("aacbca")]  # the third job lengthened from b to c
-        assert _spans(EarliestFinishTime(), seqs, problem) == [Fraction(46, 3), Fraction(44, 3)]
+        assert _spans("eft", seqs, problem) == [Fraction(46, 3), Fraction(44, 3)]
 
     def test_lpt_shortens_when_a_job_grows(self):
         _, problem = make_problem([7, 8, 9], [Fraction(2), Fraction(1, 2), Fraction(1)])
         seqs = [tuple("aaaabc"), tuple("aaaacc")]  # b lengthened to c
-        assert _spans(LPT(), seqs, problem) == [15, 14]
+        assert _spans("lpt", seqs, problem) == [15, 14]
 
     def test_lpt_cost_needs_every_kept_vector(self):
         times = [5, 8, 9]
@@ -330,7 +333,7 @@ class TestListSchedulerAnomalies:
             return max(makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs)
 
         assert worst(_maximal_by_upgrades(kept, times, threshold)) == Fraction(19, 2)
-        assert cost_exact(LPT(), discard, problem) == worst(kept) == 10
+        assert cost_exact("lpt", discard, problem) == worst(kept) == 10
 
 
 class TestListSchedulers:
@@ -339,7 +342,7 @@ class TestListSchedulers:
         assert eft_by_loop(seq, iid_problem) == (1, 0, 1)
         assert batch_eft_loads(_rows([seq], iid_problem), iid_problem.machines).tolist() == [[3, 4]]
         assert loads_of((1, 0, 1), seq, iid_problem) == [3, 4]
-        assert _spans(EarliestFinishTime(), [seq], iid_problem) == [3]
+        assert _spans("eft", [seq], iid_problem) == [3]
 
     def test_eft_never_beats_lower_bound_nor_upper(self):
         rng = random.Random(99)
@@ -349,7 +352,7 @@ class TestListSchedulers:
             speeds = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(m)]
             alphabet, problem = make_problem(times, speeds)
             seq = tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 30)))
-            (span,) = _spans(EarliestFinishTime(), [seq], problem)
+            (span,) = _spans("eft", [seq], problem)
             assert span == makespan_of(eft_by_loop(seq, problem), seq, problem)
             lo, hi = _span_bracket(sum(alphabet.time_of(sym) for sym in seq), problem)
             assert lo <= span <= hi
@@ -358,7 +361,7 @@ class TestListSchedulers:
         seq = ("a", "b", "b")
         assert lpt_by_loop(seq, iid_problem) == (1, 1, 0)
         assert makespan_of((1, 1, 0), seq, iid_problem) == 3
-        assert _spans(LPT(), [seq], iid_problem) == [3]
+        assert _spans("lpt", [seq], iid_problem) == [3]
 
     def test_lpt_within_bounds_and_often_at_optimum(self):
         rng = random.Random(5)
@@ -368,9 +371,9 @@ class TestListSchedulers:
             times = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
             alphabet, problem = make_problem(times, [Fraction(rng.randint(1, 3)) for _ in range(m)])
             seq = tuple(rng.choices(alphabet.symbols, k=rng.randint(1, 7)))
-            (lpt_span,) = _spans(LPT(), [seq], problem)
+            (lpt_span,) = _spans("lpt", [seq], problem)
             assert lpt_span == makespan_of(lpt_by_loop(seq, problem), seq, problem)
-            (opt,) = _spans(BruteForce(), [seq], problem)
+            (opt,) = _spans("brute-force", [seq], problem)
             assert opt <= lpt_span <= _span_bracket(sum(alphabet.time_of(sym) for sym in seq), problem)[1]
             hits += lpt_span == opt
         assert hits > 40  # LPT is usually optimal on tiny instances
@@ -379,14 +382,14 @@ class TestListSchedulers:
         alphabet, problem = make_problem([2, 2, 5], [Fraction(1), Fraction(1), Fraction(1)])
         rng = random.Random(12)
         seqs = [tuple(rng.choices(alphabet.symbols, k=8)) for _ in range(30)]
-        assert _spans(LPT(), seqs, problem) == [makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
+        assert _spans("lpt", seqs, problem) == [makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
 
     def test_dispatch(self, iid_problem):
         seq = ("b", "a")
         for scheduler, want in (
-            (EarliestFinishTime(), makespan_of(eft_by_loop(seq, iid_problem), seq, iid_problem)),
-            (LPT(), makespan_of(lpt_by_loop(seq, iid_problem), seq, iid_problem)),
-            (BruteForce(), best_makespan_by_enumeration(seq, iid_problem)),
+            ("eft", makespan_of(eft_by_loop(seq, iid_problem), seq, iid_problem)),
+            ("lpt", makespan_of(lpt_by_loop(seq, iid_problem), seq, iid_problem)),
+            ("brute-force", best_makespan_by_enumeration(seq, iid_problem)),
         ):
             assert _spans(scheduler, [seq], iid_problem) == [want]
 
@@ -398,7 +401,7 @@ class TestBatchEft:
             alphabet, problem = make_problem([1, 2, 5], speeds)
             seqs = [tuple(rng.choices(alphabet.symbols, k=12)) for _ in range(50)]
             loads = batch_eft_loads(_rows(seqs, problem), problem.machines)
-            spans = _spans(EarliestFinishTime(), seqs, problem)
+            spans = _spans("eft", seqs, problem)
             for i, seq in enumerate(seqs):
                 a = eft_by_loop(seq, problem)
                 assert loads[i].tolist() == loads_of(a, seq, problem)
@@ -428,8 +431,8 @@ class TestBatchEft:
             for tail in itertools.product(alphabet.symbols[:1] + big[:1], repeat=2)
         ]
         loads = batch_eft_loads(_rows(seqs, problem), problem.machines)
-        eft_spans = _spans(EarliestFinishTime(), seqs, problem)
-        lpt_spans = _spans(LPT(), seqs, problem)
+        eft_spans = _spans("eft", seqs, problem)
+        lpt_spans = _spans("lpt", seqs, problem)
         second = []
         for i, seq in enumerate(seqs):
             a = eft_by_loop(seq, problem)
@@ -467,7 +470,7 @@ class TestBatchEft:
         assert ties > len(seqs)  # the rows exercise the tie rule
         for layout in (rows, np.asfortranarray(rows)):  # row-major, and job-major as the sampler returns
             loads = batch_eft_loads(layout, problem.machines)
-            scaled, scale = makespans_scaled(EarliestFinishTime(), layout, problem.machines)
+            scaled, scale = makespans_scaled("eft", layout, problem.machines)
             assert (loads.dtype == object) == (max(times) > 2**40)
             for i, seq in enumerate(seqs):
                 a = eft_by_loop(seq, problem)
@@ -475,7 +478,7 @@ class TestBatchEft:
                 assert Fraction(int(scaled[i]), scale) == makespan_of(a, seq, problem)
         for n in (3, 5):
             discard = ThresholdDiscardSet(n=n, alpha=Fraction(2 * max(times)) / problem.machines.v_sum)
-            assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+            assert cost_exact("eft", discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
 
 
 @st.composite
@@ -498,8 +501,8 @@ class TestListSchedulersAgainstTheLoops:
         rows = _rows(seqs, problem)
         for layout in (rows, np.asfortranarray(rows)):  # row-major, and job-major as the sampler returns
             loads = batch_eft_loads(layout, problem.machines)
-            eft, scale = makespans_scaled(EarliestFinishTime(), layout, problem.machines)
-            lpt, lpt_scale = makespans_scaled(LPT(), layout, problem.machines)
+            eft, scale = makespans_scaled("eft", layout, problem.machines)
+            lpt, lpt_scale = makespans_scaled("lpt", layout, problem.machines)
             for i, seq in enumerate(seqs):
                 a = eft_by_loop(seq, problem)
                 assert loads[i].tolist() == loads_of(a, seq, problem)
@@ -537,16 +540,27 @@ class TestMakespansScaled:
         ):
             alphabet, problem = make_problem(times, speeds)
             seqs = [tuple(rng.choices(alphabet.symbols, k=3)) for _ in range(40)]
-            spans = _spans(LPT(), seqs, problem)
+            spans = _spans("lpt", seqs, problem)
             assert spans == [makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in seqs]
 
-    def test_unknown_scheduler_is_a_domain_error(self, iid_problem):
-        with pytest.raises(DomainError, match="unknown scheduler"):
-            makespans_scaled(object(), np.array([[1, 3]]), iid_problem.machines)
-        with pytest.raises(DomainError, match="unknown scheduler"):
-            cost_exact(object(), ThresholdDiscardSet(n=3, alpha=Fraction(1)), iid_problem)
-        with pytest.raises(DomainError, match="unknown scheduler"):
-            average_case_bracket(iid_problem, 4, 8, seed=0, scheduler=object())
+    def test_unknown_scheduler_is_a_domain_error(self, monkeypatch, iid_problem):
+        drawn = []
+        monkeypatch.setattr(spectrum, "sample_time_matrix", lambda *args: drawn.append(args))
+        for unknown in (object(), "bogus"):
+            with pytest.raises(DomainError, match="unknown scheduler"):
+                makespans_scaled(unknown, np.array([[1, 3]]), iid_problem.machines)
+            with pytest.raises(DomainError, match="unknown scheduler"):
+                cost_exact(unknown, ThresholdDiscardSet(n=3, alpha=Fraction(1)), iid_problem)
+            # refused first: before the empty kept set, the bracketed rows and any sample
+            with pytest.raises(DomainError, match="unknown scheduler"):
+                cost_exact(unknown, ThresholdDiscardSet(n=5, alpha=Fraction(0)), iid_problem)
+            with pytest.raises(DomainError, match="unknown scheduler"):
+                achievability_experiment(iid_problem, Fraction(1, 10), unknown, [50, 200], budget=10)
+            with pytest.raises(DomainError, match="unknown scheduler"):
+                average_case_bracket(iid_problem, 4, 8, seed=0, scheduler=unknown)
+            with pytest.raises(DomainError, match="unknown scheduler"):
+                average_case_bracket(iid_problem, 2000, 20000, 0, unknown)
+        assert drawn == []
 
 
 class TestExactAtEveryMagnitude:
@@ -568,19 +582,19 @@ class TestExactAtEveryMagnitude:
     def test_cost_exact(self, times):
         problem, discard = self._instance(times)
         symbols = problem.alphabet.symbols
-        assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+        assert cost_exact("eft", discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
         multisets = itertools.combinations_with_replacement(symbols, 4)
         lpt_worst = max(makespan_of(lpt_by_loop(seq, problem), seq, problem) for seq in multisets)
-        assert cost_exact(LPT(), discard, problem) == lpt_worst
-        assert cost_exact(BruteForce(), discard, problem) == optimal_cost_by_enumeration(discard, problem)
+        assert cost_exact("lpt", discard, problem) == lpt_worst
+        assert cost_exact("brute-force", discard, problem) == optimal_cost_by_enumeration(discard, problem)
 
     @pytest.mark.parametrize("times", TIMES, ids=IDS)
     def test_schedule(self, times):
         problem, _ = self._instance(times)
         seqs = list(itertools.product(problem.alphabet.symbols, repeat=4))
         loads = batch_eft_loads(_rows(seqs, problem), problem.machines)
-        eft_spans = _spans(EarliestFinishTime(), seqs, problem)
-        lpt_spans = _spans(LPT(), seqs, problem)
+        eft_spans = _spans("eft", seqs, problem)
+        lpt_spans = _spans("lpt", seqs, problem)
         for i, seq in enumerate(seqs):
             a = eft_by_loop(seq, problem)
             assert loads[i].tolist() == loads_of(a, seq, problem)
@@ -594,19 +608,19 @@ class TestExactAtEveryMagnitude:
         int_dtype = schedulers._int_dtype
         monkeypatch.setattr(schedulers, "_int_dtype", lambda bound: dtypes.append(int_dtype(bound)) or dtypes[-1])
         for alpha in (Fraction(22, 9), 10**18):
-            assert cost_exact(EarliestFinishTime(), ThresholdDiscardSet(n=14, alpha=alpha), problem) == Fraction(110, 3)
+            assert cost_exact("eft", ThresholdDiscardSet(n=14, alpha=alpha), problem) == Fraction(110, 3)
         assert dtypes and object not in dtypes
 
     def test_job_times_past_int64_that_no_kept_sequence_holds(self):
         # a threshold of 4 keeps only the four unit jobs; the time 2^70 never enters the int64 EFT sweep
         _, problem = make_problem([1, 2**70], [Fraction(1), Fraction(2)])
         kept = ThresholdDiscardSet(n=4, alpha=Fraction(1, 3))
-        for scheduler in (EarliestFinishTime(), LPT(), BruteForce()):
+        for scheduler in ("eft", "lpt", "brute-force"):
             assert cost_exact(scheduler, kept, problem) == Fraction(3, 2)
         with pytest.raises(DomainError, match="keeps no sequences"):
-            cost_exact(EarliestFinishTime(), ThresholdDiscardSet(n=4, alpha=Fraction(1, 4)), problem)
+            cost_exact("eft", ThresholdDiscardSet(n=4, alpha=Fraction(1, 4)), problem)
 
-    @pytest.mark.parametrize("scheduler", [EarliestFinishTime(), LPT(), BruteForce()])
+    @pytest.mark.parametrize("scheduler", ["eft", "lpt", "brute-force"])
     def test_row_total_past_int64(self, scheduler):
         scaled, scale = makespans_scaled(scheduler, np.array([[2**62, 2**62]]), MachineSet((Fraction(1),)))
         assert isinstance(scaled, np.ndarray)
@@ -626,7 +640,7 @@ class TestDiscardSets:
 
     def test_desk_cost_and_probability(self, iid_problem):
         discard = ThresholdDiscardSet(n=2, alpha=Fraction(23, 30))
-        assert cost_exact(BruteForce(), discard, iid_problem) == Fraction(3, 2)
+        assert cost_exact("brute-force", discard, iid_problem) == Fraction(3, 2)
         assert discard_probability(discard, iid_problem) == 0.25
         assert max_kept_total_time(discard, iid_problem) == 4
 
@@ -636,7 +650,7 @@ class TestDiscardSets:
         nothing = ThresholdDiscardSet(n=3, alpha=Fraction(1, 4))  # drops all sequences
         assert discard_probability(nothing, iid_problem) == 1.0
         with pytest.raises(DomainError):
-            cost_exact(BruteForce(), nothing, iid_problem)
+            cost_exact("brute-force", nothing, iid_problem)
         with pytest.raises(DomainError):
             max_kept_total_time(nothing, iid_problem)
 
@@ -646,7 +660,7 @@ class TestDiscardSets:
         with pytest.raises(DomainError, match="keeps no sequences"):
             max_kept_total_time(nothing, iid_problem)
 
-    @pytest.mark.parametrize("scheduler", [LPT(), BruteForce()], ids=["lpt", "brute-force"])
+    @pytest.mark.parametrize("scheduler", ["lpt", "brute-force"], ids=["lpt", "brute-force"])
     def test_empty_kept_set_refused_before_the_byte_budget(self, scheduler):
         # 12.5 million count vectors of 3 types fit a 10^12 work budget, not the 1 GiB byte budget
         _, problem = make_problem([2, 5, 11], [Fraction(1), Fraction(2)])
@@ -660,7 +674,7 @@ class TestDiscardSets:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cost_matches_sequence_enumeration(self, iid_problem, n, alpha):
         discard = ThresholdDiscardSet(n=n, alpha=alpha)
-        assert cost_exact(BruteForce(), discard, iid_problem) == optimal_cost_by_enumeration(
+        assert cost_exact("brute-force", discard, iid_problem) == optimal_cost_by_enumeration(
             discard, iid_problem
         )
 
@@ -675,7 +689,7 @@ class TestDiscardSets:
 
     def test_cost_monotone_in_alpha(self, iid_problem):
         grid = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3)]
-        for scheduler in (BruteForce(), EarliestFinishTime(), LPT()):
+        for scheduler in ("brute-force", "eft", "lpt"):
             costs = [
                 cost_exact(scheduler, ThresholdDiscardSet(n=5, alpha=a), iid_problem)
                 for a in grid
@@ -685,14 +699,14 @@ class TestDiscardSets:
     def test_heuristic_cost_dominates_optimal_cost(self, iid_problem):
         for n in (2, 3, 5, 8):
             discard = ThresholdDiscardSet(n=n, alpha=Fraction(1))
-            opt = cost_exact(BruteForce(), discard, iid_problem)
-            for scheduler in (EarliestFinishTime(), LPT()):
+            opt = cost_exact("brute-force", discard, iid_problem)
+            for scheduler in ("eft", "lpt"):
                 assert cost_exact(scheduler, discard, iid_problem) >= opt
 
     def test_eft_cost_counts_every_order(self, iid_problem):
         # one alphabet-ordered sequence per multiset reaches only 15/2 here
         discard = ThresholdDiscardSet(n=10, alpha=Fraction(23, 30))
-        assert cost_exact(EarliestFinishTime(), discard, iid_problem) == 8
+        assert cost_exact("eft", discard, iid_problem) == 8
         assert eft_worst_cost_by_enumeration(discard, iid_problem) == 8
 
     def test_eft_cost_matches_order_enumeration(self):
@@ -711,14 +725,14 @@ class TestDiscardSets:
                 want = eft_worst_cost_by_enumeration(discard, problem)
             except ValueError:  # nothing kept
                 with pytest.raises(DomainError):
-                    cost_exact(EarliestFinishTime(), discard, problem)
+                    cost_exact("eft", discard, problem)
                 continue
-            assert cost_exact(EarliestFinishTime(), discard, problem) == want
+            assert cost_exact("eft", discard, problem) == want
             checked += 1
         # seven machines and a limit near 4000: load-vector keys outgrow int64
         _, problem = make_problem([1, 700, 1300], [Fraction(v, 3) for v in range(3, 10)])
         discard = ThresholdDiscardSet(n=4, alpha=Fraction(1300 * 3, 4) / problem.machines.v_sum)
-        assert cost_exact(EarliestFinishTime(), discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
+        assert cost_exact("eft", discard, problem) == eft_worst_cost_by_enumeration(discard, problem)
 
     def test_lpt_cost_matches_per_multiset_loop(self):
         rng = random.Random(17)
@@ -740,18 +754,18 @@ class TestDiscardSets:
                 want = span if want is None or span > want else want
             if want is None:
                 with pytest.raises(DomainError):
-                    cost_exact(LPT(), discard, problem)
+                    cost_exact("lpt", discard, problem)
             else:
-                assert cost_exact(LPT(), discard, problem) == want
+                assert cost_exact("lpt", discard, problem) == want
 
     def test_eft_order_sweep_budget(self, iid_problem):
         # 21 multisets x 20 jobs fit the budget; the reachable EFT load vectors do not
         discard = ThresholdDiscardSet(n=20, alpha=Fraction(1))
-        assert cost_exact(EarliestFinishTime(), discard, iid_problem, budget=2000) == cost_exact(
-            EarliestFinishTime(), discard, iid_problem
+        assert cost_exact("eft", discard, iid_problem, budget=2000) == cost_exact(
+            "eft", discard, iid_problem
         )
         with pytest.raises(ResourceError, match="kept more than 500 load vectors"):
-            cost_exact(EarliestFinishTime(), discard, iid_problem, budget=500)
+            cost_exact("eft", discard, iid_problem, budget=500)
 
     def test_eft_order_sweep_refuses_a_step_before_extending_it(self):
         # eight job times on eight machines: up to 8^4 vectors after four jobs,
@@ -762,7 +776,7 @@ class TestDiscardSets:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError, match="would extend more than 20000 load vectors at job 5"):
-                cost_exact(EarliestFinishTime(), discard, problem, budget=20_000)
+                cost_exact("eft", discard, problem, budget=20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -771,7 +785,7 @@ class TestDiscardSets:
     def test_cost_budget_guard(self, iid_problem):
         discard = ThresholdDiscardSet(n=100, alpha=Fraction(1))
         with pytest.raises(ResourceError):
-            cost_exact(BruteForce(), discard, iid_problem, budget=5000)
+            cost_exact("brute-force", discard, iid_problem, budget=5000)
 
     def test_max_kept_total_matches_the_stepwise_array(self):
         rng = random.Random(31)

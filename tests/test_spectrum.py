@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from stochsched import (
-    BruteForce,
     DomainError,
-    EarliestFinishTime,
     IIDModel,
-    LPT,
     MachineSet,
     MixtureModel,
     NumericError,
@@ -22,15 +19,13 @@ from stochsched import (
     average_case_bracket,
     converse_experiment,
     cost_exact,
-    ebar_theoretical,
-    ebar_underline_theoretical,
     makespans_scaled,
     sample_time_matrix,
+    spectral_rates,
     spectral_scan,
-    strong_converse_holds,
 )
 
-from stochsched import spectrum
+from stochsched import cli, schedulers, spectrum
 from stochsched.cli import parse_config
 from stochsched.core import _span_bracket
 
@@ -39,17 +34,16 @@ from .oracles import best_makespan_by_enumeration, lpt_by_loop, makespan_of
 
 class TestTheoreticalRates:
     def test_desk_values(self, iid_problem, markov_problem, mixture_problem):
-        assert ebar_theoretical(iid_problem) == Fraction(2, 3)
-        assert ebar_theoretical(markov_problem) == Fraction(4, 9)
-        assert ebar_theoretical(mixture_problem) == Fraction(2, 3)
-        assert ebar_underline_theoretical(iid_problem) == Fraction(2, 3)
-        assert ebar_underline_theoretical(markov_problem) == Fraction(4, 9)
-        assert ebar_underline_theoretical(mixture_problem) == Fraction(1, 2)
+        assert spectral_rates(iid_problem) == (Fraction(2, 3), Fraction(2, 3))
+        assert spectral_rates(markov_problem) == (Fraction(4, 9), Fraction(4, 9))
+        assert spectral_rates(mixture_problem) == (Fraction(2, 3), Fraction(1, 2))
 
     def test_strong_converse_flags(self, iid_problem, markov_problem, mixture_problem):
-        assert strong_converse_holds(iid_problem) is True
-        assert strong_converse_holds(markov_problem) is True
-        assert strong_converse_holds(mixture_problem) is False
+        # validate's last three cells: ebar, ebar_under and whether they coincide
+        for problem, holds in ((iid_problem, True), (markov_problem, True), (mixture_problem, False)):
+            [row], _ = cli._run_validate(problem, {}, 0)
+            assert row[-3:] == (*spectral_rates(problem), holds)
+            assert row[-1] is holds
 
     def test_nested_mixture_flattens(self, desk_alphabet, desk_machines, iid_problem, mixture_problem):
         from stochsched import SchedulingProblem
@@ -59,9 +53,7 @@ class TestTheoreticalRates:
             ((Fraction(1, 2), mixture_problem.process), (Fraction(1, 2), slow))
         )
         problem = SchedulingProblem(desk_alphabet, desk_machines, nested)
-        assert ebar_theoretical(problem) == Fraction(5, 6)
-        assert ebar_underline_theoretical(problem) == Fraction(1, 2)
-        assert strong_converse_holds(problem) is False
+        assert spectral_rates(problem) == (Fraction(5, 6), Fraction(1, 2))
 
     def test_equal_mean_mixture_keeps_converse(self, desk_machines):
         from stochsched import JobAlphabet, SchedulingProblem
@@ -72,15 +64,13 @@ class TestTheoreticalRates:
         mixed = MixtureModel(((Fraction(1, 2), spread), (Fraction(1, 2), point)))
         problem = SchedulingProblem(alphabet, desk_machines, mixed)
         # both components have mean 2, so the rate spectrum collapses to a point
-        assert ebar_theoretical(problem) == Fraction(2, 3)
-        assert ebar_underline_theoretical(problem) == Fraction(2, 3)
-        assert strong_converse_holds(problem) is True
+        assert spectral_rates(problem) == (Fraction(2, 3), Fraction(2, 3))
 
     def test_lower_tail_vanishes_below_underline_rate(self, iid_problem):
         from stochsched import sum_distribution
 
         alpha = Fraction(1, 2)
-        assert alpha < ebar_underline_theoretical(iid_problem)
+        assert alpha < spectral_rates(iid_problem)[1]
         tails = []
         for n in (50, 100, 200):
             dist = sum_distribution(iid_problem.process, iid_problem.alphabet, n)
@@ -125,7 +115,7 @@ class TestSpectralScan:
 
 class TestAchievability:
     def test_desk_row(self, iid_problem):
-        rows = achievability_experiment(iid_problem, Fraction(1, 10), BruteForce(), [2])
+        rows = achievability_experiment(iid_problem, Fraction(1, 10), "brute-force", [2])
         (row,) = rows
         assert row.n == 2
         assert row.discard_prob == 0.25
@@ -136,10 +126,10 @@ class TestAchievability:
 
     def test_bracket_rows_bound_the_exact_cost(self, iid_problem):
         exact_rows = achievability_experiment(
-            iid_problem, Fraction(1, 10), EarliestFinishTime(), [40]
+            iid_problem, Fraction(1, 10), "eft", [40]
         )
         forced = achievability_experiment(
-            iid_problem, Fraction(1, 10), EarliestFinishTime(), [40], budget=10
+            iid_problem, Fraction(1, 10), "eft", [40], budget=10
         )
         assert exact_rows[0].exact is True
         assert forced[0].exact is False
@@ -149,7 +139,7 @@ class TestAchievability:
 
     def test_cost_row_consistency(self, iid_problem):
         rows = achievability_experiment(
-            iid_problem, Fraction(1, 10), EarliestFinishTime(), [5, 10, 20]
+            iid_problem, Fraction(1, 10), "eft", [5, 10, 20]
         )
         alpha = Fraction(23, 30)
         for row in rows:
@@ -168,23 +158,24 @@ class TestAchievability:
                 exact=True,
             )
 
-    def test_brute_force_budget_refuses_before_the_dp(self, iid_problem):
-        # 2^24 assignments exceed BruteForce's budget while 25 multisets x 24 jobs fit cost_exact's
+    def test_brute_force_budget_refuses_before_the_dp(self, monkeypatch, iid_problem):
+        # 2^24 assignments exceed _BRUTE_FORCE_BUDGET = 10^7 while 25 multisets x 24 jobs fit cost_exact's
         discard = ThresholdDiscardSet(n=24, alpha=Fraction(1))
         with pytest.raises(ResourceError, match=r"2\^24 assignments"):
-            cost_exact(BruteForce(), discard, iid_problem)
+            cost_exact("brute-force", discard, iid_problem)
         with pytest.raises(ResourceError, match=r"2\^24 assignments"):
-            average_case_bracket(iid_problem, 24, 4, seed=0, scheduler=BruteForce())
-        (row,) = achievability_experiment(iid_problem, Fraction(1, 10), BruteForce(), [24])
+            average_case_bracket(iid_problem, 24, 4, seed=0, scheduler="brute-force")
+        (row,) = achievability_experiment(iid_problem, Fraction(1, 10), "brute-force", [24])
         assert row.exact is False
-        assert cost_exact(BruteForce(budget=2**24), discard, iid_problem) >= row.cost_lower
-        average_case_bracket(iid_problem, 24, 4, seed=0, scheduler=BruteForce(budget=2**24))
+        monkeypatch.setattr(schedulers, "_BRUTE_FORCE_BUDGET", 2**24)
+        assert cost_exact("brute-force", discard, iid_problem) >= row.cost_lower
+        average_case_bracket(iid_problem, 24, 4, seed=0, scheduler="brute-force")
 
     def test_gamma_must_be_positive(self, iid_problem):
         with pytest.raises(DomainError):
-            achievability_experiment(iid_problem, Fraction(0), BruteForce(), [2])
+            achievability_experiment(iid_problem, Fraction(0), "brute-force", [2])
         with pytest.raises(DomainError):
-            achievability_experiment(iid_problem, Fraction(-1, 10), BruteForce(), [2])
+            achievability_experiment(iid_problem, Fraction(-1, 10), "brute-force", [2])
 
 
 class TestConverse:
@@ -211,28 +202,28 @@ class TestConverse:
 
 class TestAverageCase:
     def test_deterministic_in_seed(self, iid_problem):
-        a = average_case_bracket(iid_problem, 50, 400, seed=3, scheduler=EarliestFinishTime())
-        b = average_case_bracket(iid_problem, 50, 400, seed=3, scheduler=EarliestFinishTime())
-        c = average_case_bracket(iid_problem, 50, 400, seed=4, scheduler=EarliestFinishTime())
+        a = average_case_bracket(iid_problem, 50, 400, seed=3, scheduler="eft")
+        b = average_case_bracket(iid_problem, 50, 400, seed=3, scheduler="eft")
+        c = average_case_bracket(iid_problem, 50, 400, seed=4, scheduler="eft")
         assert a == b
         assert a.mc_mean_span_per_job != c.mc_mean_span_per_job
 
     def test_bracket_contains_theory(self, iid_problem):
-        res = average_case_bracket(iid_problem, 50, 400, seed=3, scheduler=EarliestFinishTime())
+        res = average_case_bracket(iid_problem, 50, 400, seed=3, scheduler="eft")
         assert res.bracket_lo == pytest.approx(2 / 3)
         assert res.bracket_hi == pytest.approx(2 / 3 + 3 / 50)
         assert res.bracket_lo - 3 * res.std_error <= res.mc_mean_span_per_job
         assert res.mc_mean_span_per_job <= res.bracket_hi + 3 * res.std_error
 
     def test_optimal_never_beats_heuristics_in_mean(self, iid_problem):
-        opt = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler=BruteForce())
-        eft = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler=EarliestFinishTime())
-        lpt = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler=LPT())
+        opt = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler="brute-force")
+        eft = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler="eft")
+        lpt = average_case_bracket(iid_problem, 6, 64, seed=9, scheduler="lpt")
         assert opt.mc_mean_span_per_job <= eft.mc_mean_span_per_job
         assert opt.mc_mean_span_per_job <= lpt.mc_mean_span_per_job
 
     def test_brute_force_mean_matches_per_trial_search(self, iid_problem):
-        res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler=BruteForce())
+        res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler="brute-force")
         times = sample_time_matrix(iid_problem.process, iid_problem.alphabet, 7, 50, 5)
         symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
         seqs = [tuple(symbol[t] for t in row) for row in times.tolist()]
@@ -240,7 +231,7 @@ class TestAverageCase:
         assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
 
     def test_lpt_mean_matches_per_trial_loop(self, iid_problem):
-        res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler=LPT())
+        res = average_case_bracket(iid_problem, 7, 50, seed=5, scheduler="lpt")
         times = sample_time_matrix(iid_problem.process, iid_problem.alphabet, 7, 50, 5)
         symbol = {t: sym for sym, t in iid_problem.alphabet.proc_time.items()}
         seqs = [tuple(symbol[t] for t in row) for row in times.tolist()]
@@ -248,7 +239,7 @@ class TestAverageCase:
         assert res.mc_mean_span_per_job == float((np.array(spans) / 7).mean())
 
     def test_markov_run(self, markov_problem):
-        res = average_case_bracket(markov_problem, 80, 300, seed=1, scheduler=EarliestFinishTime())
+        res = average_case_bracket(markov_problem, 80, 300, seed=1, scheduler="eft")
         assert res.bracket_lo == pytest.approx(4 / 9)
 
     def test_degenerate_process_has_zero_spread(self, desk_alphabet, desk_machines):
@@ -256,7 +247,7 @@ class TestAverageCase:
 
         sure = IIDModel({"a": Fraction(1), "b": Fraction(0)})
         problem = SchedulingProblem(desk_alphabet, desk_machines, sure)
-        res = average_case_bracket(problem, 5, 16, seed=0, scheduler=EarliestFinishTime())
+        res = average_case_bracket(problem, 5, 16, seed=0, scheduler="eft")
         # every trial is the same all-a sequence: EFT packs loads (2, 3), span 2
         assert res.std_error == 0.0
         assert res.total_z == 0.0
@@ -265,7 +256,7 @@ class TestAverageCase:
 
     def test_trials_validation(self, iid_problem):
         with pytest.raises(DomainError):
-            average_case_bracket(iid_problem, 10, 1, seed=0, scheduler=EarliestFinishTime())
+            average_case_bracket(iid_problem, 10, 1, seed=0, scheduler="eft")
 
     def test_chance_low_mean_is_reported_not_raised(self):
         # a k=3 stationary chain under LPT on two equal machines: each makespan
@@ -284,7 +275,7 @@ class TestAverageCase:
             },
             "experiment": {"kind": "average-case", "n": 252, "trials": 9830, "scheduler": "lpt", "master_seed": 1764256832},
         }))
-        res = average_case_bracket(config.problem, 252, 9830, config.master_seed, LPT())
+        res = average_case_bracket(config.problem, 252, 9830, config.master_seed, "lpt")
         assert res.mc_mean_span_per_job < res.bracket_lo - 3 * res.std_error
         assert res.total_z == pytest.approx(-3.17, abs=0.01)
 
@@ -294,7 +285,7 @@ class TestAverageCase:
         equal = SchedulingProblem(iid_problem.alphabet, MachineSet((Fraction(1), Fraction(1))), iid_problem.process)
         scores = []
         for seed in range(100):
-            for problem, scheduler in ((equal, LPT()), (markov_problem, EarliestFinishTime())):
+            for problem, scheduler in ((equal, "lpt"), (markov_problem, "eft")):
                 scores.append(average_case_bracket(problem, 24, 200, seed, scheduler).total_z)
         assert max(abs(z) for z in scores) < 4.5
         assert 0.7 < sum(z * z for z in scores) / len(scores) < 1.3
@@ -313,7 +304,7 @@ class TestAverageCase:
 
         monkeypatch.setattr(spectrum, "makespans_scaled", moved)
         if edge.startswith("at"):
-            average_case_bracket(iid_problem, 30, 20, seed=1, scheduler=EarliestFinishTime())
+            average_case_bracket(iid_problem, 30, 20, seed=1, scheduler="eft")
         else:
             with pytest.raises(NumericError, match="sampled row 7"):
-                average_case_bracket(iid_problem, 30, 20, seed=1, scheduler=EarliestFinishTime())
+                average_case_bracket(iid_problem, 30, 20, seed=1, scheduler="eft")

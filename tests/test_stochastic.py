@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from stochsched import (
     DomainError,
-    EarliestFinishTime,
     IIDModel,
     JobAlphabet,
     MachineSet,
@@ -24,12 +23,12 @@ from stochsched import (
     achievability_experiment,
     converse_experiment,
     discard_probability,
-    ebar_theoretical,
     flatten_mixture,
     mean_total_time_exact,
     sample_index_matrix,
     sample_time_matrix,
     second_order_table,
+    spectral_rates,
     spectral_scan,
     stationary_distribution,
     sum_distribution,
@@ -76,7 +75,7 @@ class TestModelValidation:
         total = 1 - short
         assert model.probs == {"a": Fraction(1, 2) / total, "b": (Fraction(1, 2) - short) / total}
         problem = SchedulingProblem(desk_alphabet, desk_machines, model)
-        ebar = ebar_theoretical(problem)
+        ebar, _ = spectral_rates(problem)
         assert ebar == (Fraction(1, 2) * 1 + (Fraction(1, 2) - short) * 3) / total / 3
         assert ebar != (Fraction(1, 2) * 1 + (Fraction(1, 2) - short) * 3) / 3
         half = Fraction(1, 2)
@@ -503,7 +502,7 @@ class TestSumLawsOverAGrid:
         problem = SchedulingProblem(_WIDE, _MACHINES, _IID3)
         spectral_scan(problem, [Fraction(3)], grid)
         converse_experiment(problem, Fraction(1, 10), grid)
-        achievability_experiment(problem, Fraction(1, 10), EarliestFinishTime(), grid)
+        achievability_experiment(problem, Fraction(1, 10), "eft", grid)
         second_order_table(grid, 0.1, problem)
         assert calls == [grid] * 4
 
@@ -515,7 +514,7 @@ class TestSumLawsOverAGrid:
         run = {
             "scan": lambda grid: spectral_scan(problem, [Fraction(3)], grid),
             "converse": lambda grid: converse_experiment(problem, Fraction(1, 10), grid),
-            "achievability": lambda grid: achievability_experiment(problem, Fraction(1, 10), EarliestFinishTime(), grid),
+            "achievability": lambda grid: achievability_experiment(problem, Fraction(1, 10), "eft", grid),
             "second-order": lambda grid: second_order_table(grid, 0.1, problem),
         }[table]
         with pytest.raises(DomainError):
@@ -843,7 +842,50 @@ class TestUnsupportedProcess:
         with pytest.raises(DomainError, match="unsupported process type"):
             sample_index_matrix(process, 3, 2, master_seed=0)
         with pytest.raises(DomainError, match="unsupported process type"):
-            ebar_theoretical(problem)
+            spectral_rates(problem)
+
+
+class TestStationaryStart:
+    """MarkovModel(symbols, transition, "stationary") starts in the chain's own stationary vector."""
+
+    SYMBOLS = ("a", "b", "c")
+    P = (
+        (Fraction(3, 20), Fraction(13, 20), Fraction(4, 20)),
+        (Fraction(11, 20), Fraction(1, 20), Fraction(8, 20)),
+        (Fraction(2, 20), Fraction(7, 20), Fraction(11, 20)),
+    )
+    ALPHABET = JobAlphabet({"a": 1, "b": 5, "c": 9})
+
+    def test_equals_the_chain_given_the_vector(self):
+        started = MarkovModel(self.SYMBOLS, self.P, "stationary")
+        pi = stationary_distribution(MarkovModel(self.SYMBOLS, self.P, (Fraction(1), Fraction(0), Fraction(0))))
+        given = MarkovModel(self.SYMBOLS, self.P, pi)
+        mixed = [MixtureModel(((Fraction(1, 3), chain), (Fraction(2, 3), _IID3))) for chain in (started, given)]
+        for a, b in ((started, given), mixed):
+            assert a == b
+            assert repr(a) == repr(b)
+            for n in (1, 4, 30):
+                law_a, law_b = sum_distribution(a, self.ALPHABET, n), sum_distribution(b, self.ALPHABET, n)
+                assert (law_a.offset, law_a.mass) == (law_b.offset, law_b.mass)
+                assert mean_total_time_exact(a, self.ALPHABET, n) == mean_total_time_exact(b, self.ALPHABET, n)
+
+    def test_solved_once_on_construction(self, monkeypatch):
+        solved = []
+        solve = stochastic._solve_stationary
+        monkeypatch.setattr(stochastic, "_solve_stationary", lambda model: solved.append(model) or solve(model))
+        chain = MarkovModel(self.SYMBOLS, self.P, "stationary")
+        assert len(solved) == 1
+        assert stationary_distribution(chain) == chain.initial
+        assert len(solved) == 1
+
+    def test_reducible_chain_refused(self):
+        identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        with pytest.raises(DomainError, match="^Markov chain is reducible"):
+            MarkovModel(("a", "b"), identity, "stationary")
+
+    def test_other_strings_refused(self):
+        with pytest.raises(DomainError, match="uniform"):
+            MarkovModel(self.SYMBOLS, self.P, "uniform")
 
 
 class TestExactMoments:
